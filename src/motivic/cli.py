@@ -175,6 +175,14 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if failures == 0 else 1
 
 
+def nonnegative_int(text: str) -> int:
+    """argparse type for ``--series-order``: an integer >= 0."""
+    k = int(text)
+    if k < 0:
+        raise argparse.ArgumentTypeError(f"order must be >= 0, got {k}")
+    return k
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="motivic",
@@ -191,14 +199,14 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("zeta", cmd_zeta, help="rational form of the motivic zeta function")
-    p.add_argument("--series-order", type=int, default=None,
+    p.add_argument("--series-order", type=nonnegative_int, default=None,
                    help="also print the exact expansion to this order")
     add("nearby", cmd_nearby, help="motivic nearby cycle")
     p = add("vanishing", cmd_vanishing, help="motivic vanishing cycle")
     p.add_argument("--critical-value", help="slice label (default '0')")
     p = add("arc-check", cmd_arc_check,
             help="cross-check resolution zeta against the arc oracle")
-    p.add_argument("--series-order", type=int, default=None)
+    p.add_argument("--series-order", type=nonnegative_int, default=None)
     add("ts", cmd_ts, help="exterior-sum product of the given classes")
     add("glue", cmd_glue, help="descent-checked gluing over an atlas")
     add("localize", cmd_localize, help="torus localization sum and check")

@@ -2,16 +2,26 @@
 
 A :class:`Motive` over a registered space X is a finite sum of terms
 
-    coeff * [s1] . [s2] ... . Y(b)
+    c * L^(k2/2) * [s1] . [s2] ... . Y(b)
 
-where ``coeff`` is a half-integer Laurent polynomial in L, the ``[s_i]`` are
-registered monodromy symbols (a multiset, stored as a sorted name tuple) and
-``Y(b)`` is the group-ring unit attached to an F2 bundle class ``b``.  The
-representation is the normal form for the convolution product: coefficients
-multiply by adding exponents, bundle classes add over F2 (so the Z2-bundle
-group law holds by construction), and monomials take unions.  Order-2
-symbols declared as Z2-covers never appear: they are eagerly rewritten to
+with a nonzero integer ``c``, registered monodromy symbols ``[s_i]`` (a
+multiset, kept as a sorted name tuple) and the group-ring unit ``Y(b)``
+attached to an F2 bundle class ``b``.  The stored form is one flat dict
+
+    {(monomial, bits, k2): c}
+
+with no zero value.  It is the normal form for the convolution product:
+exponents add, bundle classes add over F2 (so the Z2-bundle group law holds
+by construction), and monomials take unions.  Order-2 symbols declared as
+Z2-covers never appear: they are eagerly rewritten to
 ``1 - L^(1/2) . Y(p)`` at construction time.
+
+:class:`HalfLaurent` is the coefficient type at the boundary.  The
+constructor accepts ``((monomial, bits), HalfLaurent)`` terms and checks
+each distinct key once; ``terms()`` groups the flat dict back into that
+shape, sorted.  Every operation works on the flat dicts and accumulates
+plain integers.  Products group each operand by monomial once, so the
+opacity check and the monomial merge run once per monomial pair.
 
 The product of two terms that both carry opaque monodromy of order >= 2 is
 outside the fragment and raises :class:`OdotUndecidable` instead of
@@ -29,15 +39,17 @@ from .bundles import BundleClass
 from .errors import (DotUndefined, MissingTransport, NoUnderlyingClass,
                      OdotUndecidable, RegistryError, SpaceMismatch)
 from .halflaurent import HalfLaurent
-from .registry import Registry
+from .registry import Morphism, Product, Registry
 
 TermKey = tuple[tuple[str, ...], int]
+# (monomial, bundle bits, doubled exponent of L) -> nonzero integer
+Flat = dict[tuple[tuple[str, ...], int, int], int]
 
 
 class Motive:
     """Element of the fragment ring over a fixed base space."""
 
-    __slots__ = ("reg", "space", "_terms")
+    __slots__ = ("reg", "space", "_flat")
 
     def __init__(self, reg: Registry, space: str,
                  terms: Mapping[TermKey, HalfLaurent] | Iterable[tuple[TermKey, HalfLaurent]] = ()):
@@ -45,18 +57,28 @@ class Motive:
         self.reg = reg
         self.space = space
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[TermKey, HalfLaurent] = {}
+        flat: Flat = {}
+        checked: set[TermKey] = set()
         for (mon, bits), coeff in items:
             mon = tuple(sorted(mon))
-            self._check_term(reg, space, mon, bits)
-            key = (mon, bits)
-            c = acc.get(key)
-            c = coeff if c is None else c + coeff
-            if c.is_zero():
-                acc.pop(key, None)
-            else:
-                acc[key] = c
-        self._terms = acc
+            if (mon, bits) not in checked:
+                self._check_term(reg, space, mon, bits)
+                checked.add((mon, bits))
+            for k2, c in coeff.items():
+                key = (mon, bits, k2)
+                v = flat.get(key, 0) + c
+                if v:
+                    flat[key] = v
+                else:
+                    flat.pop(key, None)
+        self._flat = flat
+
+    @classmethod
+    def _wrap(cls, reg: Registry, space: str, flat: Flat) -> "Motive":
+        """A motive whose flat dict is already canonical over ``space``."""
+        m = object.__new__(cls)
+        m.reg, m.space, m._flat = reg, space, flat
+        return m
 
     @staticmethod
     def _check_term(reg: Registry, space: str, mon: tuple[str, ...], bits: int) -> None:
@@ -94,68 +116,60 @@ class Motive:
     # -- inspection ----------------------------------------------------------
 
     def terms(self) -> list[tuple[TermKey, HalfLaurent]]:
-        return sorted(self._terms.items())
+        """``((monomial, bits), coefficient)`` pairs in sorted key order."""
+        return [(key, HalfLaurent(coeff))
+                for key, coeff in sorted(_by_term(self._flat).items())]
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._flat
 
     def is_one(self) -> bool:
-        return self._terms == {((), 0): HalfLaurent.const(1)}
+        return self._flat == {((), 0, 0): 1}
 
     def is_plain(self) -> bool:
         """Trivial monodromy: no bundles, no opaque symbols, integral powers."""
-        for (mon, bits), coeff in self._terms.items():
-            if bits or not coeff.is_integral():
-                return False
-            if any(self.reg.symbol(n).order > 1 for n in mon):
+        for mon, bits, k2 in self._flat:
+            if bits or k2 % 2 or _opaque(self.reg, mon):
                 return False
         return True
 
-    def _term_opaque(self, mon: tuple[str, ...]) -> bool:
-        return any(self.reg.symbol(n).order > 1 for n in mon)
-
     def normalized(self) -> "Motive":
-        return Motive(self.reg, self.space, self._terms)
+        return Motive(self.reg, self.space, self.terms())
 
     # -- additive structure ------------------------------------------------------
 
     def __add__(self, other: "Motive") -> "Motive":
-        self._same_space(other)
-        acc = dict(self._terms)
-        items = list(acc.items()) + list(other._terms.items())
-        return Motive(self.reg, self.space, items)
-
-    def __neg__(self) -> "Motive":
-        return Motive(self.reg, self.space,
-                      {k: -c for k, c in self._terms.items()})
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Motive") -> "Motive":
-        return self + (-other)
+        return self._plus(other, -1)
+
+    def __neg__(self) -> "Motive":
+        return Motive._wrap(self.reg, self.space,
+                            {key: -c for key, c in self._flat.items()})
+
+    def _plus(self, other: "Motive", sign: int) -> "Motive":
+        self._same_space(other)
+        flat = dict(self._flat)
+        _add_scaled(flat, other._flat, ((0, sign),))
+        return Motive._wrap(self.reg, self.space, flat)
 
     def scale(self, coeff: HalfLaurent | int) -> "Motive":
-        if isinstance(coeff, int):
-            coeff = HalfLaurent.const(coeff)
-        return Motive(self.reg, self.space,
-                      {k: c * coeff for k, c in self._terms.items()})
+        pairs = ((0, coeff),) if isinstance(coeff, int) else coeff.items()
+        flat: Flat = {}
+        _add_scaled(flat, self._flat, pairs)
+        return Motive._wrap(self.reg, self.space, flat)
 
     def _same_space(self, other: "Motive") -> None:
-        if self.space != other.space:
-            raise SpaceMismatch(f"{self.space!r} vs {other.space!r}")
+        _check_operand(self.reg, self.space, other)
 
     # -- products ------------------------------------------------------------------
 
     def odot(self, other: "Motive") -> "Motive":
         """Convolution product, defined on the fragment."""
         self._same_space(other)
-        out: list[tuple[TermKey, HalfLaurent]] = []
-        for (mon1, bits1), c1 in self._terms.items():
-            op1 = self._term_opaque(mon1)
-            for (mon2, bits2), c2 in other._terms.items():
-                if op1 and other._term_opaque(mon2):
-                    raise OdotUndecidable(
-                        f"product of opaque monomials {mon1} and {mon2}")
-                out.append(((tuple(sorted(mon1 + mon2)), bits1 ^ bits2), c1 * c2))
-        return Motive(self.reg, self.space, out)
+        return Motive._wrap(self.reg, self.space,
+                            _product(self.reg, self._flat, other._flat, "product"))
 
     def dot(self, other: "Motive") -> "Motive":
         """Fibre product; exposed only where it agrees with the convolution."""
@@ -167,10 +181,10 @@ class Motive:
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Motive) and self.space == other.space
-                and self._terms == other._terms)
+                and self._flat == other._flat)
 
     def __hash__(self) -> int:
-        return hash((self.space, tuple(sorted((k, c.key()) for k, c in self._terms.items()))))
+        return hash((self.space, frozenset(self._flat.items())))
 
     def text(self) -> str:
         from .render import motive_text
@@ -179,6 +193,78 @@ class Motive:
 
     def __repr__(self) -> str:
         return f"<Motive {self.space}: {self.text()}>"
+
+
+# -- flat-form kernels --------------------------------------------------------------
+
+
+def _check_operand(reg: Registry, space: str, other: Motive) -> None:
+    if other.reg is not reg:
+        raise RegistryError("operands come from different registries")
+    if other.space != space:
+        raise SpaceMismatch(f"{space!r} vs {other.space!r}")
+
+
+def _add_scaled(acc: Flat, flat: Flat, coeff: Iterable[tuple[int, int]],
+                y: int = 0) -> None:
+    """acc += coeff * Y(y) * flat, where ``coeff`` lists (doubled
+    L-exponent, integer) pairs; keys whose sum cancels are dropped."""
+    coeff = tuple(coeff)
+    get = acc.get
+    for (mon, bits, k), c in flat.items():
+        for k2, c2 in coeff:
+            key = (mon, bits ^ y, k + k2)
+            v = get(key, 0) + c * c2
+            if v:
+                acc[key] = v
+            else:
+                acc.pop(key, None)
+
+
+def _by_term(flat: Flat) -> dict[TermKey, dict[int, int]]:
+    """(monomial, bits) -> {doubled L-exponent: integer}."""
+    groups: dict[TermKey, dict[int, int]] = {}
+    for (mon, bits, k2), c in flat.items():
+        groups.setdefault((mon, bits), {})[k2] = c
+    return groups
+
+
+def _by_monomial(flat: Flat) -> dict[tuple[str, ...], list[tuple[int, int, int]]]:
+    """monomial -> [(bits, doubled L-exponent, integer), ...]."""
+    groups: dict[tuple[str, ...], list[tuple[int, int, int]]] = {}
+    for (mon, bits, k2), c in flat.items():
+        groups.setdefault(mon, []).append((bits, k2, c))
+    return groups
+
+
+def _opaque(reg: Registry, mon: tuple[str, ...]) -> bool:
+    return any(reg.symbol(n).order > 1 for n in mon)
+
+
+def _product(reg: Registry, a: Flat, b: Flat, what: str) -> Flat:
+    """Convolution product of two flat forms over one space.
+
+    Raises :class:`OdotUndecidable` when a monomial of each side carries
+    opaque monodromy, whatever the coefficients.
+    """
+    right = [(mon, terms, _opaque(reg, mon))
+             for mon, terms in _by_monomial(b).items()]
+    out: Flat = {}
+    get = out.get
+    for mon1, terms1 in _by_monomial(a).items():
+        op1 = _opaque(reg, mon1)
+        for mon2, terms2, op2 in right:
+            if op1 and op2:
+                raise OdotUndecidable(
+                    f"{what} of opaque monomials {mon1} and {mon2}")
+            mon = tuple(sorted(mon1 + mon2)) if mon1 and mon2 else mon1 or mon2
+            for b1, k1, c1 in terms1:
+                for b2, k2, c2 in terms2:
+                    key = (mon, b1 ^ b2, k1 + k2)
+                    out[key] = get(key, 0) + c1 * c2
+    for key in [key for key, c in out.items() if not c]:
+        del out[key]
+    return out
 
 
 # -- free-function operation names ----------------------------------------------------
@@ -202,6 +288,21 @@ def mot_equal(a: Motive, b: Motive) -> bool:
     return a == b
 
 
+def mot_sum(reg: Registry, space: str,
+            terms: Iterable[tuple[Motive, Mapping[int, int] | HalfLaurent]]) -> Motive:
+    """The sum of ``coeff * m`` over ``(m, coeff)`` pairs, in one accumulator.
+
+    A coefficient is a HalfLaurent or a plain ``{doubled exponent: int}``
+    dict.
+    """
+    reg.space(space)
+    acc: Flat = {}
+    for m, coeff in terms:
+        _check_operand(reg, space, m)
+        _add_scaled(acc, m._flat, coeff.items())
+    return Motive._wrap(reg, space, acc)
+
+
 def mot_boxdot(a: Motive, b: Motive) -> Motive:
     """External convolution product over a registered product space."""
     from .errors import UnregisteredProduct
@@ -213,23 +314,31 @@ def mot_boxdot(a: Motive, b: Motive) -> Motive:
         prod = reg.product_of(a.space, b.space)
     except RegistryError as exc:
         raise UnregisteredProduct(str(exc)) from None
-    out: list[tuple[TermKey, HalfLaurent]] = []
-    for (mon1, bits1), c1 in a._terms.items():
-        op1 = a._term_opaque(mon1)
-        for (mon2, bits2), c2 in b._terms.items():
-            if op1 and b._term_opaque(mon2):
-                raise OdotUndecidable(
-                    f"external product of opaque monomials {mon1} and {mon2}")
-            mon = tuple(sorted(
-                [prod.symbol_images[(0, n)] for n in mon1]
-                + [prod.symbol_images[(1, n)] for n in mon2]))
-            bits = 0
-            for side, src, b_ in ((0, a.space, bits1), (1, b.space, bits2)):
-                for gname in reg.names_of(src, b_):
-                    bits ^= 1 << reg.generator_index(
-                        prod.name, prod.bundle_images[(side, gname)])
-            out.append(((mon, bits), c1 * c2))
-    return Motive(reg, prod.name, out)
+    return Motive._wrap(reg, prod.name, _product(
+        reg, _into_product(reg, prod, 0, a), _into_product(reg, prod, 1, b),
+        "external product"))
+
+
+def _into_product(reg: Registry, prod: Product, side: int, m: Motive) -> Flat:
+    """``m`` with symbols and generators renamed to their images on the
+    product space.  Images are distinct, so no two keys merge."""
+    mons: dict[tuple[str, ...], tuple[str, ...]] = {}
+    images: dict[int, int] = {}
+    out: Flat = {}
+    for (mon, bits, k2), c in m._flat.items():
+        mon_img = mons.get(mon)
+        if mon_img is None:
+            mon_img = mons[mon] = tuple(sorted(
+                prod.symbol_images[(side, n)] for n in mon))
+        img = images.get(bits)
+        if img is None:
+            img = 0
+            for gname in reg.names_of(m.space, bits):
+                img ^= 1 << reg.generator_index(
+                    prod.name, prod.bundle_images[(side, gname)])
+            images[bits] = img
+        out[(mon_img, img, k2)] = c
+    return out
 
 
 def upsilon(reg: Registry, p: BundleClass) -> Motive:
@@ -257,40 +366,61 @@ def symbol_motive(reg: Registry, name: str) -> Motive:
 
 
 def pullback(reg: Registry, morphism: str, m: Motive) -> Motive:
+    """Pull a motive back along a morphism, term by term.
+
+    Each distinct monomial and each distinct bundle class is transported
+    once; a term then lands as its coefficient times the product of the
+    two images.
+    """
     mor = reg.morphism(morphism)
     if m.space != mor.target:
         raise SpaceMismatch(
             f"motive on {m.space!r} cannot be pulled along {morphism!r} "
             f"with target {mor.target!r}")
-    out = Motive.zero(reg, mor.source)
-    for (mon, bits), coeff in m._terms.items():
-        img = Motive.coefficient(reg, mor.source, coeff)
-        for name in mon:
-            entry = mor.pull_symbols.get(name)
-            if entry is None:
-                sym = reg.symbol(name)
-                if reg.symbol_allowed_on(sym, mor.source):
-                    entry = symbol_motive(reg, name)
-                else:
-                    raise MissingTransport(
-                        f"morphism {morphism!r} has no image for symbol {name!r}")
-            elif isinstance(entry, str):
-                entry = symbol_motive(reg, entry)
-            img = img.odot(entry)
-        newbits = 0
-        for gname in reg.names_of(mor.target, bits):
-            if gname in mor.pull_bundles:
-                newbits ^= mor.pull_bundles[gname]
+    mons: dict[tuple[str, ...], Flat] = {}
+    images: dict[int, int] = {}
+    acc: Flat = {}
+    for (mon, bits), coeff in _by_term(m._flat).items():
+        mon_img = mons.get(mon)
+        if mon_img is None:
+            mon_img = mons[mon] = _pull_monomial(reg, mor, mon)._flat
+        img = images.get(bits)
+        if img is None:
+            img = images[bits] = _pull_bits(reg, mor, bits)
+        _add_scaled(acc, mon_img, coeff.items(), img)
+    return Motive._wrap(reg, mor.source, acc)
+
+
+def _pull_monomial(reg: Registry, mor: Morphism, mon: tuple[str, ...]) -> Motive:
+    img = Motive.one(reg, mor.source)
+    for name in mon:
+        entry = mor.pull_symbols.get(name)
+        if entry is None:
+            sym = reg.symbol(name)
+            if reg.symbol_allowed_on(sym, mor.source):
+                entry = symbol_motive(reg, name)
             else:
-                try:
-                    newbits ^= 1 << reg.generator_index(mor.source, gname)
-                except RegistryError:
-                    raise MissingTransport(
-                        f"morphism {morphism!r} has no image for generator "
-                        f"{gname!r}") from None
-        img = img.odot(upsilon(reg, BundleClass(mor.source, newbits)))
-        out = out + img
-    return out
+                raise MissingTransport(
+                    f"morphism {mor.name!r} has no image for symbol {name!r}")
+        elif isinstance(entry, str):
+            entry = symbol_motive(reg, entry)
+        img = img.odot(entry)
+    return img
+
+
+def _pull_bits(reg: Registry, mor: Morphism, bits: int) -> int:
+    newbits = 0
+    for gname in reg.names_of(mor.target, bits):
+        if gname in mor.pull_bundles:
+            newbits ^= mor.pull_bundles[gname]
+        else:
+            try:
+                newbits ^= 1 << reg.generator_index(mor.source, gname)
+            except RegistryError:
+                raise MissingTransport(
+                    f"morphism {mor.name!r} has no image for generator "
+                    f"{gname!r}") from None
+    return newbits
 
 
 def pushforward(reg: Registry, morphism: str, m: Motive) -> Motive:
@@ -306,22 +436,28 @@ def pushforward(reg: Registry, morphism: str, m: Motive) -> Motive:
         raise SpaceMismatch(
             f"motive on {m.space!r} cannot be pushed along {morphism!r} "
             f"with source {mor.source!r}")
-    out = Motive.zero(reg, mor.target)
-    for (mon, bits), coeff in m._terms.items():
+    acc: Flat = {}
+
+    def add(image: Motive, coeff) -> None:
+        _check_operand(reg, mor.target, image)
+        _add_scaled(acc, image._flat, coeff)
+
+    for (mon, bits), coeff in _by_term(m._flat).items():
         entry = mor.push_classes.get((mon, bits))
         if entry is not None:
-            out = out + entry.scale(coeff)
+            add(entry, coeff.items())
             continue
         if not mon and bits:
             unit = mor.push_classes.get(((), 0))
             cover = mor.push_classes.get((("__cover__",), bits))
             if unit is not None and cover is not None:
-                out = out + (unit - cover).scale(coeff * HalfLaurent.power(-1))
+                add(unit, [(k - 1, c) for k, c in coeff.items()])
+                add(cover, [(k - 1, -c) for k, c in coeff.items()])
                 continue
         raise MissingTransport(
             f"morphism {morphism!r} has no pushforward entry for term "
             f"({mon}, bits={bits})")
-    return out
+    return Motive._wrap(reg, mor.target, acc)
 
 
 def pi_forget(m: Motive) -> Motive:
@@ -332,31 +468,41 @@ def pi_forget(m: Motive) -> Motive:
     L^(1/2)-divisible part, via a registered cover symbol for the class.
     """
     reg = m.reg
-    out = Motive.zero(reg, m.space)
-    for (mon, bits), coeff in m._terms.items():
-        prod = Motive.one(reg, m.space)
-        for name in mon:
-            sym = reg.symbol(name)
-            if sym.order == 1:
-                prod = prod.dot(symbol_motive(reg, name))
-            else:
-                if sym.underlying is None:
-                    raise NoUnderlyingClass(
-                        f"symbol {name!r} has no declared underlying class")
-                prod = prod.dot(sym.underlying)
-        even = HalfLaurent({k: c for k, c in coeff.items() if k % 2 == 0})
-        odd = HalfLaurent({k - 1: c for k, c in coeff.items() if k % 2})
+    prods: dict[tuple[str, ...], Motive] = {}
+    acc: Flat = {}
+    for (mon, bits), coeff in _by_term(m._flat).items():
+        prod = prods.get(mon)
+        if prod is None:
+            prod = prods[mon] = _forget_monomial(reg, m.space, mon)
+        even = [(k, c) for k, c in coeff.items() if k % 2 == 0]
+        odd = [(k - 1, c) for k, c in coeff.items() if k % 2]
         if bits == 0:
-            out = out + prod.scale(even - odd)
+            _add_scaled(acc, prod._flat, even + [(k, -c) for k, c in odd])
             continue
-        if not even.is_zero():
+        if even:
             raise NoUnderlyingClass(
-                f"Y-term with coefficient {coeff.text()} has no integral "
-                "L^(1/2)-divisible form")
+                f"Y-term with coefficient {HalfLaurent(coeff).text()} has no "
+                "integral L^(1/2)-divisible form")
         cover = reg.cover_symbol_for_bits(m.space, bits)
         if cover is None or cover.underlying is None:
             raise NoUnderlyingClass(
                 f"no cover symbol with underlying class for bundle bits {bits}")
         # c . L^(1/2) . Y(b) = c . (1 - [P_b]);  forget termwise.
-        out = out + prod.scale(odd) - prod.dot(cover.underlying).scale(odd)
-    return out
+        _add_scaled(acc, prod._flat, odd)
+        _add_scaled(acc, prod.dot(cover.underlying)._flat,
+                    [(k, -c) for k, c in odd])
+    return Motive._wrap(reg, m.space, acc)
+
+
+def _forget_monomial(reg: Registry, space: str, mon: tuple[str, ...]) -> Motive:
+    prod = Motive.one(reg, space)
+    for name in mon:
+        sym = reg.symbol(name)
+        if sym.order == 1:
+            prod = prod.dot(symbol_motive(reg, name))
+        else:
+            if sym.underlying is None:
+                raise NoUnderlyingClass(
+                    f"symbol {name!r} has no declared underlying class")
+            prod = prod.dot(sym.underlying)
+    return prod

@@ -14,6 +14,7 @@ from typing import Any
 from .arcs import ArcContext, MonomialFunction
 from .bundles import BundleClass
 from .dcrit import Atlas, CriticalChart, OverlapDatum, ScissorPiece
+from .errors import ValidationFailed
 from .halflaurent import HalfLaurent
 from .localize import FixedComponentDatum
 from .motive import Motive
@@ -280,8 +281,24 @@ def _chart_mf_from_json(reg: Registry, data) -> Motive:
     return motive_from_json(reg, data)
 
 
+def _undeclared_regions(data, regions: dict[str, str]) -> list[str]:
+    """One diagnostic per chart, overlap or scissor piece on a region the
+    atlas does not declare."""
+    diags = [f"chart {c['id']!r} on undeclared region {c['region']!r}"
+             for c in data["charts"] if c["region"] not in regions]
+    diags += [f"overlap {o['chart_a']}|{o['chart_b']} on undeclared region "
+              f"{o['region']!r}"
+              for o in data.get("overlaps", ()) if o["region"] not in regions]
+    diags += [f"scissor piece on undeclared region {p['region']!r}"
+              for p in data.get("scissor") or () if p["region"] not in regions]
+    return diags
+
+
 def atlas_from_json(reg: Registry, data) -> Atlas:
     regions = {r["name"]: r["space"] for r in data["regions"]}
+    undeclared = _undeclared_regions(data, regions)
+    if undeclared:
+        raise ValidationFailed(undeclared)
     charts = [CriticalChart(
         c["id"], c["region"], c["dim_u"], _chart_mf_from_json(reg, c["mf"]),
         BundleClass(regions[c["region"]],

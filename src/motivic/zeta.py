@@ -24,7 +24,7 @@ from typing import Optional
 
 from .errors import MissingRestriction, ValidationFailed
 from .halflaurent import HalfLaurent
-from .motive import Motive
+from .motive import Motive, mot_sum
 from .registry import POINT, Registry
 
 DivKey = frozenset
@@ -200,27 +200,29 @@ def zeta_function(r: ResolutionData) -> RationalMotive:
 
 def expand_series(z: RationalMotive, k: int, reg: Registry) -> list[Motive]:
     """Exact coefficients of T^0 .. T^k."""
-    out = [Motive.zero(reg, z.space) for _ in range(k + 1)]
+    out: list[list] = [[] for _ in range(k + 1)]
     for term in z.terms:
-        # coefficients of the factor product as Laurent polynomials in L
-        series: dict[int, HalfLaurent] = {0: HalfLaurent.const(1)}
+        # the factor product: degree -> {doubled exponent of L: coefficient};
+        # every coefficient is positive, so none cancels
+        series: dict[int, dict[int, int]] = {0: {0: 1}}
         for N, nu in term.factors:
-            nxt: dict[int, HalfLaurent] = {}
-            for deg, c in series.items():
+            nxt: dict[int, dict[int, int]] = {}
+            for deg, poly in series.items():
                 j = 1
                 while deg + j * N <= k:
-                    d = deg + j * N
-                    add = c * HalfLaurent.power(-2 * j * nu)
-                    nxt[d] = nxt.get(d, HalfLaurent.zero()) + add
+                    acc = nxt.setdefault(deg + j * N, {})
+                    shift = -2 * j * nu
+                    for e, c in poly.items():
+                        acc[e + shift] = acc.get(e + shift, 0) + c
                     j += 1
             series = nxt
             if not series:
                 break
-        for deg, c in series.items():
+        for deg, poly in series.items():
             if deg == 0 and term.factors:
                 continue
-            out[deg] = out[deg] + term.coeff.scale(c)
-    return out
+            out[deg].append((term.coeff, poly))
+    return [mot_sum(reg, z.space, pairs) for pairs in out]
 
 
 def nearby_cycle(r: ResolutionData) -> Motive:

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from motivic import fixtures
 from motivic.cli import main
 from motivic.serialize import motive_from_json, registry_from_json
@@ -123,6 +125,27 @@ def test_glue_descent_failure_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "glue", "--job", str(path))
     assert code == 5
     assert "descent failure" in err
+
+
+def test_undeclared_region_exit_code(tmp_path, capsys):
+    job = fixtures.load_fixture_job("atlas_cylinder")
+    job["payload"]["charts"][0]["region"] = "R_nowhere"
+    job["payload"]["overlaps"][0]["region"] = "R_gone"
+    path = tmp_path / "undeclared.json"
+    path.write_text(json.dumps(job), encoding="utf-8")
+    code, out, err = run(capsys, "glue", "--job", str(path))
+    assert code == 2 and out == ""
+    assert "validation: chart 'cA' on undeclared region 'R_nowhere'" in err
+    assert "validation: overlap cA|cB on undeclared region 'R_gone'" in err
+
+
+@pytest.mark.parametrize("command,fixture", [("zeta", "z2"),
+                                             ("arc-check", "arc_z2")])
+def test_negative_series_order_rejected(capsys, command, fixture):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--fixture", fixture, "--series-order", "-1"])
+    assert exc.value.code == 2
+    assert "order must be >= 0" in capsys.readouterr().err
 
 
 def test_localize_fixture_verdict(capsys):

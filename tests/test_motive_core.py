@@ -6,9 +6,10 @@ import pytest
 
 from motivic import (BundleClass, DotUndefined, HalfLaurent, MissingTransport,
                      Motive, NoUnderlyingClass, OdotUndecidable, Registry,
-                     SpaceMismatch, UnregisteredProduct, generator, mot_add,
-                     mot_boxdot, mot_dot, mot_equal, mot_odot, pi_forget,
-                     pullback, pushforward, symbol_motive, upsilon)
+                     RegistryError, SpaceMismatch, UnregisteredProduct,
+                     generator, mot_add, mot_boxdot, mot_dot, mot_equal,
+                     mot_odot, pi_forget, pullback, pushforward,
+                     symbol_motive, upsilon)
 
 from conftest import rand_fragment_motive
 
@@ -202,6 +203,17 @@ def test_odot_space_mismatch():
     r.declare_space("X", dim=1)
     with pytest.raises(SpaceMismatch):
         mot_odot(Motive.one(r, "X"), Motive.one(r, "K"))
+
+
+def test_arithmetic_refuses_to_mix_registries():
+    r1, r2 = Registry(), Registry()
+    for r in (r1, r2):
+        r.declare_space("S")
+    a, b = Motive.one(r1, "S"), Motive.one(r2, "S")
+    for op in (mot_add, mot_odot, lambda x, y: x - y):
+        with pytest.raises(RegistryError):
+            op(a, b)
+    assert a == b  # equality stays structural
 
 
 # -- pullback / pushforward -----------------------------------------------------------------
