@@ -36,8 +36,15 @@ def _load_job(args) -> Job:
     if args.fixture:
         data = load_fixture_job(args.fixture)
     else:
-        with open(args.job, encoding="utf-8") as fh:
-            data = json.load(fh)
+        try:
+            with open(args.job, encoding="utf-8") as fh:
+                data = json.load(fh)
+        except OSError as exc:
+            raise ValidationFailed(
+                [f"cannot read job file {args.job!r}: {exc.strerror}"]) from None
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ValidationFailed(
+                [f"job file {args.job!r} is not valid JSON: {exc}"]) from None
     return parse_job(data)
 
 

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Any
 
+# Imported eagerly on purpose: the benchmark's start-up probe reads the
+# ``jsonschema`` line of ``python -X importtime -c "import motivic.cli"``
+# (see tests/test_cli.py::test_import_of_cli_loads_jsonschema).
 import jsonschema
 
-from .errors import ValidationFailed
+from .errors import RegistryError, ValidationFailed
 from .registry import Registry
 from .schemas import JOB
 from .serialize import (atlas_from_json, fixedpoints_from_json,
@@ -23,15 +27,35 @@ class Job:
     params: dict = field(default_factory=dict)
 
 
+@cache
+def job_validator() -> jsonschema.Draft7Validator:
+    """The draft-07 validator of ``JOB``, built once per process.
+
+    ``JOB`` is a constant, so its check against the metaschema lives in the
+    test suite rather than on every parse.
+    """
+    return jsonschema.Draft7Validator(JOB)
+
+
 def parse_job(data: dict) -> Job:
-    """Validate a job document against the schema and build its objects."""
-    try:
-        jsonschema.validate(data, JOB)
-    except jsonschema.ValidationError as exc:
+    """Validate a job document against the schema and build its objects.
+
+    Unknown spaces, symbols or generators in a schema-valid job are
+    validation errors too.
+    """
+    exc = jsonschema.exceptions.best_match(job_validator().iter_errors(data))
+    if exc is not None:
         path = "/".join(str(p) for p in exc.absolute_path)
-        raise ValidationFailed([f"job schema: {exc.message} (at /{path})"]) from None
-    reg = registry_from_json(data["registry"])
-    payload = data["payload"]
+        raise ValidationFailed([f"job schema: {exc.message} (at /{path})"])
+    try:
+        reg = registry_from_json(data["registry"])
+        kind, parsed = _build_payload(reg, data["payload"])
+    except RegistryError as err:
+        raise ValidationFailed([str(err)]) from None
+    return Job(reg, kind, parsed, dict(data.get("params", {})))
+
+
+def _build_payload(reg: Registry, payload: dict) -> tuple[str, Any]:
     kind = payload["kind"]
     if kind == "resolution":
         parsed = resolution_from_json(reg, payload)
@@ -48,7 +72,7 @@ def parse_job(data: dict) -> Job:
         parsed = ts_from_json(reg, payload)
     else:  # unreachable behind the schema
         raise ValidationFailed([f"unknown payload kind {kind!r}"])
-    return Job(reg, kind, parsed, dict(data.get("params", {})))
+    return kind, parsed
 
 
 def require_kind(job: Job, *kinds: str) -> None:

@@ -1,6 +1,10 @@
 """CLI surface: output text, exit-code contract, determinism, round-trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -137,6 +141,60 @@ def test_undeclared_region_exit_code(tmp_path, capsys):
     assert code == 2 and out == ""
     assert "validation: chart 'cA' on undeclared region 'R_nowhere'" in err
     assert "validation: overlap cA|cB on undeclared region 'R_gone'" in err
+
+
+def _z2_with_stratum(space=None, monomial=None):
+    job = fixtures.load_fixture_job("z2")
+    cls = job["payload"]["strata"][0]["class"]
+    if space is not None:
+        cls["space"] = space
+    if monomial is not None:
+        cls["terms"][0]["monomial"] = monomial
+    return job
+
+
+@pytest.mark.parametrize("job,message", [
+    (_z2_with_stratum(space="NOWHERE"), "unknown space 'NOWHERE'"),
+    (_z2_with_stratum(monomial=["nosym"]), "unknown symbol 'nosym'"),
+], ids=["space", "symbol"])
+def test_unknown_space_or_symbol_exit_code(tmp_path, capsys, job, message):
+    path = tmp_path / "dangling.json"
+    path.write_text(json.dumps(job), encoding="utf-8")
+    code, out, err = run(capsys, "nearby", "--job", str(path))
+    assert code == 2 and out == ""
+    assert err == f"validation: {message}\n"
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def _run_process(*args):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env)
+
+
+@pytest.mark.parametrize("content,marker", [
+    (None, "cannot read job file"),
+    ("{bad", "is not valid JSON"),
+], ids=["missing", "not_json"])
+def test_bad_job_file_exit_code(tmp_path, content, marker):
+    path = tmp_path / "job.json"
+    if content is not None:
+        path.write_text(content, encoding="utf-8")
+    proc = _run_process("-m", "motivic.cli", "nearby", "--job", str(path))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("validation: ") and marker in proc.stderr
+    assert proc.stderr.count("\n") == 1
+
+
+def test_import_of_cli_loads_jsonschema():
+    # the benchmark's start-up probe reads this line of -X importtime
+    proc = _run_process("-X", "importtime", "-c", "import motivic.cli")
+    assert proc.returncode == 0
+    assert any(line.split("|")[-1].strip() == "jsonschema"
+               for line in proc.stderr.splitlines())
 
 
 @pytest.mark.parametrize("command,fixture", [("zeta", "z2"),

@@ -5,9 +5,11 @@ import random
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from motivic import ValidationFailed, fixtures
-from motivic.jobs import parse_job
+from motivic import MotivicError, ValidationFailed, fixtures
+from motivic.jobs import job_validator, parse_job
 from motivic.schemas import ALL_SCHEMAS, JOB, MOTIVE
 from motivic.serialize import (atlas_from_json, atlas_to_json,
                                motive_from_json, motive_to_json,
@@ -19,11 +21,12 @@ from conftest import rand_fragment_motive
 
 def test_motive_round_trip_randomized(ring_registry):
     rng = random.Random(71)
+    validator = jsonschema.Draft7Validator(MOTIVE)
     for _ in range(200):
         m = rand_fragment_motive(ring_registry, rng, allow_opaque=True,
                                  opaque="w3")
         doc = motive_to_json(m)
-        jsonschema.validate(doc, MOTIVE)
+        validator.validate(doc)
         assert motive_from_json(ring_registry, doc) == m
 
 
@@ -98,10 +101,88 @@ def test_fixture_files_match_builders_bit_for_bit():
 def test_all_fixture_jobs_validate_and_parse():
     for name in fixtures.FIXTURE_NAMES:
         data = fixtures.load_fixture_job(name)
-        jsonschema.validate(data, JOB)
+        job_validator().validate(data)
         job = parse_job(data)
         assert job.kind in ("resolution", "arc-check", "atlas", "fixedpoints",
                             "ts")
+
+
+def test_schemas_are_valid_draft07():
+    # parse_job skips the metaschema check of the constant JOB schema
+    assert ALL_SCHEMAS["job"] is JOB
+    for schema in ALL_SCHEMAS.values():
+        jsonschema.Draft7Validator.check_schema(schema)
+
+
+def _nodes(doc, path=()):
+    """Every (path, value) of a JSON document, the root first."""
+    yield path, doc
+    if isinstance(doc, dict):
+        children = doc.items()
+    elif isinstance(doc, list):
+        children = enumerate(doc)
+    else:
+        return
+    for key, value in children:
+        yield from _nodes(value, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def mutated_jobs(draw):
+    """A shipped fixture job with one schema-level mutation."""
+    data = fixtures.load_fixture_job(draw(st.sampled_from(fixtures.FIXTURE_NAMES)))
+    how = draw(st.sampled_from(("unknown_field", "wrong_kind", "retype",
+                                "drop_key")))
+    if how == "unknown_field":
+        level = draw(st.sampled_from(("job", "payload", "registry", "params")))
+        target = data if level == "job" else data.setdefault(level, {})
+        target[draw(st.sampled_from(("surprise", "extra_1")))] = 1
+    elif how == "wrong_kind":
+        data["payload"]["kind"] = draw(st.sampled_from(
+            ("resolution", "monomial", "arc-check", "atlas", "fixedpoints",
+             "ts", "nonsense")).filter(lambda k: k != data["payload"]["kind"]))
+    else:
+        nodes = [(path, value) for path, value in _nodes(data) if path]
+        if how == "drop_key":
+            nodes = [(path, value) for path, value in nodes
+                     if isinstance(path[-1], str)]
+        path, value = draw(st.sampled_from(nodes))
+        parent = _at(data, path[:-1])
+        if how == "drop_key":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(st.sampled_from(
+                (0, -1, 1.5, "x", None, True, [], {})).filter(
+                    lambda new: type(new) is not type(value)))
+    return data
+
+
+@settings(max_examples=30, deadline=None)
+@given(mutated_jobs())
+def test_parse_job_diagnostics_match_jsonschema_validate(data):
+    try:
+        jsonschema.validate(data, JOB)
+        want = None
+    except jsonschema.ValidationError as exc:
+        path = "/".join(str(p) for p in exc.absolute_path)
+        want = [f"job schema: {exc.message} (at /{path})"]
+    try:
+        parse_job(data)
+        got = None
+    except ValidationFailed as exc:
+        got = exc.diagnostics
+    except MotivicError:
+        got = None
+    if want is None:
+        assert got is None or not got[0].startswith("job schema:")
+    else:
+        assert got == want
 
 
 def test_unknown_fields_rejected():
