@@ -72,24 +72,9 @@ def tensor_square_roots(reg: Registry, space: str,
 
 def bundle_pullback(reg: Registry, morphism: str, cls: BundleClass) -> BundleClass:
     """F2-linear transport of a bundle class along a registered morphism."""
-    from .errors import MissingTransport
-
     mor = reg.morphism(morphism)
     if cls.space != mor.target:
         raise SpaceMismatch(
             f"class on {cls.space!r} cannot be pulled along {morphism!r} "
             f"with target {mor.target!r}")
-    acc = 0
-    for name in reg.names_of(mor.target, cls.bits):
-        if name in mor.pull_bundles:
-            acc ^= mor.pull_bundles[name]
-        elif mor.source == mor.target:
-            acc ^= 1 << reg.generator_index(mor.source, name)
-        else:
-            try:
-                acc ^= 1 << reg.generator_index(mor.source, name)
-            except Exception:
-                raise MissingTransport(
-                    f"morphism {morphism!r} has no image for generator {name!r}"
-                ) from None
-    return BundleClass(mor.source, acc)
+    return BundleClass(mor.source, reg.pull_bits(mor, cls.bits))

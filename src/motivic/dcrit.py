@@ -30,7 +30,7 @@ from typing import Optional
 from .bundles import BundleClass, bundle_pullback
 from .errors import (DescentFailure, MissingScissorTable, OrientationMissing,
                      SpaceMismatch, ValidationFailed)
-from .motive import Motive, pullback, upsilon
+from .motive import Motive, mot_sum, pullback, upsilon
 from .registry import POINT, Registry
 
 
@@ -203,7 +203,8 @@ def check_orientation(atlas: Atlas) -> list[str]:
             if o.q_t.bits != (p.bits ^ q.bits):
                 diags.append(
                     f"overlap {label}: Q_T != P + Q for chart {cid} "
-                    f"(got {o.q_t.bits}, expected {p.bits ^ q.bits})")
+                    f"(got {o.q_t.text(reg)}, "
+                    f"expected {p.tensor(q).text(reg)})")
     return diags
 
 
@@ -254,17 +255,18 @@ def pushforward_to_point(atlas: Atlas, glued: GlobalMotive) -> Motive:
     reg = atlas.registry
     if atlas.scissor is None:
         raise MissingScissorTable("atlas declares no scissor table")
-    out = Motive.zero(reg, POINT)
-    for piece in atlas.scissor:
-        if piece.region not in glued.values:
-            raise MissingScissorTable(
-                f"scissor piece over unglued region {piece.region!r}")
-        value = glued.values[piece.region]
-        for (mon, bits), coeff in value.terms():
-            entry = piece.entries.get((mon, bits))
-            if entry is None:
+
+    def terms():
+        for piece in atlas.scissor:
+            if piece.region not in glued.values:
                 raise MissingScissorTable(
-                    f"region {piece.region!r}: no scissor entry for term "
-                    f"({mon}, bits={bits})")
-            out = out + entry.scale(coeff * piece.sign)
-    return out
+                    f"scissor piece over unglued region {piece.region!r}")
+            for (mon, bits), coeff in glued.values[piece.region].terms():
+                entry = piece.entries.get((mon, bits))
+                if entry is None:
+                    raise MissingScissorTable(
+                        f"region {piece.region!r}: no scissor entry for term "
+                        f"({mon}, bits={bits})")
+                yield entry, coeff * piece.sign
+
+    return mot_sum(reg, POINT, terms())

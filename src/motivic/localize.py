@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ZeroWeight
+from .errors import SpaceMismatch, ZeroWeight
 from .halflaurent import HalfLaurent
-from .motive import Motive
+from .motive import Motive, mot_sum
 from .registry import POINT, Registry
 
 
@@ -48,18 +48,18 @@ def virtual_index(weights) -> int:
 
 
 def localize_sum(reg: Registry, components) -> Motive:
-    from .errors import SpaceMismatch
+    def terms():
+        for comp in components:
+            ind = virtual_index(comp.weights)
+            m = comp.motive if comp.motive is not None \
+                else Motive.one(reg, POINT)
+            if m.space != POINT:
+                raise SpaceMismatch(
+                    f"component {comp.id!r}: absolute class expected over "
+                    f"{POINT!r}, got {m.space!r}")
+            yield m, HalfLaurent.power(-ind)
 
-    out = Motive.zero(reg, POINT)
-    for comp in components:
-        ind = virtual_index(comp.weights)
-        m = comp.motive if comp.motive is not None else Motive.one(reg, POINT)
-        if m.space != POINT:
-            raise SpaceMismatch(
-                f"component {comp.id!r}: absolute class expected over "
-                f"{POINT!r}, got {m.space!r}")
-        out = out + m.scale(HalfLaurent.power(-ind))
-    return out
+    return mot_sum(reg, POINT, terms())
 
 
 def localization_check(reg: Registry, components,

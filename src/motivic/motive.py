@@ -386,7 +386,7 @@ def pullback(reg: Registry, morphism: str, m: Motive) -> Motive:
             mon_img = mons[mon] = _pull_monomial(reg, mor, mon)._flat
         img = images.get(bits)
         if img is None:
-            img = images[bits] = _pull_bits(reg, mor, bits)
+            img = images[bits] = reg.pull_bits(mor, bits)
         _add_scaled(acc, mon_img, coeff.items(), img)
     return Motive._wrap(reg, mor.source, acc)
 
@@ -406,21 +406,6 @@ def _pull_monomial(reg: Registry, mor: Morphism, mon: tuple[str, ...]) -> Motive
             entry = symbol_motive(reg, entry)
         img = img.odot(entry)
     return img
-
-
-def _pull_bits(reg: Registry, mor: Morphism, bits: int) -> int:
-    newbits = 0
-    for gname in reg.names_of(mor.target, bits):
-        if gname in mor.pull_bundles:
-            newbits ^= mor.pull_bundles[gname]
-        else:
-            try:
-                newbits ^= 1 << reg.generator_index(mor.source, gname)
-            except RegistryError:
-                raise MissingTransport(
-                    f"morphism {mor.name!r} has no image for generator "
-                    f"{gname!r}") from None
-    return newbits
 
 
 def pushforward(reg: Registry, morphism: str, m: Motive) -> Motive:

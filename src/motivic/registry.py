@@ -14,6 +14,9 @@ as read-only.  It records:
 * per-space ordered lists of F2 bundle generators (a presentation of the
   finitely generated subgroup of Z2-bundle classes in play);
 * morphisms with explicit pullback/pushforward transport tables;
+  :meth:`Registry.pull_bits` is the one routine that transports bundle
+  generators along a morphism, and the one home of its same-name fallback
+  rule;
 * product spaces with symbol/generator images for external products;
 * square-root data: the bookkept correspondence between (line bundle,
   squared trivialization) pairs and bundle classes.
@@ -26,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import RegistryError, UnknownDatum
+from .errors import MissingTransport, RegistryError, UnknownDatum
 
 POINT = "K"
 
@@ -203,6 +206,25 @@ class Registry:
         except KeyError:
             raise RegistryError(f"unknown morphism {name!r}") from None
 
+    def pull_bits(self, mor: Morphism, bits: int) -> int:
+        """Transport bundle bits on ``mor.target`` to ``mor.source``.
+
+        A generator with no table image goes to the generator of the same
+        name on the source; with neither, :class:`MissingTransport`.
+        """
+        acc = 0
+        for name in self.names_of(mor.target, bits):
+            img = mor.pull_bundles.get(name)
+            if img is None:
+                try:
+                    img = 1 << self.generator_index(mor.source, name)
+                except RegistryError:
+                    raise MissingTransport(
+                        f"morphism {mor.name!r} has no image for generator "
+                        f"{name!r}") from None
+            acc ^= img
+        return acc
+
     # -- products ----------------------------------------------------------------
 
     def declare_product(self, name: str, left: str, right: str,
@@ -276,22 +298,10 @@ class Registry:
         g = self.morphism(outer)
         if f.target != g.source:
             raise RegistryError("morphisms do not compose")
-        pull_symbols = {}
-        for sym_name, image in g.pull_symbols.items():
-            pull_symbols[sym_name] = pullback(self, inner, image)
-        pull_bundles = {}
-        for gen, bits in g.pull_bundles.items():
-            acc = 0
-            for gname in self.names_of(f.target, bits):
-                if gname in f.pull_bundles:
-                    acc ^= f.pull_bundles[gname]
-                else:  # same-name fallback, as in runtime pullback
-                    try:
-                        acc ^= 1 << self.generator_index(f.source, gname)
-                    except RegistryError:
-                        raise RegistryError(
-                            f"cannot compose: {gname!r} untransported") from None
-            pull_bundles[gen] = acc
+        pull_symbols = {sym: pullback(self, inner, image)
+                        for sym, image in g.pull_symbols.items()}
+        pull_bundles = {gen: self.pull_bits(f, bits)
+                        for gen, bits in g.pull_bundles.items()}
         kind = g.kind if g.kind == f.kind else "general"
         return self.declare_morphism(name, f.source, g.target, kind,
                                      pull_symbols, pull_bundles)

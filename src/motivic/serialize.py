@@ -207,7 +207,7 @@ def resolution_from_json(reg: Registry, data) -> ResolutionData:
         if v.get("space") is None:
             continue
         restrictions[v["value"]] = RestrictionTable(
-            v["space"],
+            reg.space(v["space"]).name,
             {frozenset(e["divisors"]): motive_from_json(reg, e["class"])
              for e in v.get("classes", ())},
             _opt_motive_from_json(reg, v.get("ambient")))
@@ -234,10 +234,13 @@ def monomial_to_json(f: MonomialFunction, ctx: ArcContext) -> dict[str, Any]:
 def monomial_from_json(reg: Registry, data) -> tuple[MonomialFunction, ArcContext]:
     f = MonomialFunction(tuple(data["exponents"]),
                          frozenset(data.get("unit_vars", ())))
-    ctx = ArcContext(reg, data["base_space"],
-                     tuple(data.get("unit_generators", ())),
-                     {int(k): v for k, v in data.get("cover_symbols", {}).items()})
-    return f, ctx
+    # resolve every name now, so a dangling one fails the parse
+    base = reg.space(data["base_space"]).name
+    units = tuple(data.get("unit_generators", ()))
+    reg.bits_of(base, units)
+    covers = {int(k): reg.symbol(v).name
+              for k, v in data.get("cover_symbols", {}).items()}
+    return f, ArcContext(reg, base, units, covers)
 
 
 # -- atlas payload --------------------------------------------------------------------

@@ -198,29 +198,35 @@ def zeta_function(r: ResolutionData) -> RationalMotive:
     return RationalMotive(r.space_u0, terms)
 
 
+def _factor_series(factors, k: int, first: int,
+                   sign: int) -> dict[int, dict[int, int]]:
+    """The product over ``(N, nu)`` in ``factors`` of
+
+        sum_{j >= first} sign . L^(-sign j nu) . T^(j N),
+
+    truncated at T^k: degree -> {doubled exponent of L: coefficient}.
+    Every coefficient has the sign ``sign ** len(factors)``, so none cancels.
+    """
+    series: dict[int, dict[int, int]] = {0: {0: 1}}
+    for N, nu in factors:
+        nxt: dict[int, dict[int, int]] = {}
+        for deg, poly in series.items():
+            j = first
+            while deg + j * N <= k:
+                acc = nxt.setdefault(deg + j * N, {})
+                shift = -2 * sign * j * nu
+                for e, c in poly.items():
+                    acc[e + shift] = acc.get(e + shift, 0) + sign * c
+                j += 1
+        series = nxt
+    return series
+
+
 def expand_series(z: RationalMotive, k: int, reg: Registry) -> list[Motive]:
     """Exact coefficients of T^0 .. T^k."""
     out: list[list] = [[] for _ in range(k + 1)]
     for term in z.terms:
-        # the factor product: degree -> {doubled exponent of L: coefficient};
-        # every coefficient is positive, so none cancels
-        series: dict[int, dict[int, int]] = {0: {0: 1}}
-        for N, nu in term.factors:
-            nxt: dict[int, dict[int, int]] = {}
-            for deg, poly in series.items():
-                j = 1
-                while deg + j * N <= k:
-                    acc = nxt.setdefault(deg + j * N, {})
-                    shift = -2 * j * nu
-                    for e, c in poly.items():
-                        acc[e + shift] = acc.get(e + shift, 0) + c
-                    j += 1
-            series = nxt
-            if not series:
-                break
-        for deg, poly in series.items():
-            if deg == 0 and term.factors:
-                continue
+        for deg, poly in _factor_series(term.factors, k, 1, 1).items():
             out[deg].append((term.coeff, poly))
     return [mot_sum(reg, z.space, pairs) for pairs in out]
 
@@ -236,32 +242,34 @@ def nearby_cycle(r: ResolutionData) -> Motive:
     if r.constant:
         return Motive.zero(reg, r.space_u0)
     z = zeta_function(r)
-    out = Motive.zero(reg, z.space)
-    for term in z.terms:
-        sign = -1 if len(term.factors) % 2 == 0 else 1
-        out = out + term.coeff.scale(sign)
-    return out
+    return mot_sum(reg, z.space,
+                   ((term.coeff, {0: 1 if len(term.factors) % 2 else -1})
+                    for term in z.terms))
 
 
-def _restricted_nearby(r: ResolutionData, table: RestrictionTable,
-                       support_only: bool) -> Motive:
-    """Sum of (1-L)^(|I|-1) times restricted stratum classes.
+def _restricted_sum(r: ResolutionData, classes: dict[DivKey, Motive],
+                    space: str, where: str = "",
+                    support_only: bool = False) -> Motive:
+    """Sum over ``space`` of (1-L)^(|I|-1) times the restricted stratum
+    classes; ``where`` ends the missing-restriction message.
 
     With ``support_only`` the boundary singletons are dropped: those terms
     cancel against the off-critical part of the ambient fibre class, which
     is the support argument behind the vanishing-cycle normal form.
     """
-    reg = r.registry
     one_minus_l = HalfLaurent({0: 1, 2: -1})
-    out = Motive.zero(reg, table.space)
-    for key in sorted(r.strata, key=sorted):
-        names = sorted(key)
-        if support_only and len(key) == 1 and r.divisor(names[0]).boundary:
-            continue
-        if key not in table.classes:
-            raise MissingRestriction(f"no restriction of stratum {names}")
-        out = out + table.classes[key].scale(one_minus_l ** (len(key) - 1))
-    return out
+
+    def terms():
+        for key in sorted(r.strata, key=sorted):
+            names = sorted(key)
+            if support_only and len(key) == 1 and r.divisor(names[0]).boundary:
+                continue
+            if key not in classes:
+                raise MissingRestriction(
+                    f"no restriction of stratum {names}{where}")
+            yield classes[key], one_minus_l ** (len(key) - 1)
+
+    return mot_sum(r.registry, space, terms())
 
 
 def vanishing_cycle(r: ResolutionData, c: str = "0") -> Motive:
@@ -278,7 +286,8 @@ def vanishing_cycle(r: ResolutionData, c: str = "0") -> Motive:
     if r.constant:
         inner = ambient
     else:
-        inner = ambient - _restricted_nearby(r, table, support_only=True)
+        inner = ambient - _restricted_sum(r, table.classes, table.space,
+                                          support_only=True)
     return inner.scale(HalfLaurent.power(-r.dim_u))
 
 
@@ -289,14 +298,8 @@ def milnor_fibre_at(r: ResolutionData, x: str) -> Motive:
     table = r.points.get(x)
     if table is None:
         raise MissingRestriction(f"no point-restriction table for {x!r}")
-    one_minus_l = HalfLaurent({0: 1, 2: -1})
-    mf = Motive.zero(reg, POINT)
-    if not r.constant:
-        for key in sorted(r.strata, key=sorted):
-            if key not in table.classes:
-                raise MissingRestriction(
-                    f"no restriction of stratum {sorted(key)} to point {x!r}")
-            mf = mf + table.classes[key].scale(one_minus_l ** (len(key) - 1))
+    # constant-function data carry no strata, so their sum is zero
+    mf = _restricted_sum(r, table.classes, POINT, f" to point {x!r}")
     return (Motive.one(reg, POINT) - mf).scale(HalfLaurent.power(-r.dim_u))
 
 
@@ -308,19 +311,7 @@ def inverse_series_constant_term(z: RationalMotive, reg: Registry,
     of the product is the product of the j = 0 parts, i.e. (-1)^m.  The
     expansion is carried to ``order`` to make the check nontrivial.
     """
-    out = Motive.zero(reg, z.space)
-    for term in z.terms:
-        series: dict[int, HalfLaurent] = {0: HalfLaurent.const(1)}
-        for N, nu in term.factors:
-            nxt: dict[int, HalfLaurent] = {}
-            for deg, c in series.items():
-                j = 0
-                while deg + j * N <= order:
-                    d = deg + j * N
-                    add = c * HalfLaurent.power(2 * j * nu, -1)
-                    nxt[d] = nxt.get(d, HalfLaurent.zero()) + add
-                    j += 1
-            series = nxt
-        const = series.get(0, HalfLaurent.zero())
-        out = out + term.coeff.scale(const)
-    return out
+    return mot_sum(reg, z.space,
+                   ((term.coeff,
+                     _factor_series(term.factors, order, 0, -1).get(0, {}))
+                    for term in z.terms))

@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from motivic import (BundleClass, HalfLaurent, Motive, Registry, SpaceMismatch,
-                     UnknownDatum, bundle_class, bundle_pullback,
-                     bundle_tensor, from_square_root, generator, mot_equal,
-                     symbol_motive, tensor_square_roots, trivial, upsilon)
+from motivic import (BundleClass, HalfLaurent, MissingTransport, Motive,
+                     Registry, SpaceMismatch, UnknownDatum, bundle_class,
+                     bundle_pullback, bundle_tensor, from_square_root,
+                     generator, mot_equal, pullback, symbol_motive,
+                     tensor_square_roots, trivial, upsilon)
 
 
 @pytest.fixture
@@ -113,3 +114,23 @@ def test_bundle_pullback_linear_and_functorial(reg):
         p = BundleClass("X", rng.randrange(256))
         assert bundle_pullback(reg, "r12", p) == \
             bundle_pullback(reg, "r2", bundle_pullback(reg, "r1", p))
+
+
+def test_transport_errors_agree(reg):
+    # "r" has no image for e5, and its source has no generator e5
+    reg.declare_space("W", dim=1)
+    reg.declare_generators("W", ("w0",))
+    reg.declare_morphism("r", "W", "X", "open-inclusion",
+                         pull_bundles={"e0": 1})
+    reg.declare_space("V", dim=1)
+    reg.declare_generators("V", ("v0",))
+    reg.declare_morphism("s", "X", "V", "open-inclusion",
+                         pull_bundles={"v0": 0b100001})
+    message = "morphism 'r' has no image for generator 'e5'"
+    p = bundle_class(reg, "X", ("e0", "e5"))
+    with pytest.raises(MissingTransport, match=message):
+        bundle_pullback(reg, "r", p)
+    with pytest.raises(MissingTransport, match=message):
+        pullback(reg, "r", upsilon(reg, p))
+    with pytest.raises(MissingTransport, match=message):
+        reg.compose("r", "s", "rs")

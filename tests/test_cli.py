@@ -153,14 +153,39 @@ def _z2_with_stratum(space=None, monomial=None):
     return job
 
 
-@pytest.mark.parametrize("job,message", [
-    (_z2_with_stratum(space="NOWHERE"), "unknown space 'NOWHERE'"),
-    (_z2_with_stratum(monomial=["nosym"]), "unknown symbol 'nosym'"),
-], ids=["space", "symbol"])
-def test_unknown_space_or_symbol_exit_code(tmp_path, capsys, job, message):
+def _fixture_with(name, *path_and_value):
+    """The fixture job with ``payload[path...] = value`` set."""
+    job = fixtures.load_fixture_job(name)
+    *path, key, value = path_and_value
+    target = job["payload"]
+    for step in path:
+        target = target[step]
+    target[key] = value
+    return job
+
+
+@pytest.mark.parametrize("command,job,message", [
+    ("nearby", _z2_with_stratum(space="NOWHERE"), "unknown space 'NOWHERE'"),
+    ("nearby", _z2_with_stratum(monomial=["nosym"]), "unknown symbol 'nosym'"),
+    ("vanishing",
+     _fixture_with("x2y", "critical_values", 0, "space", "NOWHERE"),
+     "unknown space 'NOWHERE'"),
+    ("arc-check",
+     _fixture_with("arc_x2y", "monomial", "base_space", "NOWHERE"),
+     "unknown space 'NOWHERE'"),
+    ("arc-check",
+     _fixture_with("arc_x2y", "monomial", "unit_generators", ["nope"]),
+     "unknown bundle generator 'nope' on 'Gm'"),
+    ("arc-check",
+     _fixture_with("arc_z3", "monomial", "cover_symbols", {"3": "nosym"}),
+     "unknown symbol 'nosym'"),
+], ids=["space", "symbol", "critical_value_space", "base_space",
+        "unit_generator", "cover_symbol"])
+def test_unknown_space_or_symbol_exit_code(tmp_path, capsys, command, job,
+                                           message):
     path = tmp_path / "dangling.json"
     path.write_text(json.dumps(job), encoding="utf-8")
-    code, out, err = run(capsys, "nearby", "--job", str(path))
+    code, out, err = run(capsys, command, "--job", str(path))
     assert code == 2 and out == ""
     assert err == f"validation: {message}\n"
 

@@ -1,6 +1,7 @@
 """Atlas gluing: cocycle checks, descent, covariance, locality, pushforward."""
 
 import random
+import re
 
 import pytest
 
@@ -102,10 +103,17 @@ def _flip_one_bit(atlas: Atlas, rng: random.Random) -> Atlas:
 def test_single_bit_flips_break_descent():
     rng = random.Random(53)
     for _ in range(250):
-        _reg, atlas, _dim = random_consistent_atlas(rng)
+        reg, atlas, _dim = random_consistent_atlas(rng)
         bad = _flip_one_bit(atlas, rng)
-        with pytest.raises(DescentFailure):
+        with pytest.raises(DescentFailure) as err:
             glue(bad)
+        # the diagnostic names the flipped generator inside a Y(...) class
+        old_t, new_t = atlas.overlaps[0].q_t, bad.overlaps[0].q_t
+        flipped = max([a.q.bits ^ b.q.bits
+                       for a, b in zip(atlas.charts, bad.charts)]
+                      + [old_t.bits ^ new_t.bits])
+        (name,) = reg.names_of("S", flipped)
+        assert re.search(rf"Y\([^)]*\b{name}\b", str(err.value))
 
 
 def test_orientation_change_covariance_fixture():

@@ -5,14 +5,16 @@ oracle provides the independent route in test_arcs.py.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from motivic import (Divisor, HalfLaurent, MissingRestriction, Motive,
-                     RationalMotive, ResolutionData, RestrictionTable,
+from motivic import (BundleClass, Divisor, HalfLaurent, MissingRestriction,
+                     Motive, RationalMotive, ResolutionData, RestrictionTable,
                      Stratum, ValidationFailed, expand_series, fixtures,
                      generator, inverse_series_constant_term, milnor_fibre_at,
                      nearby_cycle, pullback, symbol_motive, upsilon,
                      validate_resolution, vanishing_cycle, zeta_function)
-from motivic.registry import POINT
+from motivic.registry import POINT, Registry
 from motivic.zeta import RatTerm
 
 ONE = HalfLaurent.const(1)
@@ -255,6 +257,56 @@ def test_two_factor_expansion_against_double_loop():
                 if 2 * j1 + 2 * j2 == d:
                     brute = brute + HalfLaurent.power(-2 * (j1 + 2 * j2))
         assert series[d] == joint[0].coeff.scale(brute)
+
+
+def _enumerated_series(factors, k: int) -> dict[int, dict[int, int]]:
+    """degree n -> {doubled L-exponent: count} over the tuples j_i >= 1
+    with sum j_i N_i = n <= k, each contributing L^(-sum j_i nu_i)."""
+    out: dict[int, dict[int, int]] = {}
+
+    def walk(i, deg, k2):
+        if i == len(factors):
+            poly = out.setdefault(deg, {})
+            poly[k2] = poly.get(k2, 0) + 1
+            return
+        N, nu = factors[i]
+        for j in range(1, (k - deg) // N + 1):
+            walk(i + 1, deg + j * N, k2 - 2 * j * nu)
+
+    walk(0, 0, 0)
+    return out
+
+
+_factor = st.tuples(st.integers(1, 4), st.integers(1, 4))
+_rat_terms = st.lists(
+    st.tuples(st.lists(_factor, max_size=4), st.integers(-3, 3),
+              st.integers(-2, 2), st.integers(0, 3)),
+    min_size=1, max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rat_terms, st.integers(0, 25))
+def test_factor_series_against_enumeration(spec, k):
+    reg = Registry()
+    reg.declare_space("U", dim=1)
+    reg.declare_generators("U", ("a", "b"))
+    terms = [RatTerm(Motive.coefficient(reg, "U", HalfLaurent.power(k2, c))
+                     .odot(upsilon(reg, BundleClass("U", bits))),
+                     tuple(factors))
+             for factors, c, k2, bits in spec]
+    z = RationalMotive("U", terms)
+    series = expand_series(z, k, reg)
+    assert len(series) == k + 1
+    enumerated = [_enumerated_series(t.factors, k) for t in terms]
+    for n in range(k + 1):
+        want = Motive.zero(reg, "U")
+        for t, polys in zip(terms, enumerated):
+            want = want + t.coeff.scale(HalfLaurent(polys.get(n, {})))
+        assert series[n] == want
+    want = Motive.zero(reg, "U")
+    for t in terms:
+        want = want + t.coeff.scale((-1) ** len(t.factors))
+    assert inverse_series_constant_term(z, reg, order=k) == want
 
 
 def test_inverse_series_constant_term_is_minus_nearby():
