@@ -7,6 +7,9 @@ Output is deterministic text on stdout (or a JSON document with
 
 Exit codes are part of the contract: 0 success, 2 validation diagnostics,
 3 missing restriction, 4 unsupported shape, 5 descent failure.
+
+Each ``cmd_*`` imports the modules it computes with, so a call loads only
+what its command runs.
 """
 
 from __future__ import annotations
@@ -15,12 +18,9 @@ import argparse
 import json
 import sys
 
-from . import arcs, dcrit, localize, zeta
 from .errors import (DescentFailure, MissingRestriction, MotivicError,
                      UnsupportedShape, ValidationFailed)
-from .fixtures import FIXTURE_NAMES, load_fixture_job
-from .jobs import Job, parse_job, require_kind
-from .motive import Motive, mot_boxdot
+from .jobs import FIXTURE_NAMES, Job, load_fixture_job, parse_job, require_kind
 from .serialize import RESULT_SCHEMA, motive_to_json
 
 EXIT_OK = 0
@@ -56,7 +56,7 @@ def _emit(args, command: str, text: str, machine: dict) -> None:
         print(text)
 
 
-def _rational_json(z: zeta.RationalMotive) -> dict:
+def _rational_json(z) -> dict:
     return {"space": z.space,
             "terms": [{"coeff": motive_to_json(t.coeff),
                        "factors": [list(f) for f in t.factors]}
@@ -64,6 +64,8 @@ def _rational_json(z: zeta.RationalMotive) -> dict:
 
 
 def cmd_zeta(args) -> int:
+    from . import zeta
+
     job = _load_job(args)
     require_kind(job, "resolution")
     z = zeta.zeta_function(job.payload)
@@ -81,6 +83,8 @@ def cmd_zeta(args) -> int:
 
 
 def cmd_nearby(args) -> int:
+    from . import zeta
+
     job = _load_job(args)
     require_kind(job, "resolution")
     m = zeta.nearby_cycle(job.payload)
@@ -89,6 +93,8 @@ def cmd_nearby(args) -> int:
 
 
 def cmd_vanishing(args) -> int:
+    from . import zeta
+
     job = _load_job(args)
     require_kind(job, "resolution")
     c = args.critical_value or job.params.get("critical_value", "0")
@@ -98,6 +104,8 @@ def cmd_vanishing(args) -> int:
 
 
 def cmd_arc_check(args) -> int:
+    from . import arcs, zeta
+
     job = _load_job(args)
     require_kind(job, "arc-check")
     (mono, ctx), res = job.payload
@@ -123,9 +131,11 @@ def cmd_arc_check(args) -> int:
 
 
 def cmd_ts(args) -> int:
+    from .motive import mot_boxdot
+
     job = _load_job(args)
     require_kind(job, "ts")
-    factors: list[Motive] = job.payload
+    factors = job.payload
     out = factors[0]
     for m in factors[1:]:
         out = mot_boxdot(out, m)
@@ -134,9 +144,11 @@ def cmd_ts(args) -> int:
 
 
 def cmd_glue(args) -> int:
+    from . import dcrit
+
     job = _load_job(args)
     require_kind(job, "atlas")
-    atlas: dcrit.Atlas = job.payload
+    atlas = job.payload
     glued = dcrit.glue(atlas)
     lines = [f"region {r}: {m.text()}" for r, m in sorted(glued.values.items())]
     if glued.checked_overlaps:
@@ -153,6 +165,8 @@ def cmd_glue(args) -> int:
 
 
 def cmd_localize(args) -> int:
+    from . import dcrit, localize
+
     job = _load_job(args)
     require_kind(job, "fixedpoints")
     components, direct, direct_atlas = job.payload

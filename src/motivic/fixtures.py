@@ -25,6 +25,7 @@ from .arcs import ArcContext, MonomialFunction
 from .bundles import BundleClass, generator
 from .dcrit import Atlas, CriticalChart, OverlapDatum, ScissorPiece
 from .halflaurent import HalfLaurent
+from .jobs import FIXTURE_NAMES, fixture_path, load_fixture_job  # noqa: F401
 from .localize import FixedComponentDatum
 from .motive import Motive, symbol_motive, upsilon
 from .registry import POINT, Registry
@@ -387,25 +388,6 @@ def fixture_job(name: str) -> dict:
         reg, factors, _ = ts_chain(10)
         return _job(reg, ts_to_json(factors))
     raise KeyError(f"unknown fixture {name!r}")
-
-
-FIXTURE_NAMES = (
-    "z2", "z3", "z4", "x2", "x2y", "x2y_plane", "x2_line", "x2_line_blowup",
-    "arc_z2", "arc_z3", "arc_z4", "arc_x2y", "atlas_z2", "atlas_cylinder",
-    "localize_z1z2", "localize_two_points", "ts_z2_10",
-)
-
-
-def fixture_path(name: str):
-    from importlib import resources
-
-    return resources.files("motivic").joinpath("fixtures", f"{name}.json")
-
-
-def load_fixture_job(name: str) -> dict:
-    if name not in FIXTURE_NAMES:
-        raise KeyError(f"unknown fixture {name!r}; known: {FIXTURE_NAMES}")
-    return json.loads(fixture_path(name).read_text(encoding="utf-8"))
 
 
 def write_fixture_files(directory) -> None:

@@ -12,7 +12,7 @@ Values are immutable; all operators return fresh instances.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 
 class HalfLaurent:

@@ -1,7 +1,9 @@
-"""Job-file parsing: schema validation plus payload dispatch."""
+"""Job-file parsing: schema validation plus payload dispatch, and the
+names and files of the shipped fixture jobs."""
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from functools import cache
 from typing import Any
@@ -17,6 +19,28 @@ from .schemas import JOB
 from .serialize import (atlas_from_json, fixedpoints_from_json,
                         monomial_from_json, registry_from_json,
                         resolution_from_json, ts_from_json)
+
+
+# the job files shipped under ``motivic/fixtures/``.  They are named and
+# loaded here, not in the builder module ``motivic.fixtures`` (which
+# re-exports these names), so the CLI reads them without importing it.
+FIXTURE_NAMES = (
+    "z2", "z3", "z4", "x2", "x2y", "x2y_plane", "x2_line", "x2_line_blowup",
+    "arc_z2", "arc_z3", "arc_z4", "arc_x2y", "atlas_z2", "atlas_cylinder",
+    "localize_z1z2", "localize_two_points", "ts_z2_10",
+)
+
+
+def fixture_path(name: str):
+    from importlib import resources
+
+    return resources.files("motivic").joinpath("fixtures", f"{name}.json")
+
+
+def load_fixture_job(name: str) -> dict:
+    if name not in FIXTURE_NAMES:
+        raise KeyError(f"unknown fixture {name!r}; known: {FIXTURE_NAMES}")
+    return json.loads(fixture_path(name).read_text(encoding="utf-8"))
 
 
 @dataclass

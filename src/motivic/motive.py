@@ -33,7 +33,7 @@ monodromy, integral coefficients and no bundle part); elsewhere it raises
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 from .bundles import BundleClass
 from .errors import (DotUndefined, MissingTransport, NoUnderlyingClass,

@@ -5,22 +5,26 @@ files under ``docs/schemas/``); loaders validate against them and reject
 unknown fields.  Serialization is deterministic: terms, generators and table
 entries are emitted in canonical order, so equal in-memory values produce
 byte-identical JSON.
+
+Only the ring types are imported at module level.  Each payload builder
+imports the dataclasses it constructs, so parsing a job loads the modules
+of its own payload kind and no other.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .arcs import ArcContext, MonomialFunction
 from .bundles import BundleClass
-from .dcrit import Atlas, CriticalChart, OverlapDatum, ScissorPiece
 from .errors import ValidationFailed
 from .halflaurent import HalfLaurent
-from .localize import FixedComponentDatum
 from .motive import Motive
 from .registry import Registry
-from .zeta import (Divisor, PointTable, ResolutionData, RestrictionTable,
-                   Stratum)
+
+if TYPE_CHECKING:
+    from .arcs import ArcContext, MonomialFunction
+    from .dcrit import Atlas
+    from .zeta import ResolutionData
 
 MOTIVE_SCHEMA = "motivic.motive/1"
 REGISTRY_SCHEMA = "motivic.registry/1"
@@ -195,6 +199,9 @@ def resolution_to_json(r: ResolutionData) -> dict[str, Any]:
 
 
 def resolution_from_json(reg: Registry, data) -> ResolutionData:
+    from .zeta import (Divisor, PointTable, ResolutionData, RestrictionTable,
+                       Stratum)
+
     divisors = [Divisor(d["id"], d["N"], d["nu"], d.get("boundary", False))
                 for d in data["divisors"]]
     strata = {frozenset(s["divisors"]): Stratum(
@@ -232,6 +239,8 @@ def monomial_to_json(f: MonomialFunction, ctx: ArcContext) -> dict[str, Any]:
 
 
 def monomial_from_json(reg: Registry, data) -> tuple[MonomialFunction, ArcContext]:
+    from .arcs import ArcContext, MonomialFunction
+
     f = MonomialFunction(tuple(data["exponents"]),
                          frozenset(data.get("unit_vars", ())))
     # resolve every name now, so a dangling one fails the parse
@@ -298,6 +307,8 @@ def _undeclared_regions(data, regions: dict[str, str]) -> list[str]:
 
 
 def atlas_from_json(reg: Registry, data) -> Atlas:
+    from .dcrit import Atlas, CriticalChart, OverlapDatum, ScissorPiece
+
     regions = {r["name"]: r["space"] for r in data["regions"]}
     undeclared = _undeclared_regions(data, regions)
     if undeclared:
@@ -347,6 +358,8 @@ def fixedpoints_to_json(components, direct, direct_atlas=None) -> dict[str, Any]
 
 
 def fixedpoints_from_json(reg: Registry, data):
+    from .localize import FixedComponentDatum
+
     components = [FixedComponentDatum(
         c["id"], tuple(c["weights"]), _opt_motive_from_json(reg, c.get("motive")),
         c.get("good", True), c.get("circle_compact", True))
@@ -365,4 +378,9 @@ def ts_to_json(factors) -> dict[str, Any]:
 
 
 def ts_from_json(reg: Registry, data) -> list[Motive]:
-    return [motive_from_json(reg, m) for m in data["factors"]]
+    factors = [motive_from_json(reg, m) for m in data["factors"]]
+    # resolve each product of the chain now, so a missing one fails the parse
+    space = factors[0].space
+    for m in factors[1:]:
+        space = reg.product_of(space, m.space).name
+    return factors

@@ -164,6 +164,12 @@ def _fixture_with(name, *path_and_value):
     return job
 
 
+def _ts_without_products():
+    job = fixtures.load_fixture_job("ts_z2_10")
+    job["registry"]["products"] = []
+    return job
+
+
 @pytest.mark.parametrize("command,job,message", [
     ("nearby", _z2_with_stratum(space="NOWHERE"), "unknown space 'NOWHERE'"),
     ("nearby", _z2_with_stratum(monomial=["nosym"]), "unknown symbol 'nosym'"),
@@ -179,8 +185,9 @@ def _fixture_with(name, *path_and_value):
     ("arc-check",
      _fixture_with("arc_z3", "monomial", "cover_symbols", {"3": "nosym"}),
      "unknown symbol 'nosym'"),
+    ("ts", _ts_without_products(), "no registered product of 'X0' and 'X0'"),
 ], ids=["space", "symbol", "critical_value_space", "base_space",
-        "unit_generator", "cover_symbol"])
+        "unit_generator", "cover_symbol", "product"])
 def test_unknown_space_or_symbol_exit_code(tmp_path, capsys, command, job,
                                            message):
     path = tmp_path / "dangling.json"

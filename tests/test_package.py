@@ -1,0 +1,135 @@
+"""The package surface, and which modules each entry point loads."""
+
+import os
+import subprocess
+import sys
+from importlib import import_module
+from itertools import chain
+from pathlib import Path
+
+import pytest
+
+import motivic
+from motivic import dcrit, jobs
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# the public names of the package, by the submodule that defines them
+SURFACE = {
+    "arcs": ("ArcContext", "MonomialFunction", "arc_class", "zeta_truncated"),
+    "bundles": ("BundleClass", "bundle_class", "bundle_pullback",
+                "bundle_tensor", "from_square_root", "generator",
+                "tensor_square_roots", "trivial"),
+    "dcrit": ("Atlas", "CriticalChart", "GlobalMotive", "OverlapDatum",
+              "ScissorPiece", "check_orientation", "glue",
+              "pushforward_to_point", "validate_atlas"),
+    "errors": ("DescentFailure", "DotUndefined", "MissingRestriction",
+               "MissingScissorTable", "MissingTransport", "MotivicError",
+               "NoUnderlyingClass", "OdotUndecidable", "OrientationMissing",
+               "RegistryError", "SpaceMismatch", "UnknownDatum",
+               "UnregisteredProduct", "UnsupportedShape", "ValidationFailed",
+               "ZeroWeight"),
+    "halflaurent": ("HalfLaurent",),
+    "localize": ("FixedComponentDatum", "localization_check", "localize_sum",
+                 "virtual_index"),
+    "motive": ("Motive", "mot_add", "mot_boxdot", "mot_dot", "mot_equal",
+               "mot_odot", "pi_forget", "pullback", "pushforward",
+               "symbol_motive", "upsilon"),
+    "registry": ("POINT", "Morphism", "Product", "Registry", "Space",
+                 "Symbol"),
+    "stabilize": ("EmbeddingDatum", "QuadraticBundleDatum",
+                  "compose_embeddings", "quadratic_form_motive",
+                  "stabilize_pullback", "thom_sebastiani",
+                  "twist_by_quadratic"),
+    "zeta": ("Divisor", "PointTable", "RationalMotive", "ResolutionData",
+             "RestrictionTable", "Stratum", "expand_series",
+             "inverse_series_constant_term", "milnor_fibre_at",
+             "nearby_cycle", "validate_resolution", "vanishing_cycle",
+             "zeta_function"),
+}
+
+
+def test_all_is_unchanged():
+    assert motivic.__all__ == sorted([*SURFACE, *chain(*SURFACE.values())])
+    assert motivic.__version__ == "1.0.0"
+
+
+def test_names_are_the_submodule_objects():
+    for module, names in SURFACE.items():
+        sub = import_module(f"motivic.{module}")
+        assert getattr(motivic, module) is sub
+        for name in names:
+            assert getattr(motivic, name) is getattr(sub, name), name
+
+
+def test_names_are_looked_up_on_every_access(monkeypatch):
+    assert motivic.glue is dcrit.glue
+    assert "glue" not in vars(motivic)
+    monkeypatch.setattr(dcrit, "glue", "patched")
+    assert motivic.glue == "patched"
+
+
+def test_star_import_and_fixtures_submodule():
+    namespace = {}
+    exec("from motivic import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(motivic.__all__)
+    exec("from motivic import fixtures", namespace)
+    assert namespace["fixtures"].load_fixture_job is jobs.load_fixture_job
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        motivic.no_such_name
+    with pytest.raises(ImportError):
+        exec("from motivic import no_such_name", {})
+
+
+def test_fixture_names_are_the_shipped_files():
+    shipped = {p.stem for p in (SRC / "motivic" / "fixtures").glob("*.json")}
+    assert sorted(jobs.FIXTURE_NAMES) == sorted(shipped)
+    assert len(jobs.FIXTURE_NAMES) == len(shipped)
+
+
+# -- what each entry point loads --------------------------------------------------
+
+
+def _loaded(*args) -> set[str]:
+    """The ``motivic.*`` submodules that ``python -X importtime ARGS`` imports,
+    as short names."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr
+    names = {line.split("|")[-1].strip() for line in proc.stderr.splitlines()
+             if line.startswith("import time:")}
+    return {n.split(".", 1)[1] for n in names if n.startswith("motivic.")}
+
+
+def test_import_of_package_loads_no_submodule():
+    assert _loaded("-c", "import motivic") == set()
+
+
+def test_vanishing_loads_no_other_payload_module():
+    loaded = _loaded("-m", "motivic.cli", "vanishing", "--fixture", "x2y")
+    assert "zeta" in loaded  # the parse sees a module imported by a command
+    assert not loaded & {"dcrit", "arcs", "localize", "stabilize",
+                         "fixtures", "selftest"}
+
+
+@pytest.mark.parametrize("argv,runs", [
+    (("zeta", "--fixture", "z2", "--series-order", "3"), "zeta"),
+    (("nearby", "--fixture", "z3"), "zeta"),
+    (("arc-check", "--fixture", "arc_z2"), "arcs"),
+    (("ts", "--fixture", "ts_z2_10"), "motive"),
+    (("glue", "--fixture", "atlas_cylinder"), "dcrit"),
+    (("localize", "--fixture", "localize_two_points"), "localize"),
+], ids=["zeta", "nearby", "arc-check", "ts", "glue", "localize"])
+def test_only_selftest_loads_the_fixture_builders(argv, runs):
+    loaded = _loaded("-m", "motivic.cli", *argv)
+    assert runs in loaded
+    assert not loaded & {"fixtures", "selftest"}
+
+
+def test_selftest_loads_the_fixture_builders():
+    loaded = _loaded("-m", "motivic.cli", "selftest", "--machine-readable")
+    assert {"fixtures", "selftest"} <= loaded
