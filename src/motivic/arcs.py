@@ -80,7 +80,7 @@ def _single_affine_exponent(f: MonomialFunction) -> int:
     return f.exponents[affine[0]]
 
 
-def _cover_class(f: MonomialFunction, ctx: ArcContext) -> Motive:
+def cover_class(f: MonomialFunction, ctx: ArcContext) -> Motive:
     """Class of the order-a cover of the torus base, with its cyclic action."""
     reg = ctx.registry
     a = _single_affine_exponent(f)
@@ -91,10 +91,8 @@ def _cover_class(f: MonomialFunction, ctx: ArcContext) -> Motive:
         if len(ctx.unit_generators) != len(unit_exps):
             raise UnsupportedShape(
                 "context must name one square-root generator per unit variable")
-        bits = 0
-        for b, gen in zip(unit_exps, ctx.unit_generators):
-            if b % 2:
-                bits ^= 1 << reg.generator_index(ctx.base_space, gen)
+        bits = reg.bits_of(ctx.base_space, [
+            gen for b, gen in zip(unit_exps, ctx.unit_generators) if b % 2])
         # square roots of the leading unit monomial: 1 - L^(1/2) . Y(bits)
         return (Motive.one(reg, ctx.base_space)
                 - upsilon(reg, BundleClass(ctx.base_space, bits))
@@ -117,7 +115,7 @@ def arc_class(f: MonomialFunction, n: int, ctx: ArcContext) -> Motive:
         return Motive.zero(reg, ctx.base_space)
     m = n // a
     free = (n - m) + n * len(f.unit_vars)
-    return _cover_class(f, ctx).scale(HalfLaurent.power(2 * free))
+    return cover_class(f, ctx).scale(HalfLaurent.power(2 * free))
 
 
 def zeta_truncated(f: MonomialFunction, k: int, ctx: ArcContext) -> list[Motive]:

@@ -45,7 +45,7 @@ def trivial(space: str) -> BundleClass:
 
 
 def generator(reg: Registry, space: str, name: str) -> BundleClass:
-    return BundleClass(space, 1 << reg.generator_index(space, name))
+    return BundleClass(space, reg.bits_of(space, (name,)))
 
 
 def bundle_class(reg: Registry, space: str, names) -> BundleClass:

@@ -37,7 +37,8 @@ from collections.abc import Iterable, Mapping
 
 from .bundles import BundleClass
 from .errors import (DotUndefined, MissingTransport, NoUnderlyingClass,
-                     OdotUndecidable, RegistryError, SpaceMismatch)
+                     OdotUndecidable, RegistryError, SpaceMismatch,
+                     UnregisteredProduct)
 from .halflaurent import HalfLaurent
 from .registry import Morphism, Product, Registry
 
@@ -305,8 +306,6 @@ def mot_sum(reg: Registry, space: str,
 
 def mot_boxdot(a: Motive, b: Motive) -> Motive:
     """External convolution product over a registered product space."""
-    from .errors import UnregisteredProduct
-
     if a.reg is not b.reg:
         raise RegistryError("operands come from different registries")
     reg = a.reg
@@ -320,24 +319,17 @@ def mot_boxdot(a: Motive, b: Motive) -> Motive:
 
 
 def _into_product(reg: Registry, prod: Product, side: int, m: Motive) -> Flat:
-    """``m`` with symbols and generators renamed to their images on the
-    product space.  Images are distinct, so no two keys merge."""
+    """``m`` with symbols renamed to their images on the product space and
+    bits shifted to its side.  Images are distinct, so no two keys merge."""
+    shift = len(reg.generators[prod.left]) if side else 0
     mons: dict[tuple[str, ...], tuple[str, ...]] = {}
-    images: dict[int, int] = {}
     out: Flat = {}
     for (mon, bits, k2), c in m._flat.items():
         mon_img = mons.get(mon)
         if mon_img is None:
             mon_img = mons[mon] = tuple(sorted(
                 prod.symbol_images[(side, n)] for n in mon))
-        img = images.get(bits)
-        if img is None:
-            img = 0
-            for gname in reg.names_of(m.space, bits):
-                img ^= 1 << reg.generator_index(
-                    prod.name, prod.bundle_images[(side, gname)])
-            images[bits] = img
-        out[(mon_img, img, k2)] = c
+        out[(mon_img, bits << shift, k2)] = c
     return out
 
 

@@ -1,7 +1,7 @@
 """Registry of base spaces, monodromy symbols, bundle generators and morphisms.
 
-Every computation runs against a registry that is built once and then treated
-as read-only.  It records:
+Every computation runs against a registry that is built once and then
+frozen (:meth:`Registry.freeze`).  It records:
 
 * named base spaces, optionally with a declared smooth dimension and a list
   of named strata (sub-loci whose symbols may appear in motives over the
@@ -17,7 +17,8 @@ as read-only.  It records:
   :meth:`Registry.pull_bits` is the one routine that transports bundle
   generators along a morphism, and the one home of its same-name fallback
   rule;
-* product spaces with symbol/generator images for external products;
+* product spaces with symbol/generator images for external products; the
+  product's generators are the left factor's, then the right's;
 * square-root data: the bookkept correspondence between (line bundle,
   squared trivialization) pairs and bundle classes.
 
@@ -26,7 +27,7 @@ The absolute point is registered under the name ``"K"`` in every registry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .errors import MissingTransport, RegistryError, UnknownDatum
@@ -87,34 +88,56 @@ class Product:
     bundle_images: dict[tuple[int, str], str] = field(default_factory=dict)
 
 
+def _get(table: dict, name: str, what: str):
+    try:
+        return table[name]
+    except KeyError:
+        raise RegistryError(f"unknown {what} {name!r}") from None
+
+
 class Registry:
-    """Immutable-after-setup lookup structure for all named data."""
+    """Lookup structure for all named data, read-only once frozen."""
 
     def __init__(self) -> None:
         self.spaces: dict[str, Space] = {}
         self.symbols: dict[str, Symbol] = {}
         self.generators: dict[str, tuple[str, ...]] = {}
+        self._index: dict[str, dict[str, int]] = {}  # space -> name -> bit
         self.morphisms: dict[str, Morphism] = {}
         self.products: dict[str, Product] = {}
         self.square_roots: dict[tuple[str, str, str], int] = {}
+        self._frozen = False
         self.declare_space(POINT, dim=0)
+
+    def freeze(self) -> None:
+        """Refuse every later declaration."""
+        self._frozen = True
+
+    def _add(self, table: dict, key, value, taken=None, layout=None):
+        """Set ``table[key]``; ``taken`` (formatted with ``key``) refuses an
+        existing key, and ``layout`` a space that is a product's factor."""
+        if self._frozen:
+            raise RegistryError("registry is frozen")
+        if layout is not None and any(
+                layout in (p.left, p.right) for p in self.products.values()):
+            raise RegistryError(f"space {layout!r} is a factor of a declared product")
+        if taken is not None and key in table:
+            raise RegistryError(taken.format(key))
+        table[key] = value
+        return value
 
     # -- spaces ------------------------------------------------------------
 
     def declare_space(self, name: str, dim: Optional[int] = None,
                       strata: tuple[str, ...] = ()) -> Space:
-        if name in self.spaces:
-            raise RegistryError(f"space {name!r} already declared")
-        sp = Space(name, dim, tuple(strata))
-        self.spaces[name] = sp
-        self.generators.setdefault(name, ())
+        sp = self._add(self.spaces, name, Space(name, dim, tuple(strata)),
+                       "space {!r} already declared")
+        self.generators[name] = ()
+        self._index[name] = {}
         return sp
 
     def space(self, name: str) -> Space:
-        try:
-            return self.spaces[name]
-        except KeyError:
-            raise RegistryError(f"unknown space {name!r}") from None
+        return _get(self.spaces, name, "space")
 
     def dim(self, name: str) -> int:
         d = self.space(name).dim
@@ -125,18 +148,17 @@ class Registry:
     # -- bundle generators ---------------------------------------------------
 
     def declare_generators(self, space: str, names: tuple[str, ...] | list[str]) -> None:
-        self.space(space)
-        existing = self.generators.get(space, ())
+        index = dict(_get(self._index, space, "space"))
         for n in names:
-            if n in existing:
+            if n in index:
                 raise RegistryError(f"generator {n!r} already declared on {space!r}")
-        self.generators[space] = existing + tuple(names)
+            index[n] = len(index)
+        self.generators[space] = tuple(self._add(self._index, space, index, layout=space))
 
     def generator_index(self, space: str, name: str) -> int:
-        gens = self.generators.get(space, ())
         try:
-            return gens.index(name)
-        except ValueError:
+            return self._index[space][name]
+        except KeyError:
             raise RegistryError(f"unknown bundle generator {name!r} on {space!r}") from None
 
     def bits_of(self, space: str, names) -> int:
@@ -156,25 +178,25 @@ class Registry:
     def declare_symbol(self, name: str, space: str, order: int = 1,
                        underlying: Optional[object] = None,
                        cover_bits: Optional[int] = None) -> Symbol:
-        if name in self.symbols:
-            raise RegistryError(f"symbol {name!r} already declared")
         self.space(space)
         if order < 1:
             raise RegistryError("symbol order must be positive")
         if cover_bits is not None and order != 2:
             raise RegistryError("only order-2 symbols can be declared as Z2-covers")
-        if underlying is not None and not underlying.is_plain():
+        sym = self._add(self.symbols, name, Symbol(name, space, order, None, cover_bits),
+                        "symbol {!r} already declared", space)
+        return sym if underlying is None else self.set_underlying(name, underlying)
+
+    def set_underlying(self, name: str, underlying: object) -> Symbol:
+        """Attach an underlying class, which may name symbols declared later."""
+        if not underlying.is_plain():
             raise RegistryError(
                 f"underlying class of {name!r} must have trivial monodromy")
-        sym = Symbol(name, space, order, underlying, cover_bits)
-        self.symbols[name] = sym
-        return sym
+        sym = replace(self.symbol(name), underlying=underlying)
+        return self._add(self.symbols, name, sym)
 
     def symbol(self, name: str) -> Symbol:
-        try:
-            return self.symbols[name]
-        except KeyError:
-            raise RegistryError(f"unknown symbol {name!r}") from None
+        return _get(self.symbols, name, "symbol")
 
     def symbol_allowed_on(self, sym: Symbol, space: str) -> bool:
         if sym.space == space:
@@ -188,8 +210,6 @@ class Registry:
                          pull_symbols: Optional[dict[str, object]] = None,
                          pull_bundles: Optional[dict[str, int]] = None,
                          push_classes: Optional[dict] = None) -> Morphism:
-        if name in self.morphisms:
-            raise RegistryError(f"morphism {name!r} already declared")
         if kind not in MORPHISM_KINDS:
             raise RegistryError(f"unknown morphism kind {kind!r}")
         self.space(source)
@@ -197,14 +217,11 @@ class Registry:
         mor = Morphism(name, source, target, kind,
                        dict(pull_symbols or {}), dict(pull_bundles or {}),
                        dict(push_classes or {}))
-        self.morphisms[name] = mor
-        return mor
+        return self._add(self.morphisms, name, mor,
+                         "morphism {!r} already declared")
 
     def morphism(self, name: str) -> Morphism:
-        try:
-            return self.morphisms[name]
-        except KeyError:
-            raise RegistryError(f"unknown morphism {name!r}") from None
+        return _get(self.morphisms, name, "morphism")
 
     def pull_bits(self, mor: Morphism, bits: int) -> int:
         """Transport bundle bits on ``mor.target`` to ``mor.source``.
@@ -238,9 +255,9 @@ class Registry:
         symbol_images: dict[tuple[int, str], str] = {}
         bundle_images: dict[tuple[int, str], str] = {}
         for side, factor in ((0, left), (1, right)):
-            for g in self.generators.get(factor, ()):
+            for g in self.generators[factor]:
                 img = f"{name}.{g}"
-                if img in self.generators.get(name, ()):
+                if img in self._index[name]:
                     img = f"{name}.{side}.{g}"  # self-products collide
                 self.declare_generators(name, (img,))
                 bundle_images[(side, g)] = img
@@ -265,10 +282,9 @@ class Registry:
     def declare_square_root(self, space: str, line_bundle: str,
                             trivialization: str, bits: int) -> None:
         key = (space, line_bundle, trivialization)
-        if key in self.square_roots:
-            raise RegistryError(f"square-root datum {key} already declared")
         self.space(space)
-        self.square_roots[key] = bits
+        self._add(self.square_roots, key, bits,
+                  "square-root datum {} already declared")
 
     def square_root_bits(self, space: str, line_bundle: str, trivialization: str) -> int:
         key = (space, line_bundle, trivialization)

@@ -13,10 +13,11 @@ of its own payload kind and no other.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from typing import TYPE_CHECKING, Any
 
 from .bundles import BundleClass
-from .errors import ValidationFailed
+from .errors import UnsupportedShape, ValidationFailed
 from .halflaurent import HalfLaurent
 from .motive import Motive
 from .registry import Registry
@@ -85,33 +86,25 @@ def registry_to_json(reg: Registry) -> dict[str, Any]:
     generators = [{"space": sp, "names": list(names)}
                   for sp, names in reg.generators.items()
                   if names and sp not in reg.products]
-    symbols = []
-    for sym in reg.symbols.values():
-        if any(sym.name.startswith(p + ".") for p in reg.products):
-            continue
-        symbols.append({
-            "name": sym.name, "space": sym.space, "order": sym.order,
-            "underlying": _opt_motive_to_json(sym.underlying),
-            "cover": None if sym.cover_bits is None
-            else list(reg.names_of(sym.space, sym.cover_bits)),
-        })
-    morphisms = []
-    for mor in reg.morphisms.values():
-        morphisms.append({
-            "name": mor.name, "source": mor.source, "target": mor.target,
-            "kind": mor.kind,
-            "pull_symbols": [{"symbol": k, "image": motive_to_json(v)}
-                             for k, v in sorted(mor.pull_symbols.items())],
-            "pull_bundles": [{"generator": k,
-                              "image": list(reg.names_of(mor.source, v))}
-                             for k, v in sorted(mor.pull_bundles.items())],
-            "push_classes": [{"monomial": [] if mon == ("__cover__",)
-                              else list(mon),
-                              "bundle": list(reg.names_of(mor.source, bits)),
-                              "cover": mon == ("__cover__",),
-                              "image": motive_to_json(img)}
-                             for (mon, bits), img in sorted(mor.push_classes.items())],
-        })
+    symbols = [{"name": sym.name, "space": sym.space, "order": sym.order,
+                "underlying": _opt_motive_to_json(sym.underlying),
+                "cover": None if sym.cover_bits is None
+                else list(reg.names_of(sym.space, sym.cover_bits))}
+               for sym in reg.symbols.values() if sym.space not in reg.products]
+    morphisms = [{
+        "name": mor.name, "source": mor.source, "target": mor.target,
+        "kind": mor.kind,
+        "pull_symbols": [{"symbol": k, "image": motive_to_json(v)}
+                         for k, v in sorted(mor.pull_symbols.items())],
+        "pull_bundles": [{"generator": k,
+                          "image": list(reg.names_of(mor.source, v))}
+                         for k, v in sorted(mor.pull_bundles.items())],
+        "push_classes": [{"monomial": [] if mon == ("__cover__",) else list(mon),
+                          "bundle": list(reg.names_of(mor.source, bits)),
+                          "cover": mon == ("__cover__",),
+                          "image": motive_to_json(img)}
+                         for (mon, bits), img in sorted(mor.push_classes.items())],
+    } for mor in reg.morphisms.values()]
     products = [{"name": p.name, "left": p.left, "right": p.right}
                 for p in reg.products.values()]
     square_roots = [{"space": sp, "line_bundle": lb, "trivialization": tr,
@@ -131,18 +124,13 @@ def registry_from_json(data) -> Registry:
         reg.declare_generators(g["space"], tuple(g["names"]))
     for sym in data.get("symbols", ()):
         cover = sym.get("cover")
-        reg.declare_symbol(
-            sym["name"], sym["space"], sym.get("order", 1),
-            underlying=None, cover_bits=None if cover is None
-            else reg.bits_of(sym["space"], cover))
-    # underlying classes may reference other symbols: resolve in a second pass
+        reg.declare_symbol(sym["name"], sym["space"], sym.get("order", 1),
+                           cover_bits=None if cover is None
+                           else reg.bits_of(sym["space"], cover))
+    # underlying classes may name any symbol: attach them once all are declared
     for sym in data.get("symbols", ()):
-        und = sym.get("underlying")
-        if und is not None:
-            cur = reg.symbols[sym["name"]]
-            reg.symbols[sym["name"]] = type(cur)(
-                cur.name, cur.space, cur.order,
-                motive_from_json(reg, und), cur.cover_bits)
+        if sym.get("underlying") is not None:
+            reg.set_underlying(sym["name"], motive_from_json(reg, sym["underlying"]))
     for p in data.get("products", ()):
         reg.declare_product(p["name"], p["left"], p["right"])
     for mor in data.get("morphisms", ()):
@@ -162,6 +150,7 @@ def registry_from_json(data) -> Registry:
         reg.declare_square_root(sq["space"], sq["line_bundle"],
                                 sq["trivialization"],
                                 reg.bits_of(sq["space"], sq["class"]))
+    reg.freeze()
     return reg
 
 
@@ -239,7 +228,7 @@ def monomial_to_json(f: MonomialFunction, ctx: ArcContext) -> dict[str, Any]:
 
 
 def monomial_from_json(reg: Registry, data) -> tuple[MonomialFunction, ArcContext]:
-    from .arcs import ArcContext, MonomialFunction
+    from .arcs import ArcContext, MonomialFunction, cover_class
 
     f = MonomialFunction(tuple(data["exponents"]),
                          frozenset(data.get("unit_vars", ())))
@@ -249,7 +238,10 @@ def monomial_from_json(reg: Registry, data) -> tuple[MonomialFunction, ArcContex
     reg.bits_of(base, units)
     covers = {int(k): reg.symbol(v).name
               for k, v in data.get("cover_symbols", {}).items()}
-    return f, ArcContext(reg, base, units, covers)
+    ctx = ArcContext(reg, base, units, covers)
+    with suppress(UnsupportedShape):  # reported when the oracle runs
+        cover_class(f, ctx)  # resolves the cover symbol the oracle uses
+    return f, ctx
 
 
 # -- atlas payload --------------------------------------------------------------------

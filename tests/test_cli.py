@@ -164,6 +164,14 @@ def _fixture_with(name, *path_and_value):
     return job
 
 
+def _arc_z3_with_default_cover(a):
+    """arc_z3 with exponent ``a`` and no named cover symbol: the oracle
+    looks up the default ``mu<a>``."""
+    job = _fixture_with("arc_z3", "monomial", "cover_symbols", {})
+    job["payload"]["monomial"]["exponents"] = [a]
+    return job
+
+
 def _ts_without_products():
     job = fixtures.load_fixture_job("ts_z2_10")
     job["registry"]["products"] = []
@@ -186,8 +194,9 @@ def _ts_without_products():
      _fixture_with("arc_z3", "monomial", "cover_symbols", {"3": "nosym"}),
      "unknown symbol 'nosym'"),
     ("ts", _ts_without_products(), "no registered product of 'X0' and 'X0'"),
+    ("arc-check", _arc_z3_with_default_cover(5), "unknown symbol 'mu5'"),
 ], ids=["space", "symbol", "critical_value_space", "base_space",
-        "unit_generator", "cover_symbol", "product"])
+        "unit_generator", "cover_symbol", "product", "default_cover_symbol"])
 def test_unknown_space_or_symbol_exit_code(tmp_path, capsys, command, job,
                                            message):
     path = tmp_path / "dangling.json"
@@ -195,6 +204,20 @@ def test_unknown_space_or_symbol_exit_code(tmp_path, capsys, command, job,
     code, out, err = run(capsys, command, "--job", str(path))
     assert code == 2 and out == ""
     assert err == f"validation: {message}\n"
+
+
+def test_non_plain_underlying_class_exit_code(tmp_path, capsys):
+    # L^(1/2) . Y(p1) carries monodromy, so it cannot be an underlying class
+    job = fixtures.load_fixture_job("x2y")
+    cov = next(s for s in job["registry"]["symbols"] if s["name"] == "cov_y")
+    cov["underlying"] = {"space": "Gm", "terms": [
+        {"monomial": [], "bundle": ["p1"], "coeff": [[1, 1]]}]}
+    path = tmp_path / "twisted_underlying.json"
+    path.write_text(json.dumps(job), encoding="utf-8")
+    code, out, err = run(capsys, "vanishing", "--job", str(path))
+    assert code == 2 and out == ""
+    assert err == ("validation: underlying class of 'cov_y' must have "
+                   "trivial monodromy\n")
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")

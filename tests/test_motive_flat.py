@@ -33,6 +33,7 @@ def _registry() -> Registry:
     reg.declare_symbol("nu3", "Y", 3)
     reg.declare_symbol("covY", "Y", 2, cover_bits=COVERS["covY"])
     reg.declare_product("P", "X", "Y")
+    reg.declare_product("XX", "X", "X")
     reg.declare_space("Z")
     reg.declare_generators("Z", ("z0", "z1"))
     reg.declare_symbol("D", "Z")
@@ -179,24 +180,29 @@ def test_odot_matches_reference(s1, s2):
     assert flat(a.odot(b)) == r_mul(ra, rb)
 
 
-def _into_p(ref: dict, side: int, space: str) -> dict:
-    prod = REG.products["P"]
+def _into_p(ref: dict, side: int, space: str, name: str = "P") -> dict:
+    prod = REG.products[name]
     out = {}
     for (mon, bits, k2), c in ref.items():
         img = 0
         for i, g in enumerate(REG.generators[space]):
             if bits >> i & 1:
-                img |= 1 << REG.generators["P"].index(
+                img |= 1 << REG.generators[name].index(
                     prod.bundle_images[(side, g)])
         mon = tuple(sorted(prod.symbol_images[(side, n)] for n in mon))
         out[(mon, img, k2)] = c
     return out
 
 
-@given(specs("X"), specs("Y"))
-def test_boxdot_matches_reference(s1, s2):
+@given(specs("X"), specs("Y"), specs("X"))
+def test_boxdot_matches_reference(s1, s2, s3):
     a, b = build(s1, "X"), build(s2, "Y")
     ra, rb = r_spec(s1), r_spec(s2)
+    # self-product: the right factor's images collide and become XX.1.*
+    c, rc = build(s3, "X"), r_spec(s3)
+    if not (r_opaque(ra) and r_opaque(rc)):
+        assert flat(mot_boxdot(a, c)) == r_mul(_into_p(ra, 0, "X", "XX"),
+                                               _into_p(rc, 1, "X", "XX"))
     if r_opaque(ra) and r_opaque(rb):
         with pytest.raises(OdotUndecidable):
             mot_boxdot(a, b)

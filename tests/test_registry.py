@@ -2,10 +2,12 @@
 
 import pytest
 
-from motivic import (HalfLaurent, Motive, Registry, RegistryError,
-                     SpaceMismatch, symbol_motive)
+from motivic import (BundleClass, HalfLaurent, Motive, Registry,
+                     RegistryError, SpaceMismatch, mot_boxdot, symbol_motive,
+                     upsilon)
 from motivic.dcrit import validate_atlas
 from motivic import fixtures
+from motivic.jobs import parse_job
 
 
 def test_point_space_is_builtin():
@@ -107,6 +109,69 @@ def test_product_images_are_namespaced():
     assert prod.symbol_images[(1, "A")] == "XX.1.A"
     assert prod.bundle_images == {(0, "p"): "XX.p", (1, "p"): "XX.1.p"}
     assert reg.generators["XX"] == ("XX.p", "XX.1.p")
+
+
+def test_frozen_registry_refuses_every_declaration():
+    reg = Registry()
+    reg.declare_space("X", dim=1)
+    reg.declare_generators("X", ("p",))
+    reg.declare_symbol("A", "X")
+    reg.freeze()
+    declarations = [
+        lambda: reg.declare_space("Y"),
+        lambda: reg.declare_generators("X", ("q",)),
+        lambda: reg.declare_symbol("B", "X"),
+        lambda: reg.set_underlying("A", Motive.one(reg, "X")),
+        lambda: reg.declare_morphism("f", "X", "K", "to-point"),
+        lambda: reg.declare_product("XX", "X", "X"),
+        lambda: reg.declare_square_root("X", "O", "s", 1),
+    ]
+    for declare in declarations:
+        with pytest.raises(RegistryError, match="registry is frozen"):
+            declare()
+    assert list(reg.spaces) == ["K", "X"] and list(reg.symbols) == ["A"]
+    assert reg.generators["X"] == ("p",) and reg.symbols["A"].underlying is None
+    assert not reg.morphisms and not reg.products and not reg.square_roots
+    # a parsed job's registry is frozen
+    job = parse_job(fixtures.load_fixture_job("x2y"))
+    with pytest.raises(RegistryError, match="registry is frozen"):
+        job.registry.declare_generators("Gm", ("q",))
+
+
+def test_product_factors_take_no_more_generators_or_symbols():
+    reg = Registry()
+    reg.declare_space("X")
+    reg.declare_generators("X", ("p",))
+    reg.declare_space("Y")
+    reg.declare_product("P", "X", "Y")
+    for factor in ("X", "Y"):
+        with pytest.raises(RegistryError, match="factor of a declared product"):
+            reg.declare_generators(factor, ("q",))
+        with pytest.raises(RegistryError, match="factor of a declared product"):
+            reg.declare_symbol("B", factor)
+    assert reg.generators["X"] == ("p",) and "B" not in reg.symbols
+    # the product space itself still takes generators after its images
+    reg.declare_generators("P", ("r",))
+    out = mot_boxdot(upsilon(reg, BundleClass("X", 1)), Motive.one(reg, "Y"))
+    assert out == upsilon(reg, BundleClass("P", 1))
+
+
+def test_generator_index_follows_declaration_order():
+    reg = Registry()
+    reg.declare_space("X")
+    reg.declare_generators("X", ("p", "q"))
+    reg.declare_generators("X", ("r",))
+    assert [reg.generator_index("X", g) for g in "pqr"] == [0, 1, 2]
+    assert reg.bits_of("X", ("r", "p")) == 0b101
+    with pytest.raises(RegistryError, match="unknown bundle generator 's'"):
+        reg.generator_index("X", "s")
+    # a name repeated within one declaration is a duplicate too, and a
+    # refused declaration adds none of its names
+    with pytest.raises(RegistryError, match="generator 's' already declared"):
+        reg.declare_generators("X", ("s", "s"))
+    assert reg.generators["X"] == ("p", "q", "r")
+    with pytest.raises(RegistryError, match="unknown bundle generator 's'"):
+        reg.generator_index("X", "s")
 
 
 def test_cover_symbol_lookup_by_bits():

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motivic import MotivicError, ValidationFailed, fixtures
+from motivic import (MotivicError, Registry, ValidationFailed, fixtures,
+                     symbol_motive)
 from motivic.jobs import job_validator, parse_job
 from motivic.schemas import ALL_SCHEMAS, JOB, MOTIVE
 from motivic.serialize import (atlas_from_json, atlas_to_json,
@@ -50,6 +51,49 @@ def test_registry_round_trip_cylinder():
     assert reg2.symbols["cov_y"].underlying is not None
     assert reg2.morphisms["sq"].pull_bundles == {"p1": 0}
     assert reg2.square_roots == fx.registry.square_roots
+
+
+def test_registry_round_trip_keeps_symbol_named_like_an_image():
+    # "XX.A" is a user symbol on X, not an image on the product XX, so the
+    # image of A on the left factor stays "XX.0.A" after a round trip
+    reg = Registry()
+    reg.declare_space("X", dim=1)
+    reg.declare_generators("X", ("p",))
+    reg.declare_symbol("A", "X")
+    reg.declare_symbol("XX.A", "X")
+    reg.declare_product("XX", "X", "X")
+    doc = registry_to_json(reg)
+    reg2 = registry_from_json(doc)
+    assert list(reg2.symbols) == list(reg.symbols)
+    assert reg2.products["XX"] == reg.products["XX"]
+    assert reg2.products["XX"].symbol_images[(0, "A")] == "XX.0.A"
+    assert registry_to_json(reg2) == doc
+
+
+def _job_with_underlying(name, underlying):
+    """The fixture job with each ``symbol: [monomial names]`` entry of
+    ``underlying`` set as that symbol's underlying class."""
+    data = fixtures.load_fixture_job(name)
+    for sym in data["registry"]["symbols"]:
+        if sym["name"] in underlying:
+            sym["underlying"] = {"space": sym["space"], "terms": [
+                {"monomial": underlying[sym["name"]], "bundle": [],
+                 "coeff": [[0, 1]]}]}
+    return data
+
+
+def test_underlying_class_may_name_any_symbol():
+    # cov_y listed before the Pfib its underlying class names
+    data = fixtures.load_fixture_job("x2y")
+    data["registry"]["symbols"].reverse()
+    assert [s["name"] for s in data["registry"]["symbols"]] == ["cov_y", "Pfib"]
+    reg = parse_job(data).registry
+    assert reg.symbols["cov_y"].underlying == symbol_motive(reg, "Pfib")
+    # two trivial-monodromy symbols whose underlying classes name each other
+    reg = parse_job(_job_with_underlying(
+        "x2_line", {"Gm0": ["pt0"], "pt0": ["Gm0"]})).registry
+    assert reg.symbols["Gm0"].underlying == symbol_motive(reg, "pt0")
+    assert reg.symbols["pt0"].underlying == symbol_motive(reg, "Gm0")
 
 
 def test_resolution_round_trip_all_fixtures():
