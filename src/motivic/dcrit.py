@@ -29,7 +29,7 @@ from typing import Optional
 
 from .bundles import BundleClass, bundle_pullback
 from .errors import (DescentFailure, MissingScissorTable, OrientationMissing,
-                     SpaceMismatch, ValidationFailed)
+                     ValidationFailed)
 from .motive import Motive, mot_sum, pullback, upsilon
 from .registry import POINT, Registry
 
@@ -81,27 +81,23 @@ class Atlas:
     oriented: bool = True
     scissor: Optional[list[ScissorPiece]] = None
 
-    def chart(self, cid: str) -> CriticalChart:
+    def chart_index(self) -> dict[str, CriticalChart]:
+        """Chart id -> chart; the first of charts sharing an id wins."""
+        index: dict[str, CriticalChart] = {}
         for c in self.charts:
-            if c.id == cid:
-                return c
-        raise KeyError(cid)
-
-    def region_space(self, region: str) -> str:
-        try:
-            return self.regions[region]
-        except KeyError:
-            raise SpaceMismatch(f"unknown region {region!r}") from None
+            index.setdefault(c.id, c)
+        return index
 
     def subatlas(self, region_names) -> "Atlas":
         keep = set(region_names)
+        charts = self.chart_index()
         return Atlas(
             self.registry,
             {r: s for r, s in self.regions.items() if r in keep},
             [c for c in self.charts if c.region in keep],
             [o for o in self.overlaps
-             if o.region in keep and self.chart(o.chart_a).region in keep
-             and self.chart(o.chart_b).region in keep],
+             if o.region in keep and charts[o.chart_a].region in keep
+             and charts[o.chart_b].region in keep],
             self.oriented,
             None if self.scissor is None
             else [p for p in self.scissor if p.region in keep])
@@ -190,13 +186,13 @@ def check_orientation(atlas: Atlas) -> list[str]:
     if structural:
         raise ValidationFailed(structural)
     reg = atlas.registry
+    charts = atlas.chart_index()
     diags: list[str] = []
     for o in atlas.overlaps:
         label = f"{o.chart_a}|{o.chart_b}@{o.region}"
         for cid, p, mor in ((o.chart_a, o.p_a, o.restrict_a),
                             (o.chart_b, o.p_b, o.restrict_b)):
-            chart = atlas.chart(cid)
-            q = _restrict_bundle(reg, chart.q, mor)
+            q = _restrict_bundle(reg, charts[cid].q, mor)
             if q.space != o.q_t.space or p.space != o.q_t.space:
                 diags.append(f"overlap {label}: classes on mismatched spaces")
                 continue
@@ -228,11 +224,12 @@ def glue(atlas: Atlas) -> GlobalMotive:
         else:
             values[chart.region] = candidate
             provenance[chart.region] = chart.id
+    charts = atlas.chart_index()
     checked: list[str] = []
     for o in sorted(atlas.overlaps,
                     key=lambda o: (o.chart_a, o.chart_b, o.region)):
         label = f"{o.chart_a}|{o.chart_b}@{o.region}"
-        ca, cb = atlas.chart(o.chart_a), atlas.chart(o.chart_b)
+        ca, cb = charts[o.chart_a], charts[o.chart_b]
         lift_a = _restrict_motive(reg, ca.mf, o.restrict_a).odot(upsilon(reg, o.p_a))
         lift_b = _restrict_motive(reg, cb.mf, o.restrict_b).odot(upsilon(reg, o.p_b))
         if lift_a != lift_b:

@@ -32,6 +32,15 @@ class HalfLaurent:
                     del acc[k]
         self._coeffs = acc
 
+    @classmethod
+    def _wrap(cls, coeffs: dict[int, int]) -> "HalfLaurent":
+        """A value over a fresh dict that is already canonical: integer keys
+        and coefficients, no zero.  For library code that built the dict
+        itself; outside input goes through the checking constructor."""
+        h = object.__new__(cls)
+        h._coeffs = coeffs
+        return h
+
     # -- constructors -----------------------------------------------------
 
     @classmethod

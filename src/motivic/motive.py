@@ -103,7 +103,8 @@ class Motive:
 
     @classmethod
     def one(cls, reg: Registry, space: str) -> "Motive":
-        return cls(reg, space, {((), 0): HalfLaurent.const(1)})
+        reg.space(space)
+        return cls._wrap(reg, space, {((), 0, 0): 1})
 
     @classmethod
     def coefficient(cls, reg: Registry, space: str, coeff: HalfLaurent) -> "Motive":
@@ -118,7 +119,7 @@ class Motive:
 
     def terms(self) -> list[tuple[TermKey, HalfLaurent]]:
         """``((monomial, bits), coefficient)`` pairs in sorted key order."""
-        return [(key, HalfLaurent(coeff))
+        return [(key, HalfLaurent._wrap(coeff))
                 for key, coeff in sorted(_by_term(self._flat).items())]
 
     def is_zero(self) -> bool:
@@ -335,7 +336,10 @@ def _into_product(reg: Registry, prod: Product, side: int, m: Motive) -> Flat:
 
 def upsilon(reg: Registry, p: BundleClass) -> Motive:
     """Group-ring unit attached to a bundle class; Y(0) is the ring identity."""
-    return Motive(reg, p.space, {((), p.bits): HalfLaurent.const(1)})
+    reg.space(p.space)
+    if p.bits >> len(reg.generators[p.space]):
+        raise RegistryError(f"bundle bits {p.bits} out of range on {p.space!r}")
+    return Motive._wrap(reg, p.space, {((), p.bits, 0): 1})
 
 
 def symbol_motive(reg: Registry, name: str) -> Motive:
@@ -358,10 +362,11 @@ def symbol_motive(reg: Registry, name: str) -> Motive:
 
 
 def pullback(reg: Registry, morphism: str, m: Motive) -> Motive:
-    """Pull a motive back along a morphism, term by term.
+    """Pull a motive back along a morphism, in one pass over its flat form.
 
     Each distinct monomial and each distinct bundle class is transported
-    once; a term then lands as its coefficient times the product of the
+    once.  A term with the empty monomial lands at ``((), image of bits,
+    k2)``; any other term lands as its coefficient times the product of the
     two images.
     """
     mor = reg.morphism(morphism)
@@ -372,31 +377,44 @@ def pullback(reg: Registry, morphism: str, m: Motive) -> Motive:
     mons: dict[tuple[str, ...], Flat] = {}
     images: dict[int, int] = {}
     acc: Flat = {}
-    for (mon, bits), coeff in _by_term(m._flat).items():
-        mon_img = mons.get(mon)
-        if mon_img is None:
-            mon_img = mons[mon] = _pull_monomial(reg, mor, mon)._flat
+    get = acc.get
+    for (mon, bits, k), c in m._flat.items():
+        if mon:
+            mon_img = mons.get(mon)
+            if mon_img is None:
+                mon_img = mons[mon] = _pull_monomial(reg, mor, mon)
         img = images.get(bits)
         if img is None:
             img = images[bits] = reg.pull_bits(mor, bits)
-        _add_scaled(acc, mon_img, coeff.items(), img)
+        if not mon:
+            key = ((), img, k)
+            acc[key] = get(key, 0) + c
+            continue
+        for (mon2, bits2, k2), c2 in mon_img.items():
+            key = (mon2, bits2 ^ img, k + k2)
+            acc[key] = get(key, 0) + c * c2
+    for key in [key for key, c in acc.items() if not c]:
+        del acc[key]
     return Motive._wrap(reg, mor.source, acc)
 
 
-def _pull_monomial(reg: Registry, mor: Morphism, mon: tuple[str, ...]) -> Motive:
-    img = Motive.one(reg, mor.source)
+def _pull_monomial(reg: Registry, mor: Morphism, mon: tuple[str, ...]) -> Flat:
+    img: Flat = {((), 0, 0): 1}
     for name in mon:
         entry = mor.pull_symbols.get(name)
-        if entry is None:
-            sym = reg.symbol(name)
-            if reg.symbol_allowed_on(sym, mor.source):
-                entry = symbol_motive(reg, name)
-            else:
+        if entry is None or isinstance(entry, str):
+            # no image, or a symbol name: that symbol's monomial on the source
+            image = name if entry is None else entry
+            sym = reg.symbol(image)
+            if sym.cover_bits is None and reg.symbol_allowed_on(sym, mor.source):
+                entry = Motive._wrap(reg, mor.source, {((image,), 0, 0): 1})
+            elif entry is None:
                 raise MissingTransport(
                     f"morphism {mor.name!r} has no image for symbol {name!r}")
-        elif isinstance(entry, str):
-            entry = symbol_motive(reg, entry)
-        img = img.odot(entry)
+            else:
+                entry = symbol_motive(reg, image)
+        _check_operand(reg, mor.source, entry)
+        img = _product(reg, img, entry._flat, "product")
     return img
 
 

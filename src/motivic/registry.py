@@ -229,17 +229,25 @@ class Registry:
         A generator with no table image goes to the generator of the same
         name on the source; with neither, :class:`MissingTransport`.
         """
-        acc = 0
-        for name in self.names_of(mor.target, bits):
-            img = mor.pull_bundles.get(name)
-            if img is None:
-                try:
-                    img = 1 << self.generator_index(mor.source, name)
-                except RegistryError:
-                    raise MissingTransport(
-                        f"morphism {mor.name!r} has no image for generator "
-                        f"{name!r}") from None
-            acc ^= img
+        gens = self.generators[mor.target]
+        if bits >> len(gens):
+            raise RegistryError(f"bundle bits {bits} out of range for {mor.target!r}")
+        table, source = mor.pull_bundles, self._index[mor.source]
+        acc = i = 0
+        while bits:
+            if bits & 1:
+                name = gens[i]
+                img = table.get(name)
+                if img is None:
+                    j = source.get(name)
+                    if j is None:
+                        raise MissingTransport(
+                            f"morphism {mor.name!r} has no image for generator "
+                            f"{name!r}")
+                    img = 1 << j
+                acc ^= img
+            bits >>= 1
+            i += 1
         return acc
 
     # -- products ----------------------------------------------------------------
@@ -255,6 +263,7 @@ class Registry:
         symbol_images: dict[tuple[int, str], str] = {}
         bundle_images: dict[tuple[int, str], str] = {}
         for side, factor in ((0, left), (1, right)):
+            shift = len(self.generators[left]) if side else 0
             for g in self.generators[factor]:
                 img = f"{name}.{g}"
                 if img in self._index[name]:
@@ -265,7 +274,8 @@ class Registry:
                 img = f"{name}.{sym.name}"
                 if img in self.symbols:
                     img = f"{name}.{side}.{sym.name}"
-                self.declare_symbol(img, name, sym.order, sym.underlying, sym.cover_bits)
+                cover = None if sym.cover_bits is None else sym.cover_bits << shift
+                self.declare_symbol(img, name, sym.order, sym.underlying, cover)
                 symbol_images[(side, sym.name)] = img
         prod = Product(name, left, right, symbol_images, bundle_images)
         self.products[name] = prod
@@ -304,20 +314,37 @@ class Registry:
     def compose(self, inner: str, outer: str, name: str) -> Morphism:
         """Register the composite of ``outer . inner`` with composed tables.
 
-        ``inner``: S -> T and ``outer``: T -> V give a morphism S -> V whose
-        pullback table is computed by pulling outer images back along inner.
-        Pushforward tables are not composed automatically.
+        ``inner``: S -> T and ``outer``: T -> V give a morphism S -> V.  Its
+        pullback tables hold the two-step image of every generator of V and
+        of every symbol allowed on V, so the same-name rule of either step
+        is applied where that step applies it.  A name that one of the steps
+        cannot transport is left out, unless ``outer`` lists it: then
+        :class:`MissingTransport` is raised here.  Pushforward tables are
+        not composed automatically.
         """
-        from .motive import pullback  # deferred: motive imports registry
+        from .motive import Motive, pullback  # deferred: motive imports registry
 
         f = self.morphism(inner)
         g = self.morphism(outer)
         if f.target != g.source:
             raise RegistryError("morphisms do not compose")
-        pull_symbols = {sym: pullback(self, inner, image)
-                        for sym, image in g.pull_symbols.items()}
-        pull_bundles = {gen: self.pull_bits(f, bits)
-                        for gen, bits in g.pull_bundles.items()}
+        pull_bundles: dict[str, int] = {}
+        for i, gen in enumerate(self.generators[g.target]):
+            try:
+                pull_bundles[gen] = self.pull_bits(f, self.pull_bits(g, 1 << i))
+            except MissingTransport:
+                if gen in g.pull_bundles:
+                    raise
+        pull_symbols: dict[str, object] = {}
+        for sym in self.symbols.values():
+            if sym.cover_bits is None and self.symbol_allowed_on(sym, g.target):
+                mon = Motive._wrap(self, g.target, {((sym.name,), 0, 0): 1})
+                try:
+                    pull_symbols[sym.name] = pullback(
+                        self, inner, pullback(self, outer, mon))
+                except MissingTransport:
+                    if sym.name in g.pull_symbols:
+                        raise
         kind = g.kind if g.kind == f.kind else "general"
         return self.declare_morphism(name, f.source, g.target, kind,
                                      pull_symbols, pull_bundles)

@@ -371,8 +371,19 @@ def ts_to_json(factors) -> dict[str, Any]:
 
 def ts_from_json(reg: Registry, data) -> list[Motive]:
     factors = [motive_from_json(reg, m) for m in data["factors"]]
-    # resolve each product of the chain now, so a missing one fails the parse
+    # resolve each product of the chain now, so a missing one fails the parse,
+    # and refuse a factor symbol with no image on its product: products image
+    # the symbols of the factor itself, not those of its strata
+    diags: list[str] = []
     space = factors[0].space
-    for m in factors[1:]:
-        space = reg.product_of(space, m.space).name
+    for i, m in enumerate(factors[1:]):
+        prod = reg.product_of(space, m.space)
+        for side, factor in ((0, factors[0]), (1, m)) if i == 0 else ((1, m),):
+            names = sorted({n for (mon, _), _ in factor.terms() for n in mon})
+            diags += [f"symbol {n!r} on {reg.symbol(n).space!r} has no image "
+                      f"on product {prod.name!r}"
+                      for n in names if (side, n) not in prod.symbol_images]
+        space = prod.name
+    if diags:
+        raise ValidationFailed(diags)
     return factors

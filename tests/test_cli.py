@@ -178,6 +178,19 @@ def _ts_without_products():
     return job
 
 
+def _ts_with_stratum_symbol():
+    """ts_z2_10 whose first factor is the class of a symbol ``T`` declared
+    on a stratum ``S`` of the factor space ``X0``."""
+    job = fixtures.load_fixture_job("ts_z2_10")
+    reg = job["registry"]
+    reg["spaces"].append({"name": "S", "dim": 0, "strata": []})
+    reg["spaces"][0]["strata"] = ["S"]
+    reg["symbols"].append({"name": "T", "space": "S", "order": 1,
+                           "underlying": None, "cover": None})
+    job["payload"]["factors"][0]["terms"][0]["monomial"] = ["T"]
+    return job
+
+
 @pytest.mark.parametrize("command,job,message", [
     ("nearby", _z2_with_stratum(space="NOWHERE"), "unknown space 'NOWHERE'"),
     ("nearby", _z2_with_stratum(monomial=["nosym"]), "unknown symbol 'nosym'"),
@@ -195,8 +208,11 @@ def _ts_without_products():
      "unknown symbol 'nosym'"),
     ("ts", _ts_without_products(), "no registered product of 'X0' and 'X0'"),
     ("arc-check", _arc_z3_with_default_cover(5), "unknown symbol 'mu5'"),
+    ("ts", _ts_with_stratum_symbol(),
+     "symbol 'T' on 'S' has no image on product 'T2'"),
 ], ids=["space", "symbol", "critical_value_space", "base_space",
-        "unit_generator", "cover_symbol", "product", "default_cover_symbol"])
+        "unit_generator", "cover_symbol", "product", "default_cover_symbol",
+        "stratum_symbol_in_product"])
 def test_unknown_space_or_symbol_exit_code(tmp_path, capsys, command, job,
                                            message):
     path = tmp_path / "dangling.json"

@@ -1,0 +1,30 @@
+"""Every mutant listed in ``tools/mutants.py`` still finds its target node.
+
+The mutants themselves run only under ``python tools/mutants.py``; this
+check is fast and makes a refactor that moves a target fail here instead of
+silently dropping the mutant.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("mutants", ROOT / "tools" / "mutants.py")
+mutants = sys.modules["mutants"] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(mutants)
+
+
+@pytest.mark.parametrize("mutant", mutants.MUTANTS, ids=lambda m: m.name)
+def test_mutant_edit_finds_its_target(mutant):
+    source = mutants.module_path(ROOT, mutant).read_text(encoding="utf-8")
+    assert mutants.apply(mutant, source) != source
+    for selection in mutant.tests:
+        assert (ROOT / selection.split("::")[0]).is_file()
+
+
+def test_mutant_names_are_unique():
+    names = [m.name for m in mutants.MUTANTS]
+    assert len(names) == len(set(names))

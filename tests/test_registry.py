@@ -111,6 +111,22 @@ def test_product_images_are_namespaced():
     assert reg.generators["XX"] == ("XX.p", "XX.1.p")
 
 
+def test_right_factor_cover_image_names_right_factor_bits():
+    reg = Registry()
+    for space, gen, cover in (("X", "p", "c"), ("Y", "q", "d")):
+        reg.declare_space(space)
+        reg.declare_generators(space, (gen,))
+        reg.declare_symbol(cover, space, order=2, cover_bits=1)
+    reg.declare_product("P", "X", "Y")
+    assert reg.symbol("P.c").cover_bits == 0b01
+    assert reg.symbol("P.d").cover_bits == 0b10
+    assert symbol_motive(reg, "P.d") == mot_boxdot(Motive.one(reg, "X"),
+                                                   symbol_motive(reg, "d"))
+    assert symbol_motive(reg, "P.c") == mot_boxdot(symbol_motive(reg, "c"),
+                                                   Motive.one(reg, "Y"))
+    assert symbol_motive(reg, "P.d").text() == "1 - L^(1/2) ⊙ Y(P.q)"
+
+
 def test_frozen_registry_refuses_every_declaration():
     reg = Registry()
     reg.declare_space("X", dim=1)

@@ -1,0 +1,226 @@
+"""Replay a fixed list of mutants against the test suite.
+
+Each mutant names a module under ``src/motivic``, a function in it (a
+dotted name for a method), one AST edit inside that function and the pytest
+selection that must catch it.  An edit replaces the one node whose source
+(as ``ast.unparse`` prints it) equals ``find`` with the node(s) parsed from
+``replace``; an edit that matches no node, or more than one, is an error.
+
+For each mutant the repository's ``src``, ``tests`` and ``pyproject.toml``
+are copied to a temporary directory, the mutated module is written there,
+and the selection runs in a fresh interpreter.  The mutant is killed when
+pytest reports a failing test (exit status 1).  The script first runs every
+selection on the unmutated copy, which must pass.
+
+    python tools/mutants.py            # all mutants; exit 1 if any survives
+    python tools/mutants.py --list     # print the list and check the edits
+    python tools/mutants.py NAME ...   # only the named mutants
+
+Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import textwrap
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    module: str        # file under src/motivic, without ".py"
+    function: str      # "name" or "Class.method"
+    find: str          # source of the node to replace
+    replace: str       # source of its replacement (statements or expression)
+    tests: tuple[str, ...]
+
+
+FLAT = "tests/test_motive_flat.py"
+ZETA = "tests/test_zeta.py"
+
+MUTANTS = [
+    Mutant("product_or_for_xor", "motive", "_product",
+           "b1 ^ b2", "b1 | b2", (FLAT,)),
+    Mutant("product_keeps_zeros", "motive", "_product",
+           "for key in [key for key, c in out.items() if not c]:\n"
+           "    del out[key]", "pass", (FLAT,)),
+    Mutant("add_stores_zero_on_cancel", "motive", "_add_scaled",
+           "if v:\n    acc[key] = v\nelse:\n    acc.pop(key, None)",
+           "acc[key] = v", (FLAT,)),
+    Mutant("weaker_opaque_check", "motive", "_product",
+           "op1 and op2", "op1 and op2 and mon1 == mon2", (FLAT,)),
+    Mutant("pullback_drops_exponent", "motive", "pullback",
+           "(mon2, bits2 ^ img, k + k2)", "(mon2, bits2 ^ img, k2)",
+           (FLAT, "tests/test_transport.py")),
+    Mutant("expand_series_first_0", "zeta", "expand_series",
+           "_factor_series(term.factors, k, 1, 1)",
+           "_factor_series(term.factors, k, 0, 1)", (ZETA,)),
+    Mutant("inverse_constant_term_first_1", "zeta",
+           "inverse_series_constant_term",
+           "_factor_series(term.factors, order, 0, -1)",
+           "_factor_series(term.factors, order, 1, -1)", (ZETA,)),
+    Mutant("factor_series_skips_first", "zeta", "_factor_series",
+           "j = first", "j = first + 1", (ZETA,)),
+    Mutant("factor_series_strict_bound", "zeta", "_factor_series",
+           "deg + j * N <= k", "deg + j * N < k", (ZETA,)),
+    Mutant("parse_job_first_error", "jobs", "parse_job",
+           "jsonschema.exceptions.best_match(job_validator().iter_errors(data))",
+           "next(iter(job_validator().iter_errors(data)), None)",
+           ("tests/test_serialize.py::"
+            "test_parse_job_diagnostics_match_jsonschema_validate",)),
+    Mutant("into_product_unshifted", "motive", "_into_product",
+           "shift = len(reg.generators[prod.left]) if side else 0",
+           "shift = 0", (FLAT,)),
+    Mutant("vanishing_imports_dcrit", "cli", "cmd_vanishing",
+           "from . import zeta", "from . import dcrit, zeta",
+           ("tests/test_package.py::"
+            "test_vanishing_loads_no_other_payload_module",)),
+    Mutant("pullback_unit_path_drops_bits", "motive", "pullback",
+           "((), img, k)", "((), 0, k)", ("tests/test_transport.py",)),
+    Mutant("upsilon_skips_range_check", "motive", "upsilon",
+           "if p.bits >> len(reg.generators[p.space]):\n"
+           "    raise RegistryError("
+           "f'bundle bits {p.bits} out of range on {p.space!r}')",
+           "pass", ("tests/test_transport.py",)),
+    Mutant("right_cover_bits_unshifted", "registry", "Registry.declare_product",
+           "shift = len(self.generators[left]) if side else 0",
+           "shift = 0",
+           ("tests/test_registry.py::"
+            "test_right_factor_cover_image_names_right_factor_bits",)),
+]
+
+
+# -- applying an edit ---------------------------------------------------------------
+
+
+def _source_of(snippet: str) -> str:
+    """``snippet`` as ``ast.unparse`` prints it."""
+    try:
+        return ast.unparse(ast.parse(snippet, mode="eval"))
+    except SyntaxError:
+        return ast.unparse(ast.parse(snippet))
+
+
+def _parsed(snippet: str):
+    try:
+        return ast.parse(snippet, mode="eval").body
+    except SyntaxError:
+        return ast.parse(snippet).body
+
+
+def _function(tree: ast.Module, dotted: str) -> ast.FunctionDef:
+    scope: list = tree.body
+    parts = dotted.split(".")
+    for depth, part in enumerate(parts):
+        kind = ast.ClassDef if depth < len(parts) - 1 else ast.FunctionDef
+        found = [n for n in scope if isinstance(n, kind) and n.name == part]
+        if len(found) != 1:
+            raise LookupError(f"no single {kind.__name__} {part!r}")
+        node = found[0]
+        scope = node.body
+    return node
+
+
+class _Edit(ast.NodeTransformer):
+    def __init__(self, find: str, replace: str) -> None:
+        self.find, self.replace, self.hits = _source_of(find), replace, 0
+
+    def visit(self, node):
+        if isinstance(node, (ast.expr, ast.stmt)) and ast.unparse(node) == self.find:
+            self.hits += 1
+            return _parsed(self.replace)
+        return super().visit(node)
+
+
+def apply(mutant: Mutant, source: str) -> str:
+    """The module source with the mutant's edit made; LookupError when the
+    edit does not find exactly one target node.  Only the lines of the
+    mutated function change."""
+    func = _function(ast.parse(source), mutant.function)
+    first = min([func.lineno] + [d.lineno for d in func.decorator_list]) - 1
+    edit = _Edit(mutant.find, mutant.replace)
+    edit.visit(func)
+    if edit.hits != 1:
+        raise LookupError(f"{mutant.name}: {edit.hits} nodes match {mutant.find!r}")
+    lines = source.splitlines(keepends=True)
+    body = textwrap.indent(ast.unparse(ast.fix_missing_locations(func)),
+                           " " * func.col_offset)
+    return "".join(lines[:first]) + body + "\n" + "".join(lines[func.end_lineno:])
+
+
+def module_path(root: Path, mutant: Mutant) -> Path:
+    return root / "src" / "motivic" / f"{mutant.module}.py"
+
+
+# -- running ------------------------------------------------------------------------------
+
+
+def _copy(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", "*.egg-info", ".hypothesis")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=ignore)
+    shutil.copy(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _pytest(root: Path, tests) -> int:
+    env = dict(os.environ, PYTHONPATH=str(root / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         *tests], cwd=root, env=env, stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL).returncode
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("names", nargs="*", help="run only these mutants")
+    p.add_argument("--list", action="store_true",
+                   help="check that every edit applies and print the list")
+    args = p.parse_args(argv)
+    known = {m.name: m for m in MUTANTS}
+    unknown = [n for n in args.names if n not in known]
+    if unknown:
+        p.error(f"unknown mutants: {', '.join(unknown)}")
+    chosen = [known[n] for n in args.names] or MUTANTS
+    for m in chosen:
+        apply(m, module_path(ROOT, m).read_text(encoding="utf-8"))
+    if args.list:
+        for m in chosen:
+            print(f"{m.name}: {m.module}.{m.function}: {m.find!r} -> "
+                  f"{m.replace!r}  [{' '.join(m.tests)}]")
+        return 0
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        root = Path(tmp)
+        _copy(root)
+        selections = sorted({t for m in chosen for t in m.tests})
+        code = _pytest(root, selections)
+        if code != 0:
+            print(f"unmutated selection fails (pytest exit {code})")
+            return 1
+        survivors = []
+        for m in chosen:
+            path = module_path(root, m)
+            original = path.read_text(encoding="utf-8")
+            path.write_text(apply(m, original), encoding="utf-8")
+            code = _pytest(root, m.tests)
+            path.write_text(original, encoding="utf-8")
+            verdict = "killed" if code == 1 else f"SURVIVED (pytest exit {code})"
+            print(f"{m.name}: {verdict}", flush=True)
+            if code != 1:
+                survivors.append(m.name)
+    print(f"{len(chosen) - len(survivors)}/{len(chosen)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
