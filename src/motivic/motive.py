@@ -328,8 +328,14 @@ def _into_product(reg: Registry, prod: Product, side: int, m: Motive) -> Flat:
     for (mon, bits, k2), c in m._flat.items():
         mon_img = mons.get(mon)
         if mon_img is None:
-            mon_img = mons[mon] = tuple(sorted(
-                prod.symbol_images[(side, n)] for n in mon))
+            try:
+                mon_img = mons[mon] = tuple(sorted(
+                    prod.symbol_images[(side, n)] for n in mon))
+            except KeyError as exc:  # products image factor, not stratum, symbols
+                n = exc.args[0][1]
+                raise RegistryError(
+                    f"symbol {n!r} on {reg.symbol(n).space!r} has no image "
+                    f"on product {prod.name!r}") from None
         out[(mon_img, bits << shift, k2)] = c
     return out
 

@@ -3,15 +3,22 @@
 The same dictionaries are shipped under ``docs/schemas/`` and honored
 bit-exactly: loaders validate against them and unknown fields are rejected
 through ``additionalProperties: false``.
+
+Shared sub-schemas live once in ``DEFINITIONS`` and are referenced by
+``$ref``; ``document`` makes a standalone file (``JOB``, ``ALL_SCHEMAS``)
+of a fragment such as ``RESOLUTION`` by adding what it reaches.
 """
 
 from __future__ import annotations
 
-COEFF = {
-    "type": "array",
-    "items": {"type": "array", "items": {"type": "integer"},
-              "minItems": 2, "maxItems": 2},
-}
+
+def _ref(name: str) -> dict:
+    return {"$ref": f"#/definitions/{name}"}
+
+
+_OPT_MOTIVE = _ref("optional_motive")
+_DIV_CLASS = _ref("divisor_class")
+
 
 MOTIVE = {
     "type": "object",
@@ -28,20 +35,19 @@ MOTIVE = {
                 "properties": {
                     "monomial": {"type": "array", "items": {"type": "string"}},
                     "bundle": {"type": "array", "items": {"type": "string"}},
-                    "coeff": COEFF,
+                    "coeff": {"type": "array", "items": {
+                        "type": "array", "items": {"type": "integer"},
+                        "minItems": 2, "maxItems": 2}},
                 },
             },
         },
     },
 }
 
-_OPT_MOTIVE = {"oneOf": [{"type": "null"}, MOTIVE]}
-
 _NAME_LIST = {"type": "array", "items": {"type": "string"}}
 
+# no ``$id`` here: embedded in ``JOB``, it would become the base of its $refs
 REGISTRY = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "$id": "motivic.registry/1",
     "type": "object",
     "additionalProperties": False,
     "required": ["schema"],
@@ -78,7 +84,7 @@ REGISTRY = {
                     "type": "object", "additionalProperties": False,
                     "required": ["symbol", "image"],
                     "properties": {"symbol": {"type": "string"},
-                                   "image": MOTIVE}}},
+                                   "image": _ref("motive")}}},
                 "pull_bundles": {"type": "array", "items": {
                     "type": "object", "additionalProperties": False,
                     "required": ["generator", "image"],
@@ -90,7 +96,7 @@ REGISTRY = {
                     "properties": {"monomial": _NAME_LIST,
                                    "bundle": _NAME_LIST,
                                    "cover": {"type": "boolean"},
-                                   "image": MOTIVE}}},
+                                   "image": _ref("motive")}}},
             }}},
         "products": {"type": "array", "items": {
             "type": "object", "additionalProperties": False,
@@ -106,12 +112,6 @@ REGISTRY = {
                            "trivialization": {"type": "string"},
                            "class": _NAME_LIST}}},
     },
-}
-
-_DIV_CLASS = {
-    "type": "object", "additionalProperties": False,
-    "required": ["divisors", "class"],
-    "properties": {"divisors": _NAME_LIST, "class": MOTIVE},
 }
 
 RESOLUTION = {
@@ -133,7 +133,7 @@ RESOLUTION = {
             "required": ["divisors", "cover_order", "class"],
             "properties": {"divisors": _NAME_LIST,
                            "cover_order": {"type": "integer", "minimum": 1},
-                           "class": MOTIVE}}},
+                           "class": _ref("motive")}}},
         "critical_values": {"type": "array", "items": {
             "type": "object", "additionalProperties": False,
             "required": ["value"],
@@ -168,10 +168,10 @@ MONOMIAL = {
     },
 }
 
-_CHART_MF = {"oneOf": [MOTIVE, {
+_CHART_MF = {"oneOf": [_ref("motive"), {
     "type": "object", "additionalProperties": False,
     "required": ["vanishing_of"],
-    "properties": {"vanishing_of": RESOLUTION,
+    "properties": {"vanishing_of": _ref("resolution"),
                    "critical_value": {"type": "string"}},
 }]}
 
@@ -217,7 +217,7 @@ ATLAS = {
                                "required": ["monomial", "bundle", "class"],
                                "properties": {"monomial": _NAME_LIST,
                                               "bundle": _NAME_LIST,
-                                              "class": MOTIVE}}}}}}]},
+                                              "class": _ref("motive")}}}}}}]},
     },
 }
 
@@ -236,7 +236,7 @@ FIXEDPOINTS = {
                            "good": {"type": "boolean"},
                            "circle_compact": {"type": "boolean"}}}},
         "direct": _OPT_MOTIVE,
-        "direct_atlas": {"oneOf": [{"type": "null"}, ATLAS]},
+        "direct_atlas": {"oneOf": [{"type": "null"}, _ref("atlas")]},
     },
 }
 
@@ -245,8 +245,8 @@ ARC_CHECK = {
     "required": ["kind", "monomial", "resolution"],
     "properties": {
         "kind": {"const": "arc-check"},
-        "monomial": MONOMIAL,
-        "resolution": RESOLUTION,
+        "monomial": _ref("monomial"),
+        "resolution": _ref("resolution"),
     },
 }
 
@@ -255,21 +255,53 @@ TS = {
     "required": ["kind", "factors"],
     "properties": {
         "kind": {"const": "ts"},
-        "factors": {"type": "array", "items": MOTIVE, "minItems": 1},
+        "factors": {"type": "array", "items": _ref("motive"), "minItems": 1},
     },
 }
 
-JOB = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "$id": "motivic.job/1",
+DEFINITIONS = {
+    "motive": MOTIVE,
+    "optional_motive": {"oneOf": [{"type": "null"}, _ref("motive")]},
+    "divisor_class": {
+        "type": "object", "additionalProperties": False,
+        "required": ["divisors", "class"],
+        "properties": {"divisors": _NAME_LIST, "class": _ref("motive")},
+    },
+    "resolution": RESOLUTION,
+    "monomial": MONOMIAL,
+    "atlas": ATLAS,
+}
+
+
+def document(schema: dict, id_: str | None = None) -> dict:
+    """``schema`` as a standalone file, with the ``DEFINITIONS`` it reaches
+    (also through other definitions) and ``$schema``/``$id`` given an id."""
+    reached: dict = {}
+    todo = [schema]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, dict):
+            name = node.get("$ref", "").removeprefix("#/definitions/")
+            if name and name not in reached:
+                reached[name] = DEFINITIONS[name]
+                todo.append(reached[name])
+            todo.extend(node.values())
+        elif isinstance(node, list):
+            todo.extend(node)
+    head = {"$schema": "http://json-schema.org/draft-07/schema#",
+            "$id": id_} if id_ else {}
+    return {**head, **schema, **({"definitions": reached} if reached else {})}
+
+
+JOB = document({
     "type": "object",
     "additionalProperties": False,
     "required": ["schema", "registry", "payload"],
     "properties": {
         "schema": {"const": "motivic.job/1"},
         "registry": REGISTRY,
-        "payload": {"oneOf": [RESOLUTION, MONOMIAL, ATLAS, FIXEDPOINTS,
-                              ARC_CHECK, TS]},
+        "payload": {"oneOf": [_ref("resolution"), _ref("monomial"),
+                              _ref("atlas"), FIXEDPOINTS, ARC_CHECK, TS]},
         "params": {
             "type": "object", "additionalProperties": False,
             "properties": {
@@ -279,18 +311,17 @@ JOB = {
             },
         },
     },
-}
+}, "motivic.job/1")
 
 ALL_SCHEMAS = {
-    "registry": REGISTRY,
-    "motive": {"$schema": "http://json-schema.org/draft-07/schema#",
-               "$id": "motivic.motive/1", **MOTIVE},
-    "resolution": RESOLUTION,
-    "monomial": MONOMIAL,
-    "atlas": ATLAS,
-    "fixedpoints": FIXEDPOINTS,
-    "arc-check": ARC_CHECK,
-    "ts": TS,
+    "registry": document(REGISTRY, "motivic.registry/1"),
+    "motive": document(MOTIVE, "motivic.motive/1"),
+    "resolution": document(RESOLUTION),
+    "monomial": document(MONOMIAL),
+    "atlas": document(ATLAS),
+    "fixedpoints": document(FIXEDPOINTS),
+    "arc-check": document(ARC_CHECK),
+    "ts": document(TS),
     "job": JOB,
 }
 

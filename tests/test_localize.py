@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motivic import (FixedComponentDatum, HalfLaurent, Motive, Registry,
                      ZeroWeight, fixtures, glue, localization_check,
@@ -85,3 +87,53 @@ def test_two_point_fixture_against_direct_atlas():
     direct = pushforward_to_point(fx.direct_atlas, glued)
     ok, diff = localization_check(fx.registry, fx.components, direct)
     assert ok, diff
+
+
+# -- Hilb^n(C^2): fixed points are the partitions of n ---------------------------
+
+
+def partitions(n, largest=None):
+    """The partitions of ``n`` as non-increasing tuples of parts."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest or n), 0, -1):
+        for rest in partitions(n - part, part):
+            yield (part,) + rest
+
+
+def hilb_tangent_weights(lam, w1, w2):
+    """Weights of sigma = (w1, w2) on T_{I_lam} Hilb^n(C^2): for each box s,
+    t1^(-l(s)) t2^(a(s)+1) and t1^(l(s)+1) t2^(-a(s)) (arm a, leg l)."""
+    cols = [sum(1 for row in lam if row > j) for j in range(lam[0])]
+    weights = []
+    for i, row in enumerate(lam):
+        for j in range(row):
+            arm, leg = row - j - 1, cols[j] - i - 1
+            weights += [-leg * w1 + (arm + 1) * w2, (leg + 1) * w1 - arm * w2]
+    return weights
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 12), st.integers(-60, 60), st.integers(-60, 60))
+def test_hilbert_scheme_of_the_plane_localizes_by_quadrant(n, w1, w2):
+    # Ellingsrud-Stromme / Goettsche: [Hilb^n(C^2)] = sum_lam L^(n + l(lam)),
+    # so the sum is sum_lam L^(-l(lam)) for sigma in the open positive
+    # quadrant, sum_lam L^(l(lam)) in the negative one, and p(n) for mixed
+    # signs, where every tangent pair has one weight of each sign
+    reg = Registry()
+    lams = list(partitions(n))
+    comps = [FixedComponentDatum(str(lam), tuple(hilb_tangent_weights(lam, w1, w2)))
+             for lam in lams]
+    if any(w == 0 for comp in comps for w in comp.weights):
+        with pytest.raises(ZeroWeight):
+            localize_sum(reg, comps)
+        return
+    assert w1 and w2
+    if w1 * w2 < 0:
+        want = HalfLaurent.const(len(lams))
+    else:
+        sign = -1 if w1 > 0 else 1
+        want = sum((HalfLaurent.power(2 * sign * len(lam)) for lam in lams),
+                   HalfLaurent.const(0))
+    assert localize_sum(reg, comps) == Motive.coefficient(reg, POINT, want)

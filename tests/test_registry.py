@@ -127,6 +127,21 @@ def test_right_factor_cover_image_names_right_factor_bits():
     assert symbol_motive(reg, "P.d").text() == "1 - L^(1/2) ⊙ Y(P.q)"
 
 
+def test_boxdot_refuses_stratum_symbol_with_registry_error():
+    # products image the symbols of a factor, not those of its strata
+    reg = Registry()
+    reg.declare_space("S")
+    reg.declare_space("X", strata=("S",))
+    reg.declare_symbol("T", "S")
+    reg.declare_product("XX", "X", "X")
+    m = Motive(reg, "X", {(("T",), 0): HalfLaurent.const(1)})
+    one = Motive.one(reg, "X")
+    for a, b in ((m, one), (one, m)):
+        with pytest.raises(RegistryError) as err:
+            mot_boxdot(a, b)
+        assert str(err.value) == "symbol 'T' on 'S' has no image on product 'XX'"
+
+
 def test_frozen_registry_refuses_every_declaration():
     reg = Registry()
     reg.declare_space("X", dim=1)

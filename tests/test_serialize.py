@@ -2,6 +2,7 @@
 
 import json
 import random
+from functools import cache
 
 import jsonschema
 import pytest
@@ -227,6 +228,84 @@ def test_parse_job_diagnostics_match_jsonschema_validate(data):
         assert got is None or not got[0].startswith("job schema:")
     else:
         assert got == want
+
+
+def _refs(doc):
+    """The definition names of every ``$ref`` in ``doc``."""
+    return [value.removeprefix("#/definitions/")
+            for path, value in _nodes(doc) if path and path[-1] == "$ref"]
+
+
+def _inline(node, definitions):
+    """``node`` with every ``$ref`` replaced by the definition it names."""
+    if isinstance(node, dict):
+        if "$ref" in node:
+            name = node["$ref"].removeprefix("#/definitions/")
+            return _inline(definitions[name], definitions)
+        return {key: _inline(value, definitions) for key, value in node.items()
+                if key != "definitions"}
+    if isinstance(node, list):
+        return [_inline(value, definitions) for value in node]
+    return node
+
+
+def _shipped_documents(kind):
+    """Documents of one schema kind taken from the shipped fixture jobs."""
+    jobs = [fixtures.load_fixture_job(name) for name in fixtures.FIXTURE_NAMES]
+    payloads = [job["payload"] for job in jobs]
+    if kind == "job":
+        return jobs
+    if kind == "registry":
+        return [job["registry"] for job in jobs]
+    if kind == "monomial":
+        return [p["monomial"] for p in payloads if p["kind"] == "arc-check"]
+    if kind == "motive":
+        return [s["class"] for p in payloads if p["kind"] == "resolution"
+                for s in p["strata"]]
+    return [p for p in payloads if p["kind"] == kind]
+
+
+@pytest.mark.parametrize("name", list(ALL_SCHEMAS))
+def test_shipped_schema_definitions_are_closed_and_used(name):
+    # check_schema does not follow $ref, so a dropped definition would
+    # otherwise surface only when a document reached it
+    schema = ALL_SCHEMAS[name]
+    definitions = schema.get("definitions", {})
+    refs = _refs(schema)
+    assert all(ref in definitions for ref in refs), name
+    assert set(refs) == set(definitions), name
+    assert json.dumps(schema, indent=1).count('"coeff": {') <= 1, name
+    documents = _shipped_documents(name)
+    assert documents
+    validator = jsonschema.Draft7Validator(schema)
+    for doc in documents:
+        validator.validate(doc)
+
+
+@cache
+def _inlined_job_validator():
+    return jsonschema.Draft7Validator(_inline(JOB, JOB["definitions"]))
+
+
+def _job_diagnostic(validator, data):
+    exc = jsonschema.exceptions.best_match(validator.iter_errors(data))
+    if exc is None:
+        return None
+    path = "/".join(str(p) for p in exc.absolute_path)
+    return f"job schema: {exc.message} (at /{path})"
+
+
+def test_inlined_job_schema_accepts_every_fixture():
+    for name in fixtures.FIXTURE_NAMES:
+        data = fixtures.load_fixture_job(name)
+        assert _job_diagnostic(_inlined_job_validator(), data) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutated_jobs())
+def test_job_schema_refs_match_inlined_schema(data):
+    assert (_job_diagnostic(job_validator(), data)
+            == _job_diagnostic(_inlined_job_validator(), data))
 
 
 def test_unknown_fields_rejected():

@@ -97,6 +97,17 @@ MUTANTS = [
            "shift = 0",
            ("tests/test_registry.py::"
             "test_right_factor_cover_image_names_right_factor_bits",)),
+    Mutant("orientation_or_for_xor", "dcrit", "check_orientation",
+           "p.bits ^ q.bits", "p.bits | q.bits", ("tests/test_dcrit.py",)),
+    Mutant("virtual_index_counts_every_weight", "localize", "virtual_index",
+           "1 if w > 0 else -1", "1", ("tests/test_localize.py",)),
+    Mutant("arc_class_drops_unit_vars", "arcs", "arc_class",
+           "n - m + n * len(f.unit_vars)", "n - m",
+           ("tests/test_arcs.py", "tests/test_arcs_pointcount.py")),
+    Mutant("document_skips_nested_definitions", "schemas", "document",
+           "todo.append(reached[name])", "pass",
+           ("tests/test_serialize.py::"
+            "test_shipped_schema_definitions_are_closed_and_used",)),
 ]
 
 
