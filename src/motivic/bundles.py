@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .errors import SpaceMismatch
 from .registry import Registry
+from .render import bundle_text
 
 
 @dataclass(frozen=True)
@@ -31,13 +32,8 @@ class BundleClass:
 
     __mul__ = tensor
 
-    def names(self, reg: Registry) -> tuple[str, ...]:
-        return reg.names_of(self.space, self.bits)
-
     def text(self, reg: Registry) -> str:
-        if self.bits == 0:
-            return "Y(0)"
-        return "Y(" + "+".join(self.names(reg)) + ")"
+        return bundle_text(reg, self.space, self.bits)
 
 
 def trivial(space: str) -> BundleClass:

@@ -8,8 +8,9 @@ Output is deterministic text on stdout (or a JSON document with
 Exit codes are part of the contract: 0 success, 2 validation diagnostics,
 3 missing restriction, 4 unsupported shape, 5 descent failure.
 
-Each ``cmd_*`` imports the modules it computes with, so a call loads only
-what its command runs.
+Every job command runs through :func:`run`: its ``cmd_*`` takes the
+parsed job and returns ``(text, machine, exit code)``, and imports the
+modules it computes with, so a call loads only what its command runs.
 """
 
 from __future__ import annotations
@@ -28,6 +29,9 @@ EXIT_VALIDATION = 2
 EXIT_MISSING_RESTRICTION = 3
 EXIT_UNSUPPORTED_SHAPE = 4
 EXIT_DESCENT = 5
+
+# what a job command returns: text, machine-readable fields, exit code
+Outcome = tuple[str, dict, int]
 
 
 def _load_job(args) -> Job:
@@ -48,12 +52,19 @@ def _load_job(args) -> Job:
     return parse_job(data)
 
 
-def _emit(args, command: str, text: str, machine: dict) -> None:
+def run(args) -> int:
+    """The protocol of every job command: load the job, check its payload
+    kind, run ``args.fn(args, job)`` and print the ``(text, machine, code)``
+    it returns, as text or as a ``motivic.result/1`` document."""
+    job = _load_job(args)
+    require_kind(job, args.kind)
+    text, machine, code = args.fn(args, job)
     if args.machine_readable:
-        doc = {"schema": RESULT_SCHEMA, "command": command, **machine}
+        doc = {"schema": RESULT_SCHEMA, "command": args.command, **machine}
         print(json.dumps(doc, sort_keys=True))
     else:
         print(text)
+    return code
 
 
 def _rational_json(z) -> dict:
@@ -63,91 +74,68 @@ def _rational_json(z) -> dict:
                       for t in z.terms]}
 
 
-def cmd_zeta(args) -> int:
+def cmd_zeta(args, job: Job) -> Outcome:
     from . import zeta
 
-    job = _load_job(args)
-    require_kind(job, "resolution")
     z = zeta.zeta_function(job.payload)
-    k = args.series_order
-    if k is None:
-        _emit(args, "zeta", z.text(), {"rational": _rational_json(z)})
-        return EXIT_OK
-    series = zeta.expand_series(z, k, job.registry)
+    machine = {"rational": _rational_json(z)}
+    if args.series_order is None:
+        return z.text(), machine, EXIT_OK
+    series = zeta.expand_series(z, args.series_order, job.registry)
     lines = [z.text()]
     lines += [f"T^{n}: {m.text()}" for n, m in enumerate(series)]
-    _emit(args, "zeta", "\n".join(lines),
-          {"rational": _rational_json(z),
-           "series": [motive_to_json(m) for m in series]})
-    return EXIT_OK
+    machine["series"] = [motive_to_json(m) for m in series]
+    return "\n".join(lines), machine, EXIT_OK
 
 
-def cmd_nearby(args) -> int:
+def cmd_nearby(args, job: Job) -> Outcome:
     from . import zeta
 
-    job = _load_job(args)
-    require_kind(job, "resolution")
     m = zeta.nearby_cycle(job.payload)
-    _emit(args, "nearby", m.text(), {"motive": motive_to_json(m)})
-    return EXIT_OK
+    return m.text(), {"motive": motive_to_json(m)}, EXIT_OK
 
 
-def cmd_vanishing(args) -> int:
+def cmd_vanishing(args, job: Job) -> Outcome:
     from . import zeta
 
-    job = _load_job(args)
-    require_kind(job, "resolution")
     c = args.critical_value or job.params.get("critical_value", "0")
     m = zeta.vanishing_cycle(job.payload, c)
-    _emit(args, "vanishing", m.text(), {"motive": motive_to_json(m)})
-    return EXIT_OK
+    return m.text(), {"motive": motive_to_json(m)}, EXIT_OK
 
 
-def cmd_arc_check(args) -> int:
+def cmd_arc_check(args, job: Job) -> Outcome:
     from . import arcs, zeta
 
-    job = _load_job(args)
-    require_kind(job, "arc-check")
     (mono, ctx), res = job.payload
     k = args.series_order
     if k is None:
         k = int(job.params.get("series_order", 12))
     oracle = arcs.zeta_truncated(mono, k, ctx)
     series = zeta.expand_series(zeta.zeta_function(res), k, job.registry)
-    lines = []
-    ok = True
-    for n in range(1, k + 1):
-        match = oracle[n] == series[n]
-        ok = ok and match
-        verdict = "PASS" if match else "FAIL"
-        lines.append(f"n={n:<3d} {verdict}  arc: {oracle[n].text()}  "
-                     f"resolution: {series[n].text()}")
+    matches = [oracle[n] == series[n] for n in range(1, k + 1)]
+    lines = [f"n={n:<3d} {'PASS' if match else 'FAIL'}  "
+             f"arc: {oracle[n].text()}  resolution: {series[n].text()}"
+             for n, match in enumerate(matches, 1)]
+    ok = all(matches)
+    machine = {"orders": k, "all_pass": ok,
+               "coefficients": [{"n": n, "match": match}
+                                for n, match in enumerate(matches, 1)]}
     table = "\n".join(lines) if lines else "vacuous PASS (k=0)"
-    _emit(args, "arc-check", table,
-          {"orders": k, "all_pass": ok,
-           "coefficients": [{"n": n, "match": oracle[n] == series[n]}
-                            for n in range(1, k + 1)]})
-    return EXIT_OK if ok else 1
+    return table, machine, EXIT_OK if ok else 1
 
 
-def cmd_ts(args) -> int:
+def cmd_ts(args, job: Job) -> Outcome:
     from .motive import mot_boxdot
 
-    job = _load_job(args)
-    require_kind(job, "ts")
-    factors = job.payload
-    out = factors[0]
-    for m in factors[1:]:
+    out, *rest = job.payload
+    for m in rest:
         out = mot_boxdot(out, m)
-    _emit(args, "ts", out.text(), {"motive": motive_to_json(out)})
-    return EXIT_OK
+    return out.text(), {"motive": motive_to_json(out)}, EXIT_OK
 
 
-def cmd_glue(args) -> int:
+def cmd_glue(args, job: Job) -> Outcome:
     from . import dcrit
 
-    job = _load_job(args)
-    require_kind(job, "atlas")
     atlas = job.payload
     glued = dcrit.glue(atlas)
     lines = [f"region {r}: {m.text()}" for r, m in sorted(glued.values.items())]
@@ -160,15 +148,12 @@ def cmd_glue(args) -> int:
         total = dcrit.pushforward_to_point(atlas, glued)
         lines.append(f"pushforward: {total.text()}")
         machine["pushforward"] = motive_to_json(total)
-    _emit(args, "glue", "\n".join(lines), machine)
-    return EXIT_OK
+    return "\n".join(lines), machine, EXIT_OK
 
 
-def cmd_localize(args) -> int:
+def cmd_localize(args, job: Job) -> Outcome:
     from . import dcrit, localize
 
-    job = _load_job(args)
-    require_kind(job, "fixedpoints")
     components, direct, direct_atlas = job.payload
     reg = job.registry
     total = localize.localize_sum(reg, components)
@@ -176,14 +161,11 @@ def cmd_localize(args) -> int:
         glued = dcrit.glue(direct_atlas)
         direct = dcrit.pushforward_to_point(direct_atlas, glued)
     if direct is None:
-        _emit(args, "localize", f"sum = {total.text()}",
-              {"sum": motive_to_json(total)})
-        return EXIT_OK
+        return f"sum = {total.text()}", {"sum": motive_to_json(total)}, EXIT_OK
     ok, diff = localize.localization_check(reg, components, direct)
-    verdict = "PASS" if ok else "FAIL"
-    _emit(args, "localize", f"sum = {total.text()}; check: {verdict}",
-          {"sum": motive_to_json(total), "check": ok, "diff": diff})
-    return EXIT_OK if ok else 1
+    return (f"sum = {total.text()}; check: {'PASS' if ok else 'FAIL'}",
+            {"sum": motive_to_json(total), "check": ok, "diff": diff},
+            EXIT_OK if ok else 1)
 
 
 def cmd_selftest(args) -> int:
@@ -210,38 +192,41 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact motivic vanishing-cycle calculus on job files.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
+    def add(name, fn, kind, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.add_argument("--job", help="path to a job JSON file")
         p.add_argument("--fixture", choices=FIXTURE_NAMES,
                        help="name of a shipped fixture job")
         p.add_argument("--machine-readable", action="store_true")
-        p.set_defaults(fn=fn)
+        p.set_defaults(run=run, fn=fn, kind=kind)
         return p
 
-    p = add("zeta", cmd_zeta, help="rational form of the motivic zeta function")
+    p = add("zeta", cmd_zeta, "resolution",
+            help="rational form of the motivic zeta function")
     p.add_argument("--series-order", type=nonnegative_int, default=None,
                    help="also print the exact expansion to this order")
-    add("nearby", cmd_nearby, help="motivic nearby cycle")
-    p = add("vanishing", cmd_vanishing, help="motivic vanishing cycle")
+    add("nearby", cmd_nearby, "resolution", help="motivic nearby cycle")
+    p = add("vanishing", cmd_vanishing, "resolution",
+            help="motivic vanishing cycle")
     p.add_argument("--critical-value", help="slice label (default '0')")
-    p = add("arc-check", cmd_arc_check,
+    p = add("arc-check", cmd_arc_check, "arc-check",
             help="cross-check resolution zeta against the arc oracle")
     p.add_argument("--series-order", type=nonnegative_int, default=None)
-    add("ts", cmd_ts, help="exterior-sum product of the given classes")
-    add("glue", cmd_glue, help="descent-checked gluing over an atlas")
-    add("localize", cmd_localize, help="torus localization sum and check")
+    add("ts", cmd_ts, "ts", help="exterior-sum product of the given classes")
+    add("glue", cmd_glue, "atlas", help="descent-checked gluing over an atlas")
+    add("localize", cmd_localize, "fixedpoints",
+        help="torus localization sum and check")
     p = sub.add_parser("selftest",
                        help="run the invariant and regression battery")
     p.add_argument("--machine-readable", action="store_true")
-    p.set_defaults(fn=cmd_selftest)
+    p.set_defaults(run=cmd_selftest)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return args.run(args)
     except ValidationFailed as exc:
         for d in exc.diagnostics:
             print(f"validation: {d}", file=sys.stderr)

@@ -206,8 +206,6 @@ def check_orientation(atlas: Atlas) -> list[str]:
 
 def glue(atlas: Atlas) -> GlobalMotive:
     """Per-chart candidates with descent verified on every overlap."""
-    if not atlas.oriented:
-        raise OrientationMissing("atlas carries no orientation")
     reg = atlas.registry
     diags = check_orientation(atlas)
     if diags:

@@ -168,9 +168,3 @@ def _monomial_text(k2: int) -> str:
     if k2 % 2 == 0:
         return f"L^{k2 // 2}"
     return f"L^({k2}/2)"
-
-
-ZERO = HalfLaurent.zero()
-ONE = HalfLaurent.const(1)
-L = HalfLaurent.L()
-L_HALF = HalfLaurent.half()

@@ -40,7 +40,7 @@ from .errors import (DotUndefined, MissingTransport, NoUnderlyingClass,
                      OdotUndecidable, RegistryError, SpaceMismatch,
                      UnregisteredProduct)
 from .halflaurent import HalfLaurent
-from .registry import Morphism, Product, Registry
+from .registry import Morphism, Registry
 
 TermKey = tuple[tuple[str, ...], int]
 # (monomial, bundle bits, doubled exponent of L) -> nonzero integer
@@ -83,9 +83,7 @@ class Motive:
 
     @staticmethod
     def _check_term(reg: Registry, space: str, mon: tuple[str, ...], bits: int) -> None:
-        ngens = len(reg.generators.get(space, ()))
-        if bits >> ngens:
-            raise RegistryError(f"bundle bits {bits} out of range on {space!r}")
+        reg.check_bits(space, bits)
         for name in mon:
             sym = reg.symbol(name)
             if sym.cover_bits is not None:
@@ -207,15 +205,14 @@ def _check_operand(reg: Registry, space: str, other: Motive) -> None:
         raise SpaceMismatch(f"{space!r} vs {other.space!r}")
 
 
-def _add_scaled(acc: Flat, flat: Flat, coeff: Iterable[tuple[int, int]],
-                y: int = 0) -> None:
-    """acc += coeff * Y(y) * flat, where ``coeff`` lists (doubled
-    L-exponent, integer) pairs; keys whose sum cancels are dropped."""
+def _add_scaled(acc: Flat, flat: Flat, coeff: Iterable[tuple[int, int]]) -> None:
+    """acc += coeff * flat, where ``coeff`` lists (doubled L-exponent,
+    integer) pairs; keys whose sum cancels are dropped."""
     coeff = tuple(coeff)
     get = acc.get
     for (mon, bits, k), c in flat.items():
         for k2, c2 in coeff:
-            key = (mon, bits ^ y, k + k2)
+            key = (mon, bits, k + k2)
             v = get(key, 0) + c * c2
             if v:
                 acc[key] = v
@@ -315,36 +312,14 @@ def mot_boxdot(a: Motive, b: Motive) -> Motive:
     except RegistryError as exc:
         raise UnregisteredProduct(str(exc)) from None
     return Motive._wrap(reg, prod.name, _product(
-        reg, _into_product(reg, prod, 0, a), _into_product(reg, prod, 1, b),
-        "external product"))
-
-
-def _into_product(reg: Registry, prod: Product, side: int, m: Motive) -> Flat:
-    """``m`` with symbols renamed to their images on the product space and
-    bits shifted to its side.  Images are distinct, so no two keys merge."""
-    shift = len(reg.generators[prod.left]) if side else 0
-    mons: dict[tuple[str, ...], tuple[str, ...]] = {}
-    out: Flat = {}
-    for (mon, bits, k2), c in m._flat.items():
-        mon_img = mons.get(mon)
-        if mon_img is None:
-            try:
-                mon_img = mons[mon] = tuple(sorted(
-                    prod.symbol_images[(side, n)] for n in mon))
-            except KeyError as exc:  # products image factor, not stratum, symbols
-                n = exc.args[0][1]
-                raise RegistryError(
-                    f"symbol {n!r} on {reg.symbol(n).space!r} has no image "
-                    f"on product {prod.name!r}") from None
-        out[(mon_img, bits << shift, k2)] = c
-    return out
+        reg, reg.into_product(prod, 0, a._flat),
+        reg.into_product(prod, 1, b._flat), "external product"))
 
 
 def upsilon(reg: Registry, p: BundleClass) -> Motive:
     """Group-ring unit attached to a bundle class; Y(0) is the ring identity."""
     reg.space(p.space)
-    if p.bits >> len(reg.generators[p.space]):
-        raise RegistryError(f"bundle bits {p.bits} out of range on {p.space!r}")
+    reg.check_bits(p.space, p.bits)
     return Motive._wrap(reg, p.space, {((), p.bits, 0): 1})
 
 

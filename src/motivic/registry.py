@@ -167,10 +167,16 @@ class Registry:
             bits ^= 1 << self.generator_index(space, n)
         return bits
 
-    def names_of(self, space: str, bits: int) -> tuple[str, ...]:
+    def check_bits(self, space: str, bits: int) -> tuple[str, ...]:
+        """The generators of ``space``; :class:`RegistryError` when ``bits``
+        sets a bit beyond them (or is negative)."""
         gens = self.generators.get(space, ())
         if bits >> len(gens):
-            raise RegistryError(f"bundle bits {bits} out of range for {space!r}")
+            raise RegistryError(f"bundle bits {bits} out of range on {space!r}")
+        return gens
+
+    def names_of(self, space: str, bits: int) -> tuple[str, ...]:
+        gens = self.check_bits(space, bits)
         return tuple(g for i, g in enumerate(gens) if bits >> i & 1)
 
     # -- symbols --------------------------------------------------------------
@@ -229,9 +235,7 @@ class Registry:
         A generator with no table image goes to the generator of the same
         name on the source; with neither, :class:`MissingTransport`.
         """
-        gens = self.generators[mor.target]
-        if bits >> len(gens):
-            raise RegistryError(f"bundle bits {bits} out of range for {mor.target!r}")
+        gens = self.check_bits(mor.target, bits)
         table, source = mor.pull_bundles, self._index[mor.source]
         acc = i = 0
         while bits:
@@ -255,13 +259,18 @@ class Registry:
     def declare_product(self, name: str, left: str, right: str,
                         dim: Optional[int] = None) -> Product:
         """Register the product space and auto-register images of all symbols
-        and generators of the factors, named ``<product>.<original>``."""
+        and generators of the factors, named ``<product>.<original>``.
+
+        An image carries the image of its symbol's underlying class, or none
+        when that class names a symbol with no image (one of a stratum).
+        """
+        from .motive import Motive  # deferred: motive imports registry
+
         lsp, rsp = self.space(left), self.space(right)
         if dim is None and lsp.dim is not None and rsp.dim is not None:
             dim = lsp.dim + rsp.dim
         self.declare_space(name, dim=dim)
-        symbol_images: dict[tuple[int, str], str] = {}
-        bundle_images: dict[tuple[int, str], str] = {}
+        prod = Product(name, left, right)
         for side, factor in ((0, left), (1, right)):
             shift = len(self.generators[left]) if side else 0
             for g in self.generators[factor]:
@@ -269,17 +278,49 @@ class Registry:
                 if img in self._index[name]:
                     img = f"{name}.{side}.{g}"  # self-products collide
                 self.declare_generators(name, (img,))
-                bundle_images[(side, g)] = img
+                prod.bundle_images[(side, g)] = img
             for sym in [s for s in self.symbols.values() if s.space == factor]:
                 img = f"{name}.{sym.name}"
                 if img in self.symbols:
                     img = f"{name}.{side}.{sym.name}"
                 cover = None if sym.cover_bits is None else sym.cover_bits << shift
-                self.declare_symbol(img, name, sym.order, sym.underlying, cover)
-                symbol_images[(side, sym.name)] = img
-        prod = Product(name, left, right, symbol_images, bundle_images)
+                self.declare_symbol(img, name, sym.order, None, cover)
+                prod.symbol_images[(side, sym.name)] = img
+        for (side, sym_name), img in prod.symbol_images.items():
+            underlying = self.symbols[sym_name].underlying
+            if underlying is not None and not self.missing_images(
+                    prod, side, {n for mon, _, _ in underlying._flat for n in mon}):
+                self.set_underlying(img, Motive._wrap(
+                    self, name, self.into_product(prod, side, underlying._flat)))
         self.products[name] = prod
         return prod
+
+    def missing_images(self, prod: Product, side: int, names) -> list[str]:
+        """One diagnostic per name in ``names`` with no image on ``prod``:
+        products image the symbols of each factor itself, not those of its
+        strata."""
+        return [f"symbol {n!r} on {self.symbol(n).space!r} "
+                f"has no image on product {prod.name!r}"
+                for n in names if (side, n) not in prod.symbol_images]
+
+    def into_product(self, prod: Product, side: int, flat: dict) -> dict:
+        """A flat form over the ``side`` factor of ``prod``, with symbols
+        renamed to their images and bits shifted to that side.  Images are
+        distinct, so no two keys merge."""
+        shift = len(self.generators[prod.left]) if side else 0
+        images = prod.symbol_images
+        mons: dict[tuple[str, ...], tuple[str, ...]] = {}
+        out = {}
+        for (mon, bits, k2), c in flat.items():
+            mon_img = mons.get(mon)
+            if mon_img is None:
+                try:
+                    mon_img = mons[mon] = tuple(sorted(images[side, n] for n in mon))
+                except KeyError:
+                    raise RegistryError(
+                        self.missing_images(prod, side, mon)[0]) from None
+            out[(mon_img, bits << shift, k2)] = c
+        return out
 
     def product_of(self, left: str, right: str) -> Product:
         for prod in self.products.values():

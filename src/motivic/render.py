@@ -22,8 +22,8 @@ def symbol_text(reg, name: str) -> str:
 
 
 def bundle_text(reg, space: str, bits: int) -> str:
-    names = reg.names_of(space, bits)
-    return "Y(" + "+".join(names) + ")"
+    """``Y(gen+gen)``, or ``Y(0)`` for the trivial class."""
+    return "Y(" + ("+".join(reg.names_of(space, bits)) or "0") + ")"
 
 
 def term_text(reg, space: str, mon: tuple[str, ...], bits: int,

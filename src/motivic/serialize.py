@@ -236,8 +236,14 @@ def monomial_from_json(reg: Registry, data) -> tuple[MonomialFunction, ArcContex
     base = reg.space(data["base_space"]).name
     units = tuple(data.get("unit_generators", ()))
     reg.bits_of(base, units)
-    covers = {int(k): reg.symbol(v).name
-              for k, v in data.get("cover_symbols", {}).items()}
+    covers = {}
+    for k, v in data.get("cover_symbols", {}).items():
+        try:
+            order = int(k)
+        except ValueError:
+            raise ValidationFailed(
+                [f"cover_symbols key {k!r} is not an integer order"]) from None
+        covers[order] = reg.symbol(v).name
     ctx = ArcContext(reg, base, units, covers)
     with suppress(UnsupportedShape):  # reported when the oracle runs
         cover_class(f, ctx)  # resolves the cover symbol the oracle uses
@@ -372,17 +378,14 @@ def ts_to_json(factors) -> dict[str, Any]:
 def ts_from_json(reg: Registry, data) -> list[Motive]:
     factors = [motive_from_json(reg, m) for m in data["factors"]]
     # resolve each product of the chain now, so a missing one fails the parse,
-    # and refuse a factor symbol with no image on its product: products image
-    # the symbols of the factor itself, not those of its strata
+    # and refuse a factor symbol with no image on its product
     diags: list[str] = []
     space = factors[0].space
     for i, m in enumerate(factors[1:]):
         prod = reg.product_of(space, m.space)
         for side, factor in ((0, factors[0]), (1, m)) if i == 0 else ((1, m),):
             names = sorted({n for (mon, _), _ in factor.terms() for n in mon})
-            diags += [f"symbol {n!r} on {reg.symbol(n).space!r} has no image "
-                      f"on product {prod.name!r}"
-                      for n in names if (side, n) not in prod.symbol_images]
+            diags += reg.missing_images(prod, side, names)
         space = prod.name
     if diags:
         raise ValidationFailed(diags)

@@ -235,14 +235,11 @@ def nearby_cycle(r: ResolutionData) -> Motive:
     """Minus the large-T limit of the zeta function.
 
     Each factor tends to -1, so a term with m factors contributes its
-    coefficient times (-1)^(m+1).
+    coefficient times (-1)^(m+1).  Constant-function data carry no strata,
+    so their sum is zero.
     """
-    _require_valid(r)
-    reg = r.registry
-    if r.constant:
-        return Motive.zero(reg, r.space_u0)
     z = zeta_function(r)
-    return mot_sum(reg, z.space,
+    return mot_sum(r.registry, z.space,
                    ((term.coeff, {0: 1 if len(term.factors) % 2 else -1})
                     for term in z.terms))
 

@@ -35,6 +35,11 @@ def test_tensor_basis(reg):
     assert bundle_tensor(e1, e2) == bundle_class(reg, "X", ("e1", "e2"))
 
 
+def test_bundle_text_names_generators_or_zero(reg):
+    assert BundleClass("X", 0).text(reg) == "Y(0)"
+    assert bundle_class(reg, "X", ("e0", "e3")).text(reg) == "Y(e0+e3)"
+
+
 def test_tensor_space_mismatch(reg):
     reg.declare_space("Y")
     reg.declare_generators("Y", ("f0",))

@@ -210,9 +210,12 @@ def _ts_with_stratum_symbol():
     ("arc-check", _arc_z3_with_default_cover(5), "unknown symbol 'mu5'"),
     ("ts", _ts_with_stratum_symbol(),
      "symbol 'T' on 'S' has no image on product 'T2'"),
+    ("arc-check",
+     _fixture_with("arc_z3", "monomial", "cover_symbols", {"three": "mu3"}),
+     "cover_symbols key 'three' is not an integer order"),
 ], ids=["space", "symbol", "critical_value_space", "base_space",
         "unit_generator", "cover_symbol", "product", "default_cover_symbol",
-        "stratum_symbol_in_product"])
+        "stratum_symbol_in_product", "cover_symbol_key"])
 def test_unknown_space_or_symbol_exit_code(tmp_path, capsys, command, job,
                                            message):
     path = tmp_path / "dangling.json"
@@ -220,6 +223,24 @@ def test_unknown_space_or_symbol_exit_code(tmp_path, capsys, command, job,
     code, out, err = run(capsys, command, "--job", str(path))
     assert code == 2 and out == ""
     assert err == f"validation: {message}\n"
+
+
+# one shipped fixture of each payload kind
+KIND_FIXTURES = {"resolution": "z2", "arc-check": "arc_z2", "atlas": "atlas_z2",
+                 "fixedpoints": "localize_z1z2", "ts": "ts_z2_10"}
+COMMAND_KINDS = {"zeta": "resolution", "nearby": "resolution",
+                 "vanishing": "resolution", "arc-check": "arc-check",
+                 "ts": "ts", "glue": "atlas", "localize": "fixedpoints"}
+
+
+@pytest.mark.parametrize("command,kind", [
+    (command, kind) for command, needed in COMMAND_KINDS.items()
+    for kind in KIND_FIXTURES if kind != needed])
+def test_command_refuses_another_payload_kind(capsys, command, kind):
+    code, out, err = run(capsys, command, "--fixture", KIND_FIXTURES[kind])
+    assert code == 2 and out == ""
+    assert err == (f"validation: command needs a {COMMAND_KINDS[command]} "
+                   f"payload, got {kind!r}\n")
 
 
 def test_non_plain_underlying_class_exit_code(tmp_path, capsys):

@@ -1,0 +1,87 @@
+"""Exit-code fuzz: schema-valid single-value mutations of every shipped
+fixture job end in a documented exit code, never in a traceback."""
+
+import contextlib
+import io
+import json
+
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from motivic.cli import build_parser, main
+from motivic.jobs import FIXTURE_NAMES, job_validator, load_fixture_job
+
+COMMANDS = ("zeta", "nearby", "vanishing", "arc-check", "ts", "glue",
+            "localize")
+# the payload kind each command's subparser records for the CLI protocol
+KIND = {c: build_parser().parse_args([c]).kind for c in COMMANDS}
+
+
+def _sites(doc):
+    """(container, key) of every object key, string and int of a document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        if isinstance(doc, dict):
+            yield doc, key, "key"
+        if isinstance(value, (dict, list)):
+            yield from _sites(value)
+        elif isinstance(value, str) or type(value) is int:
+            yield doc, key, "value"
+
+
+def _strings(doc):
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield key
+            yield from _strings(value)
+    elif isinstance(doc, list):
+        for value in doc:
+            yield from _strings(value)
+    elif isinstance(doc, str):
+        yield doc
+
+
+@st.composite
+def mutated_jobs(draw):
+    """A shipped fixture job with one value moved: a string replaced by
+    another name of the job or a fresh one, an object key renamed, or an
+    int moved within its schema bounds (``series_order`` at most 20)."""
+    job = load_fixture_job(draw(st.sampled_from(FIXTURE_NAMES)))
+    names = sorted({*_strings(job), "fresh"})
+    container, key, what = draw(st.sampled_from(list(_sites(job))))
+    if what == "key":
+        new = draw(st.sampled_from(names))
+        assume(new not in container)
+        container[new] = container.pop(key)
+    elif isinstance(container[key], str):
+        container[key] = draw(st.sampled_from(names))
+    else:
+        container[key] += draw(st.integers(-3, 3))
+    assume(job.get("params", {}).get("series_order", 0) <= 20)
+    assume(job_validator().is_valid(job))
+    return job
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(job=mutated_jobs(), machine=st.booleans())
+def test_valid_jobs_end_in_a_documented_exit_code(tmp_path_factory, job,
+                                                  machine):
+    path = tmp_path_factory.mktemp("fuzz") / "job.json"
+    path.write_text(json.dumps(job), encoding="utf-8")
+    for command in COMMANDS:
+        if KIND[command] != job["payload"]["kind"]:
+            continue
+        argv = [command, "--job", str(path)]
+        argv += ["--machine-readable"] if machine else []
+        code, out = _run(argv)
+        assert code in range(6), (argv, code)
+        assert _run(argv) == (code, out)

@@ -2,9 +2,9 @@
 
 import pytest
 
-from motivic import (BundleClass, HalfLaurent, Motive, Registry,
-                     RegistryError, SpaceMismatch, mot_boxdot, symbol_motive,
-                     upsilon)
+from motivic import (BundleClass, HalfLaurent, Motive, NoUnderlyingClass,
+                     Registry, RegistryError, SpaceMismatch, mot_boxdot,
+                     pi_forget, symbol_motive, upsilon)
 from motivic.dcrit import validate_atlas
 from motivic import fixtures
 from motivic.jobs import parse_job
@@ -140,6 +140,35 @@ def test_boxdot_refuses_stratum_symbol_with_registry_error():
         with pytest.raises(RegistryError) as err:
             mot_boxdot(a, b)
         assert str(err.value) == "symbol 'T' on 'S' has no image on product 'XX'"
+
+
+def test_product_images_carry_the_products_underlying_class():
+    reg = Registry()
+    reg.declare_space("X", dim=1)
+    reg.declare_space("Y", dim=1)
+    reg.declare_symbol("mu3", "X", 3,
+                       underlying=Motive.coefficient(reg, "X", HalfLaurent.const(3)))
+    reg.declare_product("XY", "X", "Y")
+    m = mot_boxdot(symbol_motive(reg, "mu3"), Motive.one(reg, "Y"))
+    assert pi_forget(m) == Motive.coefficient(reg, "XY", HalfLaurent.const(3))
+
+
+def test_product_underlying_classes_follow_their_side():
+    # in a self-product the underlying class [B] of A maps to the image of B
+    # on A's own side; a class naming a stratum symbol has no image
+    reg = Registry()
+    reg.declare_space("S")
+    reg.declare_space("X", strata=("S",))
+    reg.declare_symbol("B", "X")
+    reg.declare_symbol("T", "S")
+    reg.declare_symbol("A", "X", 2, underlying=symbol_motive(reg, "B"))
+    reg.declare_symbol("C", "X", 2, underlying=symbol_motive(reg, "T"))
+    reg.declare_product("XX", "X", "X")
+    assert reg.symbol("XX.A").underlying == symbol_motive(reg, "XX.B")
+    assert reg.symbol("XX.1.A").underlying == symbol_motive(reg, "XX.1.B")
+    assert reg.symbol("XX.C").underlying is None
+    with pytest.raises(NoUnderlyingClass):
+        pi_forget(symbol_motive(reg, "XX.1.C"))
 
 
 def test_frozen_registry_refuses_every_declaration():

@@ -78,8 +78,8 @@ MUTANTS = [
            "next(iter(job_validator().iter_errors(data)), None)",
            ("tests/test_serialize.py::"
             "test_parse_job_diagnostics_match_jsonschema_validate",)),
-    Mutant("into_product_unshifted", "motive", "_into_product",
-           "shift = len(reg.generators[prod.left]) if side else 0",
+    Mutant("into_product_unshifted", "registry", "Registry.into_product",
+           "shift = len(self.generators[prod.left]) if side else 0",
            "shift = 0", (FLAT,)),
     Mutant("vanishing_imports_dcrit", "cli", "cmd_vanishing",
            "from . import zeta", "from . import dcrit, zeta",
@@ -88,10 +88,8 @@ MUTANTS = [
     Mutant("pullback_unit_path_drops_bits", "motive", "pullback",
            "((), img, k)", "((), 0, k)", ("tests/test_transport.py",)),
     Mutant("upsilon_skips_range_check", "motive", "upsilon",
-           "if p.bits >> len(reg.generators[p.space]):\n"
-           "    raise RegistryError("
-           "f'bundle bits {p.bits} out of range on {p.space!r}')",
-           "pass", ("tests/test_transport.py",)),
+           "reg.check_bits(p.space, p.bits)", "pass",
+           ("tests/test_transport.py",)),
     Mutant("right_cover_bits_unshifted", "registry", "Registry.declare_product",
            "shift = len(self.generators[left]) if side else 0",
            "shift = 0",
@@ -108,6 +106,20 @@ MUTANTS = [
            "todo.append(reached[name])", "pass",
            ("tests/test_serialize.py::"
             "test_shipped_schema_definitions_are_closed_and_used",)),
+    Mutant("run_skips_kind_check", "cli", "run",
+           "require_kind(job, args.kind)", "pass",
+           ("tests/test_cli.py::test_command_refuses_another_payload_kind",)),
+    Mutant("product_keeps_factor_underlying", "registry",
+           "Registry.declare_product",
+           "Motive._wrap(self, name, self.into_product(prod, side, "
+           "underlying._flat))", "underlying",
+           ("tests/test_registry.py",)),
+    Mutant("cover_key_unchecked", "serialize", "monomial_from_json",
+           "try:\n    order = int(k)\nexcept ValueError:\n"
+           "    raise ValidationFailed("
+           "[f'cover_symbols key {k!r} is not an integer order']) from None",
+           "order = int(k)",
+           ("tests/test_cli.py::test_unknown_space_or_symbol_exit_code",)),
 ]
 
 
