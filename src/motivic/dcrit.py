@@ -16,10 +16,10 @@ and the transported value identity
 
     mf_a . Y(P_a) = mf_b . Y(P_b)
 
-(both sides are the shared chart's class pulled back, so together these
-force the glued candidates to agree on the overlap, which is also checked
-directly).  Any failure raises :class:`DescentFailure` carrying both normal
-forms.
+(both sides are the shared chart's class pulled back).  Since pullback is
+multiplicative, these force the glued candidates to agree on the overlap:
+each restricts to ``mf_a . Y(P_a) . Y(Q_T)``.  Any failure raises
+:class:`DescentFailure` carrying both normal forms.
 """
 
 from __future__ import annotations
@@ -236,11 +236,6 @@ def glue(atlas: Atlas) -> GlobalMotive:
         if o.mf_t is not None and lift_a != o.mf_t:
             raise DescentFailure(label, lift_a.text(), o.mf_t.text(),
                                  "transported class disagrees with shared chart")
-        va = _restrict_motive(reg, values[ca.region], o.restrict_a)
-        vb = _restrict_motive(reg, values[cb.region], o.restrict_b)
-        if va != vb:
-            raise DescentFailure(label, va.text(), vb.text(),
-                                 "glued candidates disagree on overlap")
         checked.append(label)
     return GlobalMotive(values, provenance, checked)
 

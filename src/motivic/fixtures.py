@@ -356,10 +356,8 @@ def fixture_job(name: str) -> dict:
     if name in ("z2", "z3", "z4", "x2", "x2y", "x2y_plane"):
         fx = {"z2": z2, "z3": z3, "z4": z4, "x2": x2, "x2y": x2y,
               "x2y_plane": x2y_plane}[name]()
-        params = {"series_order": 12}
-        if name in ("z2", "x2", "x2y"):
-            params["point"] = "0" if name == "z2" else "y0"
-        return _job(fx.registry, resolution_to_json(fx.resolution), params)
+        return _job(fx.registry, resolution_to_json(fx.resolution),
+                    {"series_order": 12})
     if name in ("x2_line", "x2_line_blowup"):
         reg, plain, blowup = redundant_blowup_pair()
         res = plain if name == "x2_line" else blowup

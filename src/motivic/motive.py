@@ -318,7 +318,6 @@ def mot_boxdot(a: Motive, b: Motive) -> Motive:
 
 def upsilon(reg: Registry, p: BundleClass) -> Motive:
     """Group-ring unit attached to a bundle class; Y(0) is the ring identity."""
-    reg.space(p.space)
     reg.check_bits(p.space, p.bits)
     return Motive._wrap(reg, p.space, {((), p.bits, 0): 1})
 
@@ -348,13 +347,17 @@ def pullback(reg: Registry, morphism: str, m: Motive) -> Motive:
     Each distinct monomial and each distinct bundle class is transported
     once.  A term with the empty monomial lands at ``((), image of bits,
     k2)``; any other term lands as its coefficient times the product of the
-    two images.
+    two images.  A composite pulls back along its steps in order.
     """
     mor = reg.morphism(morphism)
     if m.space != mor.target:
         raise SpaceMismatch(
             f"motive on {m.space!r} cannot be pulled along {morphism!r} "
             f"with target {mor.target!r}")
+    if mor.steps:
+        for step in mor.steps:
+            m = pullback(reg, step, m)
+        return m
     mons: dict[tuple[str, ...], Flat] = {}
     images: dict[int, int] = {}
     acc: Flat = {}
@@ -383,19 +386,14 @@ def _pull_monomial(reg: Registry, mor: Morphism, mon: tuple[str, ...]) -> Flat:
     img: Flat = {((), 0, 0): 1}
     for name in mon:
         entry = mor.pull_symbols.get(name)
-        if entry is None or isinstance(entry, str):
-            # no image, or a symbol name: that symbol's monomial on the source
-            image = name if entry is None else entry
-            sym = reg.symbol(image)
-            if sym.cover_bits is None and reg.symbol_allowed_on(sym, mor.source):
-                entry = Motive._wrap(reg, mor.source, {((image,), 0, 0): 1})
-            elif entry is None:
-                raise MissingTransport(
-                    f"morphism {mor.name!r} has no image for symbol {name!r}")
-            else:
-                entry = symbol_motive(reg, image)
-        _check_operand(reg, mor.source, entry)
-        img = _product(reg, img, entry._flat, "product")
+        if entry is not None:
+            flat = entry._flat
+        elif reg.symbol_allowed_on(reg.symbol(name), mor.source):
+            flat = {((name,), 0, 0): 1}  # the same-name monomial
+        else:
+            raise MissingTransport(
+                f"morphism {mor.name!r} has no image for symbol {name!r}")
+        img = _product(reg, img, flat, "product")
     return img
 
 

@@ -13,10 +13,12 @@ frozen (:meth:`Registry.freeze`).  It records:
   stored terms;
 * per-space ordered lists of F2 bundle generators (a presentation of the
   finitely generated subgroup of Z2-bundle classes in play);
-* morphisms with explicit pullback/pushforward transport tables;
+* morphisms with explicit pullback/pushforward transport tables, whose
+  symbol images are all stored as motives over the source;
   :meth:`Registry.pull_bits` is the one routine that transports bundle
   generators along a morphism, and the one home of its same-name fallback
-  rule;
+  rule.  A composite (:meth:`Registry.compose`) holds no tables: it is its
+  steps, pulled along in order, so it refuses exactly what they refuse;
 * product spaces with symbol/generator images for external products; the
   product's generators are the left factor's, then the right's;
 * square-root data: the bookkept correspondence between (line bundle,
@@ -74,6 +76,8 @@ class Morphism:
     pull_bundles: dict[str, int] = field(default_factory=dict)
     # pushforward images: (monomial, bits) term key -> Motive over target
     push_classes: dict[tuple[tuple[str, ...], int], object] = field(default_factory=dict)
+    # a composite: the morphisms to pull along, in order; its tables are empty
+    steps: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -170,7 +174,7 @@ class Registry:
     def check_bits(self, space: str, bits: int) -> tuple[str, ...]:
         """The generators of ``space``; :class:`RegistryError` when ``bits``
         sets a bit beyond them (or is negative)."""
-        gens = self.generators.get(space, ())
+        gens = _get(self.generators, space, "space")
         if bits >> len(gens):
             raise RegistryError(f"bundle bits {bits} out of range on {space!r}")
         return gens
@@ -216,13 +220,26 @@ class Registry:
                          pull_symbols: Optional[dict[str, object]] = None,
                          pull_bundles: Optional[dict[str, int]] = None,
                          push_classes: Optional[dict] = None) -> Morphism:
+        from .motive import Motive, symbol_motive
+
         if kind not in MORPHISM_KINDS:
             raise RegistryError(f"unknown morphism kind {kind!r}")
         self.space(source)
         self.space(target)
-        mor = Morphism(name, source, target, kind,
-                       dict(pull_symbols or {}), dict(pull_bundles or {}),
-                       dict(push_classes or {}))
+        images = {}
+        for sym_name, image in (pull_symbols or {}).items():
+            if isinstance(image, str):  # a symbol name: its monomial or class
+                sym = self.symbol(image)
+                image = (Motive._wrap(self, source, {((image,), 0, 0): 1})
+                         if sym.cover_bits is None
+                         and self.symbol_allowed_on(sym, source)
+                         else symbol_motive(self, image))
+            if image.reg is not self or image.space != source:
+                raise RegistryError(f"morphism {name!r}: image of {sym_name!r} "
+                                    f"is not a motive over {source!r}")
+            images[sym_name] = image
+        mor = Morphism(name, source, target, kind, images,
+                       dict(pull_bundles or {}), dict(push_classes or {}))
         return self._add(self.morphisms, name, mor,
                          "morphism {!r} already declared")
 
@@ -233,8 +250,13 @@ class Registry:
         """Transport bundle bits on ``mor.target`` to ``mor.source``.
 
         A generator with no table image goes to the generator of the same
-        name on the source; with neither, :class:`MissingTransport`.
+        name on the source; with neither, :class:`MissingTransport`.  A
+        composite transports along its steps in order.
         """
+        if mor.steps:
+            for step in mor.steps:
+                bits = self.pull_bits(self.morphisms[step], bits)
+            return bits
         gens = self.check_bits(mor.target, bits)
         table, source = mor.pull_bundles, self._index[mor.source]
         acc = i = 0
@@ -353,39 +375,23 @@ class Registry:
         return None
 
     def compose(self, inner: str, outer: str, name: str) -> Morphism:
-        """Register the composite of ``outer . inner`` with composed tables.
+        """Register ``outer . inner`` (S -> T -> V) as its two steps.
 
-        ``inner``: S -> T and ``outer``: T -> V give a morphism S -> V.  Its
-        pullback tables hold the two-step image of every generator of V and
-        of every symbol allowed on V, so the same-name rule of either step
-        is applied where that step applies it.  A name that one of the steps
-        cannot transport is left out, unless ``outer`` lists it: then
-        :class:`MissingTransport` is raised here.  Pushforward tables are
-        not composed automatically.
+        Every image that ``outer`` lists must pull along ``inner``, else
+        :class:`MissingTransport` is raised here.  The composite holds no
+        tables (so no pushforward), and a pull refuses with its step's error.
         """
-        from .motive import Motive, pullback  # deferred: motive imports registry
+        from .motive import pullback  # deferred: motive imports registry
 
         f = self.morphism(inner)
         g = self.morphism(outer)
         if f.target != g.source:
             raise RegistryError("morphisms do not compose")
-        pull_bundles: dict[str, int] = {}
-        for i, gen in enumerate(self.generators[g.target]):
-            try:
-                pull_bundles[gen] = self.pull_bits(f, self.pull_bits(g, 1 << i))
-            except MissingTransport:
-                if gen in g.pull_bundles:
-                    raise
-        pull_symbols: dict[str, object] = {}
-        for sym in self.symbols.values():
-            if sym.cover_bits is None and self.symbol_allowed_on(sym, g.target):
-                mon = Motive._wrap(self, g.target, {((sym.name,), 0, 0): 1})
-                try:
-                    pull_symbols[sym.name] = pullback(
-                        self, inner, pullback(self, outer, mon))
-                except MissingTransport:
-                    if sym.name in g.pull_symbols:
-                        raise
+        for bits in g.pull_bundles.values():
+            self.pull_bits(f, bits)
+        for image in g.pull_symbols.values():
+            pullback(self, inner, image)
         kind = g.kind if g.kind == f.kind else "general"
-        return self.declare_morphism(name, f.source, g.target, kind,
-                                     pull_symbols, pull_bundles)
+        return self._add(self.morphisms, name, Morphism(
+            name, f.source, g.target, kind, steps=(outer, inner)),
+            "morphism {!r} already declared")

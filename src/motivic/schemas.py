@@ -307,7 +307,6 @@ JOB = document({
             "properties": {
                 "series_order": {"type": "integer", "minimum": 0},
                 "critical_value": {"type": "string"},
-                "point": {"type": "string"},
             },
         },
     },

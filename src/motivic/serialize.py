@@ -17,7 +17,7 @@ from contextlib import suppress
 from typing import TYPE_CHECKING, Any
 
 from .bundles import BundleClass
-from .errors import UnsupportedShape, ValidationFailed
+from .errors import RegistryError, UnsupportedShape, ValidationFailed
 from .halflaurent import HalfLaurent
 from .motive import Motive
 from .registry import Registry
@@ -80,6 +80,9 @@ def bundle_to_json(reg: Registry, b: BundleClass) -> list[str]:
 
 
 def registry_to_json(reg: Registry) -> dict[str, Any]:
+    for mor in reg.morphisms.values():
+        if mor.steps:  # the format cannot say "no image"
+            raise RegistryError(f"composite morphism {mor.name!r} has no JSON form")
     spaces = [{"name": s.name, "dim": s.dim, "strata": list(s.strata)}
               for s in reg.spaces.values() if s.name != "K"
               and s.name not in reg.products]

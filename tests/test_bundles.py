@@ -139,3 +139,52 @@ def test_transport_errors_agree(reg):
         pullback(reg, "r", upsilon(reg, p))
     with pytest.raises(MissingTransport, match=message):
         reg.compose("r", "s", "rs")
+
+
+@pytest.fixture
+def refusing_chain():
+    """S -f-> T -g-> V with empty tables.  V and S carry a generator ``a``
+    and the symbol ``A`` (on V, a stratum of S); T carries neither, so ``g``
+    refuses both and the composite must refuse them too."""
+    r = Registry()
+    r.declare_space("V")
+    r.declare_space("T")
+    r.declare_space("S", strata=("V",))
+    r.declare_generators("V", ("a",))
+    r.declare_generators("T", ("b",))
+    r.declare_generators("S", ("a",))
+    r.declare_symbol("A", "V")
+    r.declare_morphism("g", "T", "V")
+    r.declare_morphism("f", "S", "T")
+    r.compose("f", "g", "fg")
+    return r
+
+
+def test_composite_refuses_the_generator_its_steps_refuse(refusing_chain):
+    r = refusing_chain
+    message = "morphism 'g' has no image for generator 'a'"
+    ya = generator(r, "V", "a")
+    for mor in ("g", "fg"):
+        with pytest.raises(MissingTransport, match=message):
+            bundle_pullback(r, mor, ya)
+        with pytest.raises(MissingTransport, match=message):
+            pullback(r, mor, upsilon(r, ya))
+
+
+def test_composite_refuses_the_symbol_its_steps_refuse(refusing_chain):
+    r = refusing_chain
+    assert r.symbol_allowed_on(r.symbol("A"), "S")
+    for mor in ("g", "fg"):
+        with pytest.raises(MissingTransport,
+                           match="morphism 'g' has no image for symbol 'A'"):
+            pullback(r, mor, symbol_motive(r, "A"))
+
+
+def test_compose_refuses_a_listed_symbol_image_the_inner_step_refuses(
+        refusing_chain):
+    r = refusing_chain
+    r.declare_symbol("B", "T")
+    r.declare_morphism("h", "T", "V", pull_symbols={"A": "B"})
+    with pytest.raises(MissingTransport,
+                       match="morphism 'f' has no image for symbol 'B'"):
+        r.compose("f", "h", "fh")

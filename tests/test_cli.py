@@ -257,6 +257,19 @@ def test_non_plain_underlying_class_exit_code(tmp_path, capsys):
                    "trivial monodromy\n")
 
 
+def test_symbol_image_off_the_source_exit_code(tmp_path, capsys):
+    # a pullback image must be a motive over the morphism's source
+    job = fixtures.load_fixture_job("x2y")
+    job["registry"]["morphisms"][0]["pull_symbols"] = [
+        {"symbol": "cov_y", "image": {"space": "Gm", "terms": []}}]
+    path = tmp_path / "misplaced_image.json"
+    path.write_text(json.dumps(job), encoding="utf-8")
+    code, out, err = run(capsys, "zeta", "--job", str(path))
+    assert code == 2 and out == ""
+    assert err == ("validation: morphism 'sq': image of 'cov_y' is not a "
+                   "motive over 'GmW'\n")
+
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 

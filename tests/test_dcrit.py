@@ -4,12 +4,14 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motivic import (Atlas, BundleClass, CriticalChart, DescentFailure,
                      HalfLaurent, MissingScissorTable, Motive,
                      OrientationMissing, OverlapDatum, Registry, ScissorPiece,
-                     check_orientation, fixtures, generator, glue,
-                     pushforward_to_point, upsilon)
+                     bundle_pullback, check_orientation, fixtures, generator,
+                     glue, pullback, pushforward_to_point, upsilon)
 from motivic.registry import POINT
 
 from conftest import random_consistent_atlas
@@ -249,3 +251,90 @@ def test_two_charts_same_region_must_agree():
     atlas = Atlas(reg, {"R": "U"}, charts, [], True)
     with pytest.raises(DescentFailure):
         glue(atlas)
+
+
+@st.composite
+def restricted_atlases(draw):
+    """Two charts meeting on an overlap region over ``W``, each restricted to
+    it by a morphism with a random pull table (chart B may instead live on
+    ``W`` itself).  Chart values are ``c . [A] . Y(Q + y)``, where the symbol
+    ``A`` of each chart's space pulls to one shared image.  The orientation
+    classes satisfy the cocycle identities, and the transported values agree
+    when ``y_a`` and ``y_b`` restrict alike.  Then one datum is perturbed,
+    or none.  Returns the atlas and whether ``glue`` must succeed on it.
+    """
+    reg = Registry()
+    ngen = {}
+    for space in ("R1", "R2", "W"):
+        reg.declare_space(space, dim=1)
+        ngen[space] = draw(st.integers(1, 3))
+        reg.declare_generators(space, [f"{space}g{i}" for i in range(ngen[space])])
+        reg.declare_symbol(f"A{space}", space)
+
+    def bits(space):
+        return draw(st.integers(0, (1 << ngen[space]) - 1))
+
+    space_b = draw(st.sampled_from(("R2", "W")))
+    image = "AW" if space_b == "W" else draw(st.sampled_from(["AW", Motive(
+        reg, "W", {(("AW",), bits("W")): HalfLaurent.const(1),
+                   ((), bits("W")): HalfLaurent.power(draw(st.integers(-2, 2)))})]))
+    restrict = {}
+    for space in [s for s in ("R1", space_b) if s != "W"]:
+        restrict[space] = f"r{space}"
+        reg.declare_morphism(f"r{space}", "W", space, "open-inclusion",
+                             pull_symbols={f"A{space}": image},
+                             pull_bundles={g: bits("W") for g in reg.generators[space]})
+
+    def pull(space, b):
+        if space not in restrict:
+            return b
+        return bundle_pullback(reg, restrict[space], BundleClass(space, b)).bits
+
+    q_a, y_a, p_a = bits("R1"), bits("R1"), bits("W")
+    q_b, y_b = bits(space_b), bits(space_b)
+    q_t = p_a ^ pull("R1", q_a)
+    d = {"q_a": q_a, "q_b": q_b, "p_a": p_a, "p_b": q_t ^ pull(space_b, q_b),
+         "q_t": q_t, "b_b": q_b ^ y_b}
+    space_of = {"q_a": "R1", "q_b": space_b, "b_b": space_b}
+    how = draw(st.sampled_from((None, "coeff", *d)))
+    if how in d:
+        d[how] ^= 1 << draw(st.integers(0, ngen[space_of.get(how, "W")] - 1))
+    coeff = HalfLaurent({draw(st.integers(-3, 3)): draw(st.integers(1, 4))})
+    with_symbol = draw(st.booleans())
+
+    def chart(cid, space, b, c, q):
+        value = Motive(reg, space, {((f"A{space}",) if with_symbol else (), b): c})
+        return CriticalChart(cid, f"region_{cid}", 2, value, BundleClass(space, q))
+
+    charts = [chart("cA", "R1", q_a ^ y_a, coeff, d["q_a"]),
+              chart("cB", space_b, d["b_b"],
+                    coeff * HalfLaurent.const(2) if how == "coeff" else coeff,
+                    d["q_b"])]
+    overlaps = [OverlapDatum("cA", "cB", "OV", *(BundleClass("W", d[k])
+                                               for k in ("p_a", "p_b", "q_t")),
+                             restrict.get("R1"), restrict.get(space_b))]
+    atlas = Atlas(reg, {"region_cA": "R1", "region_cB": space_b, "OV": "W"},
+                  charts, overlaps, True)
+    return atlas, how is None and pull("R1", y_a) == pull(space_b, y_b)
+
+
+@settings(max_examples=120, deadline=None)
+@given(restricted_atlases())
+def test_glued_values_agree_on_every_overlap(drawn):
+    # glue checks the transported chart classes, not the glued values; the
+    # cocycle identities and multiplicativity of pullback make them agree
+    atlas, must_glue = drawn
+    try:
+        glued = glue(atlas)
+    except DescentFailure:
+        assert not must_glue
+        return
+    reg, charts = atlas.registry, atlas.chart_index()
+    for o in atlas.overlaps:
+        va = glued.values[charts[o.chart_a].region]
+        vb = glued.values[charts[o.chart_b].region]
+        if o.restrict_a is not None:
+            va = pullback(reg, o.restrict_a, va)
+        if o.restrict_b is not None:
+            vb = pullback(reg, o.restrict_b, vb)
+        assert va == vb

@@ -234,9 +234,8 @@ def chart_reg():
     r.declare_symbol("S", "R", 1)
     r.declare_symbol("Sp", "Rp", 1)
     r.declare_morphism("incl", "Rp", "R", "open-inclusion",
-                       pull_symbols={"S": None},  # replaced below
+                       pull_symbols={"S": symbol_motive(r, "Sp")},
                        pull_bundles={"pR1": 1, "pR2": 0})
-    r.morphisms["incl"].pull_symbols["S"] = symbol_motive(r, "Sp")
     return r
 
 

@@ -73,6 +73,18 @@ def test_generator_bits_range_checked():
         Motive(reg, "X", {((), 2): HalfLaurent.const(1)})
 
 
+@pytest.mark.parametrize("read", [
+    lambda reg: reg.names_of("W", 0),
+    lambda reg: BundleClass("W", 0).text(reg),
+], ids=["names_of", "text"])
+def test_bits_on_an_undeclared_space_are_refused(read):
+    # upsilon's case is in test_transport.py
+    reg = Registry()
+    reg.declare_space("X")
+    with pytest.raises(RegistryError, match="unknown space 'W'"):
+        read(reg)
+
+
 def test_stratum_symbols_usable_on_ambient_space():
     reg = Registry()
     reg.declare_space("open_part")

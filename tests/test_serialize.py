@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motivic import (MotivicError, Registry, ValidationFailed, fixtures,
-                     symbol_motive)
+from motivic import (MotivicError, Registry, RegistryError, ValidationFailed,
+                     fixtures, pullback, symbol_motive)
 from motivic.jobs import job_validator, parse_job
 from motivic.schemas import ALL_SCHEMAS, JOB, MOTIVE
 from motivic.serialize import (atlas_from_json, atlas_to_json,
@@ -69,6 +69,43 @@ def test_registry_round_trip_keeps_symbol_named_like_an_image():
     assert reg2.products["XX"] == reg.products["XX"]
     assert reg2.products["XX"].symbol_images[(0, "A")] == "XX.0.A"
     assert registry_to_json(reg2) == doc
+
+
+def _registry_with_name_images() -> Registry:
+    """``f: Z -> X`` maps ``A`` to the symbol ``D`` (stored as its monomial)
+    and ``B`` to the Z2-cover ``covZ`` (stored as its class)."""
+    reg = Registry()
+    reg.declare_space("X", dim=1)
+    reg.declare_symbol("A", "X")
+    reg.declare_symbol("B", "X")
+    reg.declare_space("Z", dim=1)
+    reg.declare_generators("Z", ("z",))
+    reg.declare_symbol("D", "Z")
+    reg.declare_symbol("covZ", "Z", 2, cover_bits=1)
+    reg.declare_morphism("f", "Z", "X", pull_symbols={"A": "D", "B": "covZ"})
+    return reg
+
+
+def test_registry_round_trip_keeps_name_images():
+    reg = _registry_with_name_images()
+    doc = registry_to_json(reg)
+    jsonschema.validate(doc, ALL_SCHEMAS["registry"])
+    reg2 = registry_from_json(doc)
+    assert registry_to_json(reg2) == doc
+    for name in ("A", "B"):
+        assert motive_to_json(pullback(reg2, "f", symbol_motive(reg2, name))) \
+            == motive_to_json(pullback(reg, "f", symbol_motive(reg, name)))
+
+
+def test_registry_with_a_composite_has_no_json_form():
+    reg = _registry_with_name_images()
+    reg.declare_space("W", dim=1, strata=("Z",))
+    reg.declare_generators("W", ("z",))
+    reg.declare_morphism("g", "W", "Z")
+    reg.compose("g", "f", "fg")
+    with pytest.raises(RegistryError,
+                       match="composite morphism 'fg' has no JSON form"):
+        registry_to_json(reg)
 
 
 def _job_with_underlying(name, underlying):

@@ -120,6 +120,17 @@ MUTANTS = [
            "[f'cover_symbols key {k!r} is not an integer order']) from None",
            "order = int(k)",
            ("tests/test_cli.py::test_unknown_space_or_symbol_exit_code",)),
+    Mutant("compose_skips_listed_check", "registry", "Registry.compose",
+           "for bits in g.pull_bundles.values():\n    self.pull_bits(f, bits)",
+           "pass", ("tests/test_bundles.py::test_transport_errors_agree",)),
+    Mutant("composite_drops_inner_step", "registry", "Registry.compose",
+           "(outer, inner)", "(outer,)",
+           ("tests/test_transport.py::"
+            "test_pullback_along_composite_is_pullback_of_pullback",)),
+    Mutant("glue_skips_transport_check", "dcrit", "glue",
+           "if lift_a != lift_b:\n    raise DescentFailure(label, lift_a.text(), "
+           "lift_b.text(), 'transported chart classes disagree')", "pass",
+           ("tests/test_dcrit.py::test_glued_values_agree_on_every_overlap",)),
 ]
 
 
