@@ -21,7 +21,12 @@ constructor accepts ``((monomial, bits), HalfLaurent)`` terms and checks
 each distinct key once; ``terms()`` groups the flat dict back into that
 shape, sorted.  Every operation works on the flat dicts and accumulates
 plain integers.  Products group each operand by monomial once, so the
-opacity check and the monomial merge run once per monomial pair.
+opacity check and the monomial merge run once per monomial pair.  When one
+factor is a single term ``c . L^(k/2) . [m] . Y(b)`` (a twist by ``Y(b)``,
+say), the product relabels the other factor's keys: adding ``k``, XOR with
+``b`` and union with ``m`` are injective, and ``c`` times a nonzero integer
+is nonzero, so no keys collide, nothing accumulates and no zero is left to
+sweep.
 
 The product of two terms that both carry opaque monodromy of order >= 2 is
 outside the fragment and raises :class:`OdotUndecidable` instead of
@@ -244,8 +249,22 @@ def _product(reg: Registry, a: Flat, b: Flat, what: str) -> Flat:
     """Convolution product of two flat forms over one space.
 
     Raises :class:`OdotUndecidable` when a monomial of each side carries
-    opaque monodromy, whatever the coefficients.
+    opaque monodromy, whatever the coefficients.  A one-term side makes the
+    product a relabelling of the other side, built in that side's order.
     """
+    if len(a) == 1 or len(b) == 1:
+        left = len(a) == 1
+        ((mon, bits, k), c), = (a if left else b).items()
+        other = b if left else a
+        if _opaque(reg, mon):
+            for mon2, _, _ in other:
+                if _opaque(reg, mon2):
+                    first, second = (mon, mon2) if left else (mon2, mon)
+                    raise OdotUndecidable(
+                        f"{what} of opaque monomials {first} and {second}")
+        return {(tuple(sorted(mon2 + mon)) if mon2 and mon else mon2 or mon,
+                 bits2 ^ bits, k2 + k): c2 * c
+                for (mon2, bits2, k2), c2 in other.items()}
     right = [(mon, terms, _opaque(reg, mon))
              for mon, terms in _by_monomial(b).items()]
     out: Flat = {}

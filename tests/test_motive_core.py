@@ -85,10 +85,26 @@ def test_odot_trivial_unit(reg):
         assert mot_odot(y0, m) == m
 
 
-def test_odot_opaque_pair_undecidable(reg):
-    mu3 = symbol_motive(reg, "mu3")
-    with pytest.raises(OdotUndecidable):
-        mot_odot(mu3, mu3)
+OPAQUE_OPERANDS = {
+    "mu3": lambda r: symbol_motive(r, "mu3"),
+    "one_term": lambda r: Motive(r, "X", {(("A", "mu3"), 1): L}),
+    # its first opaque monomial, in its own order, is not the least one
+    "many_terms": lambda r: Motive(r, "X", [
+        ((("A",), 0), ONE), ((("mu3",), 0), L), ((("A", "mu3"), 1), ONE)]),
+}
+
+
+@pytest.mark.parametrize("left, right, message", [
+    ("mu3", "mu3", "product of opaque monomials ('mu3',) and ('mu3',)"),
+    ("one_term", "many_terms",
+     "product of opaque monomials ('A', 'mu3') and ('mu3',)"),
+    ("many_terms", "one_term",
+     "product of opaque monomials ('mu3',) and ('A', 'mu3')"),
+], ids=["one_term_pair", "one_term_left", "one_term_right"])
+def test_odot_opaque_pair_undecidable(reg, left, right, message):
+    with pytest.raises(OdotUndecidable) as exc:
+        mot_odot(OPAQUE_OPERANDS[left](reg), OPAQUE_OPERANDS[right](reg))
+    assert str(exc.value) == message
 
 
 def test_odot_cover_times_cover_via_group_ring(reg):

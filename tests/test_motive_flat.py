@@ -118,18 +118,38 @@ def flat(m: Motive) -> dict:
 coeffs = st.dictionaries(st.integers(-3, 3), st.integers(-2, 2), max_size=3)
 
 
+def _symbols_and_bits(draw, space: str, plain) -> tuple[list, int]:
+    """Symbols with at most one opaque one, and bundle bits over ``space``."""
+    names = draw(st.lists(st.sampled_from(plain), max_size=2))
+    opaque = draw(st.sampled_from((None,) + OPAQUE_ON[space]))
+    if opaque is not None:
+        names.append(opaque)
+    return names, draw(st.integers(0, (1 << NBITS[space]) - 1))
+
+
 @st.composite
 def specs(draw, space: str = "X"):
     """Terms (symbols, bits, coefficient) with at most one opaque symbol."""
     out = []
     for _ in range(draw(st.integers(0, 5))):
-        names = draw(st.lists(st.sampled_from(PLAIN[space]), max_size=2))
-        opaque = draw(st.sampled_from((None,) + OPAQUE_ON[space]))
-        if opaque is not None:
-            names.append(opaque)
-        out.append((names, draw(st.integers(0, (1 << NBITS[space]) - 1)),
+        out.append((*_symbols_and_bits(draw, space, PLAIN[space]),
                     draw(coeffs)))
     return out
+
+
+@st.composite
+def one_term(draw, space: str = "X"):
+    """A spec whose motive is one flat entry: one nonzero coefficient and no
+    cover symbol, since a cover rewrites to two terms."""
+    plain = [n for n in PLAIN[space] if n not in COVERS]
+    coeff = {draw(st.integers(-3, 3)): draw(st.sampled_from((-2, -1, 1, 2)))}
+    return [(*_symbols_and_bits(draw, space, plain), coeff)]
+
+
+def operands(space: str = "X"):
+    """Either a general spec or a one-term one, the product's relabelling
+    path."""
+    return st.one_of(specs(space), one_term(space))
 
 
 def build(spec, space: str = "X") -> Motive:
@@ -169,7 +189,7 @@ def test_scale_matches_reference(spec, coeff, n):
     assert flat(m.scale(n)) == r_add({}, ref, n)
 
 
-@given(specs(), specs())
+@given(operands(), operands())
 def test_odot_matches_reference(s1, s2):
     a, b = build(s1), build(s2)
     ra, rb = r_spec(s1), r_spec(s2)
@@ -194,7 +214,7 @@ def _into_p(ref: dict, side: int, space: str, name: str = "P") -> dict:
     return out
 
 
-@given(specs("X"), specs("Y"), specs("X"))
+@given(operands("X"), operands("Y"), operands("X"))
 def test_boxdot_matches_reference(s1, s2, s3):
     a, b = build(s1, "X"), build(s2, "Y")
     ra, rb = r_spec(s1), r_spec(s2)

@@ -59,6 +59,10 @@ MUTANTS = [
            "acc[key] = v", (FLAT,)),
     Mutant("weaker_opaque_check", "motive", "_product",
            "op1 and op2", "op1 and op2 and mon1 == mon2", (FLAT,)),
+    Mutant("relabel_or_for_xor", "motive", "_product",
+           "bits2 ^ bits", "bits2 | bits", (FLAT,)),
+    Mutant("relabel_skips_opacity_check", "motive", "_product",
+           "_opaque(reg, mon2)", "False", (FLAT,)),
     Mutant("pullback_drops_exponent", "motive", "pullback",
            "(mon2, bits2 ^ img, k + k2)", "(mon2, bits2 ^ img, k2)",
            (FLAT, "tests/test_transport.py")),
