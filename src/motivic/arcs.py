@@ -19,6 +19,11 @@ with the residual cyclic action of order ``a`` acting on the cover.  For
 ``a = 2`` the cover is the Z2-bundle of square roots of the unit monomial,
 expressed through the declared square-root generators; for ``a >= 3`` with
 trivial unit twisting it is the standard order-``a`` cover symbol.
+
+The cover class does not depend on ``n``: ``zeta_truncated`` builds it once,
+at the first order divisible by ``a``, and shares the exponent rule
+``(n - n/a) + n l`` with ``arc_class``, so every coefficient is the one
+``arc_class`` gives and every refusal happens at the same order.
 """
 
 from __future__ import annotations
@@ -105,6 +110,12 @@ def cover_class(f: MonomialFunction, ctx: ArcContext) -> Motive:
     return symbol_motive(reg, name)
 
 
+def _free_exponent(f: MonomialFunction, a: int, n: int) -> int:
+    """L-exponent of the free higher coefficients on the order-n arc locus
+    (``a | n``): ``n - n/a`` in the affine coordinate, ``n`` per unit."""
+    return n - n // a + n * len(f.unit_vars)
+
+
 def arc_class(f: MonomialFunction, n: int, ctx: ArcContext) -> Motive:
     """Class of the order-n arc locus with leading coefficient 1."""
     if n < 1:
@@ -113,8 +124,7 @@ def arc_class(f: MonomialFunction, n: int, ctx: ArcContext) -> Motive:
     a = _single_affine_exponent(f)
     if n % a:
         return Motive.zero(reg, ctx.base_space)
-    m = n // a
-    free = (n - m) + n * len(f.unit_vars)
+    free = _free_exponent(f, a, n)
     return cover_class(f, ctx).scale(HalfLaurent.power(2 * free))
 
 
@@ -122,10 +132,23 @@ def zeta_truncated(f: MonomialFunction, k: int, ctx: ArcContext) -> list[Motive]
     """Coefficients of T^0 .. T^k of the zeta series, straight from arcs.
 
     Coefficient n is ``arc_class(f, n) . L^(-n dim U)``; the T^0 entry is
-    zero because the series starts at n = 1.
+    zero because the series starts at n = 1.  The cover class is built at
+    the first n with ``a | n``, as ``arc_class`` would build it there, and
+    scaled by one power ``L^(free - n dim U)`` per order: a single-term
+    power shifts every exponent alike, so one step gives what two give.
     """
     reg = ctx.registry
     out = [Motive.zero(reg, ctx.base_space)]
+    if k < 1:
+        return out
+    a = _single_affine_exponent(f)  # raises where arc_class(f, 1) would
+    cover = None
     for n in range(1, k + 1):
-        out.append(arc_class(f, n, ctx).scale(HalfLaurent.power(-2 * n * f.dim)))
+        if n % a:
+            out.append(Motive.zero(reg, ctx.base_space))
+            continue
+        if cover is None:
+            cover = cover_class(f, ctx)
+        out.append(cover.scale(HalfLaurent.power(
+            2 * (_free_exponent(f, a, n) - n * f.dim))))
     return out

@@ -14,6 +14,16 @@ substituting ``-1`` for every factor; the vanishing cycle is its normalized
 difference from the ambient fibre class, restricted to the critical locus
 through user-supplied restriction tables.  Resolutions are inputs, never
 computed.
+
+Shared work is built once per call and reused exactly.  ``zeta_function``
+raises ``L - 1`` to each subset size once.  ``expand_series`` and
+``inverse_series_constant_term`` memoize the truncated series of every
+factor tuple they build: a term's sorted factor tuple is often an earlier
+tuple plus one factor, and the longer tuple's series is the prefix's series
+times that factor, the same products in the same order as a fresh build, so
+every coefficient and dict order is unchanged.  The memo is keyed by the
+factor tuple alone, so it is valid for one ``(k, first, sign)`` only and
+never outlives the call.
 """
 
 from __future__ import annotations
@@ -190,25 +200,36 @@ def zeta_function(r: ResolutionData) -> RationalMotive:
     reg = r.registry
     terms = []
     lminus1 = HalfLaurent({2: 1, 0: -1})
+    powers: dict[int, HalfLaurent] = {}  # |I| -> (L-1)^(|I|-1)
     for key, stratum in r.strata.items():
         size = len(key)
-        coeff = stratum.cls.scale(lminus1 ** (size - 1))
+        if size not in powers:
+            powers[size] = lminus1 ** (size - 1)
+        coeff = stratum.cls.scale(powers[size])
         factors = tuple(sorted((r.divisor(n).N, r.divisor(n).nu) for n in key))
         terms.append(RatTerm(coeff, factors))
     return RationalMotive(r.space_u0, terms)
 
 
-def _factor_series(factors, k: int, first: int,
-                   sign: int) -> dict[int, dict[int, int]]:
+def _factor_series(factors, k: int, first: int, sign: int,
+                   memo: dict) -> dict[int, dict[int, int]]:
     """The product over ``(N, nu)`` in ``factors`` of
 
         sum_{j >= first} sign . L^(-sign j nu) . T^(j N),
 
     truncated at T^k: degree -> {doubled exponent of L: coefficient}.
     Every coefficient has the sign ``sign ** len(factors)``, so none cancels.
+
+    ``memo`` holds the series of every factor tuple built so far with this
+    ``(k, first, sign)``; a tuple's series continues from its longest
+    memoized prefix, and a stored series is never changed.
     """
-    series: dict[int, dict[int, int]] = {0: {0: 1}}
-    for N, nu in factors:
+    built = len(factors)
+    while built and factors[:built] not in memo:
+        built -= 1
+    series = memo[factors[:built]] if built else {0: {0: 1}}
+    for i in range(built, len(factors)):
+        N, nu = factors[i]
         nxt: dict[int, dict[int, int]] = {}
         for deg, poly in series.items():
             j = first
@@ -218,15 +239,17 @@ def _factor_series(factors, k: int, first: int,
                 for e, c in poly.items():
                     acc[e + shift] = acc.get(e + shift, 0) + sign * c
                 j += 1
-        series = nxt
+        series = memo[factors[:i + 1]] = nxt
     return series
 
 
 def expand_series(z: RationalMotive, k: int, reg: Registry) -> list[Motive]:
-    """Exact coefficients of T^0 .. T^k."""
+    """Exact coefficients of T^0 .. T^k; terms share prefix series through
+    one memo per call."""
     out: list[list] = [[] for _ in range(k + 1)]
+    memo: dict = {}
     for term in z.terms:
-        for deg, poly in _factor_series(term.factors, k, 1, 1).items():
+        for deg, poly in _factor_series(term.factors, k, 1, 1, memo).items():
             out[deg].append((term.coeff, poly))
     return [mot_sum(reg, z.space, pairs) for pairs in out]
 
@@ -308,7 +331,8 @@ def inverse_series_constant_term(z: RationalMotive, reg: Registry,
     of the product is the product of the j = 0 parts, i.e. (-1)^m.  The
     expansion is carried to ``order`` to make the check nontrivial.
     """
+    memo: dict = {}
     return mot_sum(reg, z.space,
                    ((term.coeff,
-                     _factor_series(term.factors, order, 0, -1).get(0, {}))
+                     _factor_series(term.factors, order, 0, -1, memo).get(0, {}))
                     for term in z.terms))

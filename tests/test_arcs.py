@@ -5,12 +5,17 @@ z^2 at order 4: z = c2 t^2 + c3 t^3 + c4 t^4 with c2^2 = 1 and c3, c4 free,
 giving [split double cover] . L^2.
 """
 
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motivic import (ArcContext, HalfLaurent, MonomialFunction, Motive,
                      Registry, UnsupportedShape, arc_class, expand_series,
                      fixtures, generator, symbol_motive, upsilon,
                      zeta_function, zeta_truncated)
+from motivic.jobs import load_fixture_job, parse_job
 
 ONE = HalfLaurent.const(1)
 HALF = HalfLaurent.half()
@@ -111,3 +116,75 @@ def test_order_must_be_positive():
     fx = fixtures.z2()
     with pytest.raises(UnsupportedShape):
         arc_class(fx.monomial, 0, fx.context)
+
+
+# -- the truncated series is arc_class order by order ------------------------------
+
+
+def _per_order(f, k, ctx):
+    """arc_class(f, n) . L^(-n dim) for n = 1 .. k, or the UnsupportedShape
+    the first refusing order raises."""
+    out = [Motive.zero(ctx.registry, ctx.base_space)]
+    for n in range(1, k + 1):
+        out.append(arc_class(f, n, ctx).scale(HalfLaurent.power(-2 * n * f.dim)))
+    return out
+
+
+def _assert_per_order(f, k, ctx):
+    try:
+        want = _per_order(f, k, ctx)
+    except UnsupportedShape as exc:
+        with pytest.raises(UnsupportedShape, match=re.escape(str(exc))):
+            zeta_truncated(f, k, ctx)
+        return
+    assert zeta_truncated(f, k, ctx) == want
+
+
+@pytest.mark.parametrize("name", ["arc_z2", "arc_z3", "arc_z4", "arc_x2y"])
+def test_truncated_series_is_arc_class_on_arc_fixtures(name):
+    (f, ctx), _res = parse_job(load_fixture_job(name)).payload
+    for k in (0, 1, 2, 5, 13):
+        _assert_per_order(f, k, ctx)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.lists(st.integers(1, 4), max_size=3),
+       st.integers(0, 2), st.booleans(), st.integers(0, 12))
+def test_truncated_series_is_arc_class_on_generated_shapes(a, units, affine,
+                                                           named, k):
+    # extra affine variables, twisted units and unnamed generators all
+    # refuse; the refusal must come at the same order as arc_class's
+    reg = Registry()
+    reg.declare_space("B", dim=len(units))
+    gens = tuple(f"u{i}" for i in range(len(units)))
+    reg.declare_generators("B", gens)
+    for m in range(3, 6):
+        reg.declare_symbol(f"mu{m}", "B", m)
+    f = MonomialFunction((a,) + (1,) * affine + tuple(units),
+                         frozenset(range(1 + affine, 1 + affine + len(units))))
+    ctx = ArcContext(reg, "B", gens if named else ())
+    _assert_per_order(f, k, ctx)
+
+
+def test_truncated_series_edges():
+    reg = Registry()
+    reg.declare_space("B", dim=0)
+    two_affine = MonomialFunction((1, 1))
+    assert [m.text() for m in zeta_truncated(two_affine, 0,
+                                             ArcContext(reg, "B"))] == ["0"]
+    with pytest.raises(UnsupportedShape):
+        zeta_truncated(two_affine, 1, ArcContext(reg, "B"))
+    reg2 = Registry()
+    reg2.declare_space("G", dim=1)
+    reg2.declare_generators("G", ("p",))
+    # the cover is refused only once an order divisible by a is reached
+    twisted = MonomialFunction((3, 1), frozenset({1}))
+    ctx = ArcContext(reg2, "G", ("p",))
+    assert [m.text() for m in zeta_truncated(twisted, 2, ctx)] == ["0"] * 3
+    with pytest.raises(UnsupportedShape):
+        zeta_truncated(twisted, 3, ctx)
+    unnamed = MonomialFunction((2, 1), frozenset({1}))
+    ctx = ArcContext(reg2, "G")
+    assert [m.text() for m in zeta_truncated(unnamed, 1, ctx)] == ["0"] * 2
+    with pytest.raises(UnsupportedShape):
+        zeta_truncated(unnamed, 2, ctx)

@@ -41,22 +41,36 @@ def _strings(doc):
         yield doc
 
 
+# ints that may also jump to a large value: a divisor's multiplicity and
+# discrepancy, and a symbol's order
+LARGE_INT_KEYS = ("N", "nu", "order")
+
+
 @st.composite
 def mutated_jobs(draw):
     """A shipped fixture job with one value moved: a string replaced by
-    another name of the job or a fresh one, an object key renamed, or an
-    int moved within its schema bounds (``series_order`` at most 20)."""
+    another name of the job or a fresh one, an object key renamed, an int
+    moved within its schema bounds (``series_order`` at most 20), or, in
+    about half the jobs that have one, a ``LARGE_INT_KEYS`` value set
+    anywhere up to 10^6."""
     job = load_fixture_job(draw(st.sampled_from(FIXTURE_NAMES)))
     names = sorted({*_strings(job), "fresh"})
-    container, key, what = draw(st.sampled_from(list(_sites(job))))
-    if what == "key":
-        new = draw(st.sampled_from(names))
-        assume(new not in container)
-        container[new] = container.pop(key)
-    elif isinstance(container[key], str):
-        container[key] = draw(st.sampled_from(names))
+    sites = list(_sites(job))
+    large = [(c, k) for c, k, what in sites
+             if what == "value" and k in LARGE_INT_KEYS]
+    if large and draw(st.booleans()):
+        container, key = draw(st.sampled_from(large))
+        container[key] = draw(st.integers(1, 10 ** 6))
     else:
-        container[key] += draw(st.integers(-3, 3))
+        container, key, what = draw(st.sampled_from(sites))
+        if what == "key":
+            new = draw(st.sampled_from(names))
+            assume(new not in container)
+            container[new] = container.pop(key)
+        elif isinstance(container[key], str):
+            container[key] = draw(st.sampled_from(names))
+        else:
+            container[key] += draw(st.integers(-3, 3))
     assume(job.get("params", {}).get("series_order", 0) <= 20)
     assume(job_validator().is_valid(job))
     return job

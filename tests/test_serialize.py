@@ -12,13 +12,15 @@ from hypothesis import strategies as st
 from motivic import (MotivicError, Registry, RegistryError, ValidationFailed,
                      fixtures, pullback, symbol_motive)
 from motivic.jobs import job_validator, parse_job
-from motivic.schemas import ALL_SCHEMAS, JOB, MOTIVE
+from motivic.schemas import JOB, MOTIVE, all_schemas, write_schema_files
 from motivic.serialize import (atlas_from_json, atlas_to_json,
                                motive_from_json, motive_to_json,
                                registry_from_json, registry_to_json,
                                resolution_from_json, resolution_to_json)
 
 from conftest import rand_fragment_motive
+
+ALL_SCHEMAS = all_schemas()
 
 
 def test_motive_round_trip_randomized(ring_registry):
@@ -364,3 +366,14 @@ def test_schema_files_on_disk_match_definitions():
         path = root / f"{name}.json"
         assert path.exists(), f"missing shipped schema {name}"
         assert json.loads(path.read_text(encoding="utf-8")) == schema
+
+
+def test_write_schema_files_reproduces_shipped_files(tmp_path):
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent / "docs" / "schemas"
+    write_schema_files(tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        sorted(p.name for p in root.iterdir())
+    for path in root.iterdir():
+        assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name

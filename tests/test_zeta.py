@@ -309,6 +309,42 @@ def test_factor_series_against_enumeration(spec, k):
     assert inverse_series_constant_term(z, reg, order=k) == want
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_factor, min_size=1, max_size=5), st.integers(0, 14),
+       st.integers(1, 8), st.booleans())
+def test_shared_prefix_series_against_enumeration(divisors, k, step, down):
+    # one term per nonempty subset of one divisor list, repeated (N, nu)
+    # pairs allowed: most sorted factor tuples extend another term's by one
+    # factor, so expand_series reuses prefix series within a call; the
+    # same z expanded at two orders in a row, then inverse-expanded, fails
+    # if that reuse leaks across calls or across (first, sign)
+    reg = Registry()
+    reg.declare_space("U", dim=1)
+    reg.declare_generators("U", ("a",))
+    terms = []
+    for mask in range(1, 1 << len(divisors)):
+        picked = [d for i, d in enumerate(divisors) if mask >> i & 1]
+        coeff = Motive.coefficient(reg, "U", HalfLaurent.power(mask % 5 - 2,
+                                                               1 + mask % 3))
+        terms.append(RatTerm(coeff.odot(upsilon(reg, BundleClass("U", mask & 1))),
+                             tuple(picked)))
+    z = RationalMotive("U", terms)
+    orders = (k + step, k) if down else (k, k + step)
+    for order in orders:
+        series = expand_series(z, order, reg)
+        assert len(series) == order + 1
+        enumerated = [_enumerated_series(t.factors, order) for t in z.terms]
+        for n in range(order + 1):
+            want = Motive.zero(reg, "U")
+            for t, polys in zip(z.terms, enumerated):
+                want = want + t.coeff.scale(HalfLaurent(polys.get(n, {})))
+            assert series[n] == want, (order, n)
+    want = Motive.zero(reg, "U")
+    for t in z.terms:
+        want = want + t.coeff.scale((-1) ** len(t.factors))
+    assert inverse_series_constant_term(z, reg, order=k) == want
+
+
 def test_inverse_series_constant_term_is_minus_nearby():
     for builder in (fixtures.z2, fixtures.z3, fixtures.z4, fixtures.x2y,
                     fixtures.x2y_plane):

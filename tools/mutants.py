@@ -67,12 +67,15 @@ MUTANTS = [
            "(mon2, bits2 ^ img, k + k2)", "(mon2, bits2 ^ img, k2)",
            (FLAT, "tests/test_transport.py")),
     Mutant("expand_series_first_0", "zeta", "expand_series",
-           "_factor_series(term.factors, k, 1, 1)",
-           "_factor_series(term.factors, k, 0, 1)", (ZETA,)),
+           "_factor_series(term.factors, k, 1, 1, memo)",
+           "_factor_series(term.factors, k, 0, 1, memo)", (ZETA,)),
     Mutant("inverse_constant_term_first_1", "zeta",
            "inverse_series_constant_term",
-           "_factor_series(term.factors, order, 0, -1)",
-           "_factor_series(term.factors, order, 1, -1)", (ZETA,)),
+           "_factor_series(term.factors, order, 0, -1, memo)",
+           "_factor_series(term.factors, order, 1, -1, memo)", (ZETA,)),
+    Mutant("series_memo_shared_across_calls", "zeta", "expand_series",
+           "memo: dict = {}",
+           "memo = expand_series.__dict__.setdefault('memo', {})", (ZETA,)),
     Mutant("factor_series_skips_first", "zeta", "_factor_series",
            "j = first", "j = first + 1", (ZETA,)),
     Mutant("factor_series_strict_bound", "zeta", "_factor_series",
@@ -103,9 +106,12 @@ MUTANTS = [
            "p.bits ^ q.bits", "p.bits | q.bits", ("tests/test_dcrit.py",)),
     Mutant("virtual_index_counts_every_weight", "localize", "virtual_index",
            "1 if w > 0 else -1", "1", ("tests/test_localize.py",)),
-    Mutant("arc_class_drops_unit_vars", "arcs", "arc_class",
-           "n - m + n * len(f.unit_vars)", "n - m",
+    Mutant("arc_class_drops_unit_vars", "arcs", "_free_exponent",
+           "n - n // a + n * len(f.unit_vars)", "n - n // a",
            ("tests/test_arcs.py", "tests/test_arcs_pointcount.py")),
+    Mutant("zeta_truncated_cover_eager", "arcs", "zeta_truncated",
+           "cover = None", "cover = cover_class(f, ctx)",
+           ("tests/test_arcs.py",)),
     Mutant("document_skips_nested_definitions", "schemas", "document",
            "todo.append(reached[name])", "pass",
            ("tests/test_serialize.py::"
