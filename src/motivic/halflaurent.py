@@ -13,6 +13,7 @@ Values are immutable; all operators return fresh instances.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
+from functools import lru_cache
 
 
 class HalfLaurent:
@@ -138,28 +139,31 @@ class HalfLaurent:
     # -- rendering -----------------------------------------------------------
 
     def text(self) -> str:
-        """Canonical rendering, e.g. ``1 - L^(1/2)``, ``2*L^-1``, ``L^(3/2)``."""
+        """Canonical rendering, e.g. ``1 - L^(1/2)``, ``2*L^-1``, ``L^(3/2)``.
+
+        One walk in increasing exponent order writes every term with its
+        sign; the first term's sign then becomes a bare ``-`` or nothing.
+        """
         if not self._coeffs:
             return "0"
         parts: list[str] = []
-        for k, c in self.items():
-            mono = _monomial_text(k)
-            if mono == "1":
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = mono
+        for k, c in sorted(self._coeffs.items()):
+            sign = " - " if c < 0 else " + "
+            c = abs(c)
+            if k == 0:
+                parts.append(f"{sign}{c}")
+            elif c == 1:
+                parts.append(sign + _monomial_text(k))
             else:
-                body = f"{abs(c)}*{mono}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f" + {body}" if c > 0 else f" - {body}")
-        return "".join(parts)
+                parts.append(f"{sign}{c}*{_monomial_text(k)}")
+        text = "".join(parts)
+        return text[3:] if text[1] == "+" else "-" + text[3:]
 
     def __repr__(self) -> str:
         return f"HalfLaurent({self.text()})"
 
 
+@lru_cache(maxsize=256)  # a rendering uses few distinct exponents
 def _monomial_text(k2: int) -> str:
     if k2 == 0:
         return "1"

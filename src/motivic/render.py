@@ -42,7 +42,7 @@ def term_text(reg, space: str, mon: tuple[str, ...], bits: int,
     ctext = coeff.text()
     if not parts:
         return ctext
-    if len(coeff.items()) > 1:
+    if " " in ctext:  # a sum of two or more terms
         head = f"({ctext})"
     elif ctext == "1":
         head = ""

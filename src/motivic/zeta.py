@@ -9,21 +9,26 @@ assembled exactly as a sum of motive coefficients times factors
     L^(-nu) T^N / (1 - L^(-nu) T^N),
 
 one factor per divisor in ``I``, with coefficient ``(L-1)^(|I|-1)`` times
-the cover class.  The nearby cycle is minus the large-T limit, computed by
-substituting ``-1`` for every factor; the vanishing cycle is its normalized
-difference from the ambient fibre class, restricted to the critical locus
-through user-supplied restriction tables.  Resolutions are inputs, never
-computed.
+the cover class.  The nearby cycle is minus the large-T limit: every factor
+tends to ``-1``, so it is the sum over the strata of ``(1 - L)^(|I|-1)``
+times the stratum class, summed straight from the strata.  The vanishing
+cycle is its normalized difference from the ambient fibre class,
+restricted to the critical locus through user-supplied restriction tables;
+both sums go through one routine.  Resolutions are inputs, never computed.
 
 Shared work is built once per call and reused exactly.  ``zeta_function``
 raises ``L - 1`` to each subset size once.  ``expand_series`` and
 ``inverse_series_constant_term`` memoize the truncated series of every
 factor tuple they build: a term's sorted factor tuple is often an earlier
 tuple plus one factor, and the longer tuple's series is the prefix's series
-times that factor, the same products in the same order as a fresh build, so
-every coefficient and dict order is unchanged.  The memo is keyed by the
-factor tuple alone, so it is valid for one ``(k, first, sign)`` only and
-never outlives the call.
+times that factor, the same products in the same order as a fresh build.
+The memo is keyed by the factor tuple alone, so it is valid for one
+``(k, first, sign)`` only and never outlives the call.
+
+``expand_series`` groups each term's coefficient once by (monomial, bundle
+bits) and accumulates every degree as group -> {doubled exponent of L:
+integer}, a 1-D convolution on integer keys; the flat keys of the result
+are built once, for the entries that do not cancel.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from typing import Optional
 
 from .errors import MissingRestriction, ValidationFailed
 from .halflaurent import HalfLaurent
-from .motive import Motive, mot_sum
+from .motive import Motive, _by_term, _check_operand, mot_sum
 from .registry import POINT, Registry
 
 DivKey = frozenset
@@ -181,8 +186,8 @@ def validate_resolution(r: ResolutionData) -> list[str]:
 
 def _visible_order(m: Motive) -> int:
     order = 1
-    for (mon, bits), coeff in m.terms():
-        if bits or not coeff.is_integral():
+    for mon, bits, k2 in m._flat:
+        if bits or k2 % 2:
             order = max(order, 2)
         for name in mon:
             order = max(order, m.reg.symbol(name).order)
@@ -244,27 +249,55 @@ def _factor_series(factors, k: int, first: int, sign: int,
 
 
 def expand_series(z: RationalMotive, k: int, reg: Registry) -> list[Motive]:
-    """Exact coefficients of T^0 .. T^k; terms share prefix series through
-    one memo per call."""
-    out: list[list] = [[] for _ in range(k + 1)]
+    """Exact coefficients of T^0 .. T^k.
+
+    Each term's coefficient is grouped once by (monomial, bits); a degree
+    accumulates group -> {doubled L-exponent: integer} by 1-D convolution
+    with the term's series, and its flat keys are built once, for the
+    entries that survive.  Terms share prefix series through one memo per
+    call.
+    """
+    reg.space(z.space)
+    degrees: list[dict[tuple, dict[int, int]]] = [{} for _ in range(k + 1)]
     memo: dict = {}
     for term in z.terms:
-        for deg, poly in _factor_series(term.factors, k, 1, 1, memo).items():
-            out[deg].append((term.coeff, poly))
-    return [mot_sum(reg, z.space, pairs) for pairs in out]
+        series = _factor_series(term.factors, k, 1, 1, memo)
+        if not series:
+            continue
+        _check_operand(reg, z.space, term.coeff)
+        groups = [(key, list(coeff.items()))
+                  for key, coeff in _by_term(term.coeff._flat).items()]
+        for deg, poly in series.items():
+            acc = degrees[deg]
+            poly = list(poly.items())
+            for key, coeff in groups:
+                sums = acc.get(key)
+                if sums is None:
+                    sums = acc[key] = {}
+                get = sums.get
+                for e1, c1 in coeff:
+                    for e2, c2 in poly:
+                        e = e1 + e2
+                        sums[e] = get(e, 0) + c1 * c2
+    return [Motive._wrap(reg, z.space,
+                         {(mon, bits, e): c
+                          for (mon, bits), sums in acc.items()
+                          for e, c in sums.items() if c})
+            for acc in degrees]
 
 
 def nearby_cycle(r: ResolutionData) -> Motive:
     """Minus the large-T limit of the zeta function.
 
     Each factor tends to -1, so a term with m factors contributes its
-    coefficient times (-1)^(m+1).  Constant-function data carry no strata,
-    so their sum is zero.
+    coefficient (L-1)^(m-1) [U_I] times (-1)^(m+1): the limit is the sum of
+    the stratum classes times (1-L)^(|I|-1), taken straight from the strata
+    with no zeta rebuild.  Constant-function data carry no strata, so their
+    sum is zero.
     """
-    z = zeta_function(r)
-    return mot_sum(r.registry, z.space,
-                   ((term.coeff, {0: 1 if len(term.factors) % 2 else -1})
-                    for term in z.terms))
+    _require_valid(r)
+    return _restricted_sum(r, {key: s.cls for key, s in r.strata.items()},
+                           r.space_u0)
 
 
 def _restricted_sum(r: ResolutionData, classes: dict[DivKey, Motive],
@@ -278,6 +311,7 @@ def _restricted_sum(r: ResolutionData, classes: dict[DivKey, Motive],
     is the support argument behind the vanishing-cycle normal form.
     """
     one_minus_l = HalfLaurent({0: 1, 2: -1})
+    powers: dict[int, HalfLaurent] = {}  # |I| -> (1-L)^(|I|-1)
 
     def terms():
         for key in sorted(r.strata, key=sorted):
@@ -287,7 +321,10 @@ def _restricted_sum(r: ResolutionData, classes: dict[DivKey, Motive],
             if key not in classes:
                 raise MissingRestriction(
                     f"no restriction of stratum {names}{where}")
-            yield classes[key], one_minus_l ** (len(key) - 1)
+            size = len(key)
+            if size not in powers:
+                powers[size] = one_minus_l ** (size - 1)
+            yield classes[key], powers[size]
 
     return mot_sum(r.registry, space, terms())
 

@@ -1,9 +1,13 @@
 """Exit-code fuzz: schema-valid single-value mutations of every shipped
-fixture job end in a documented exit code, never in a traceback."""
+fixture job, and resolution jobs with one optional key dropped, end in a
+documented exit code, never in a traceback."""
 
 import contextlib
+import copy
 import io
 import json
+
+import pytest
 
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -77,10 +81,12 @@ def mutated_jobs(draw):
 
 
 def _run(argv):
+    """Exit code, stdout and stderr of one in-process CLI call; an
+    exception escaping ``main`` fails the calling test."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 @settings(max_examples=200, deadline=None,
@@ -96,6 +102,46 @@ def test_valid_jobs_end_in_a_documented_exit_code(tmp_path_factory, job,
             continue
         argv = [command, "--job", str(path)]
         argv += ["--machine-readable"] if machine else []
-        code, out = _run(argv)
+        code, out, err = _run(argv)
         assert code in range(6), (argv, code)
-        assert _run(argv) == (code, out)
+        assert _run(argv) == (code, out, err)
+
+
+RESOLUTION_FIXTURES = [name for name in FIXTURE_NAMES
+                       if load_fixture_job(name)["payload"]["kind"] == "resolution"]
+
+
+def _optional_key_drops(job):
+    """(label, copy of ``job`` with one optional key dropped) for the
+    payload's ``points``, each critical value's ``classes``, ``ambient``
+    and ``space``, and each divisor's ``boundary``."""
+    payload = job["payload"]
+    sites = [((), "points")] if "points" in payload else []
+    for i, value in enumerate(payload.get("critical_values", ())):
+        sites += [(("critical_values", i), key)
+                  for key in ("classes", "ambient", "space") if key in value]
+    for i, divisor in enumerate(payload["divisors"]):
+        if "boundary" in divisor:
+            sites.append((("divisors", i), "boundary"))
+    for path, key in sites:
+        dropped = copy.deepcopy(job)
+        container = dropped["payload"]
+        for step in path:
+            container = container[step]
+        del container[key]
+        yield "/".join(map(str, (*path, key))), dropped
+
+
+@pytest.mark.parametrize("fixture", RESOLUTION_FIXTURES)
+def test_dropping_an_optional_key_never_exits_1(tmp_path, fixture):
+    drops = list(_optional_key_drops(load_fixture_job(fixture)))
+    assert drops
+    path = tmp_path / "job.json"
+    for label, job in drops:
+        path.write_text(json.dumps(job), encoding="utf-8")
+        for command in ("zeta", "nearby", "vanishing"):
+            for machine in ([], ["--machine-readable"]):
+                argv = [command, "--job", str(path), *machine]
+                code, _, err = _run(argv)
+                assert code in (0, 2, 3), (label, argv, code, err)
+                assert "Traceback" not in err

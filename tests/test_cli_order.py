@@ -1,0 +1,66 @@
+"""Order-canonical output: shuffling the set-like lists of a resolution job
+(divisors, strata, restriction classes, motive terms and coefficient
+pairs) changes no byte of stdout, stderr or the exit code.
+
+Generator ``names`` keep their order: it fixes the bundle bit indices, so
+it legitimately changes the output.
+"""
+
+import contextlib
+import io
+import json
+from functools import cache
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from motivic.cli import main
+from motivic.jobs import FIXTURE_NAMES, load_fixture_job
+
+SET_LIKE = ("divisors", "strata", "classes", "terms", "coeff")
+COMMANDS = (("zeta", "--series-order", "12"), ("nearby",), ("vanishing",))
+RESOLUTION_FIXTURES = [name for name in FIXTURE_NAMES
+                       if load_fixture_job(name)["payload"]["kind"] == "resolution"]
+
+
+def _shuffled(doc, rnd):
+    """A copy of ``doc`` with every list under a ``SET_LIKE`` key shuffled."""
+    if isinstance(doc, dict):
+        out = {}
+        for key, value in doc.items():
+            value = _shuffled(value, rnd)
+            if key in SET_LIKE and isinstance(value, list):
+                rnd.shuffle(value)
+            out[key] = value
+        return out
+    if isinstance(doc, list):
+        return [_shuffled(value, rnd) for value in doc]
+    return doc
+
+
+def _outputs(source: list[str], machine: bool):
+    results = []
+    for command in COMMANDS:
+        argv = [*command, *source]
+        argv += ["--machine-readable"] if machine else []
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        results.append((command[0], code, out.getvalue(), err.getvalue()))
+    return results
+
+
+@cache
+def _as_shipped(name: str, machine: bool):
+    return _outputs(["--fixture", name], machine)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(RESOLUTION_FIXTURES),
+       rnd=st.randoms(use_true_random=False), machine=st.booleans())
+def test_shuffled_set_like_lists_change_no_output(tmp_path_factory, name, rnd,
+                                                  machine):
+    path = tmp_path_factory.mktemp("order") / "job.json"
+    path.write_text(json.dumps(_shuffled(load_fixture_job(name), rnd)),
+                    encoding="utf-8")
+    assert _outputs(["--job", str(path)], machine) == _as_shipped(name, machine)

@@ -46,6 +46,11 @@ def test_integrality_and_rendering():
     assert HalfLaurent.power(-2).text() == "L^-1"
     assert HalfLaurent.power(3, 2).text() == "2*L^(3/2)"
     assert HalfLaurent.zero().text() == "0"
+    # the first term's sign is a bare "-" or nothing, later ones " - "/" + "
+    assert HalfLaurent({0: -1}).text() == "-1"
+    assert HalfLaurent({-2: -2, 0: 3, 2: -1}).text() == "-2*L^-1 + 3 - L"
+    assert HalfLaurent({4: 1, 1: -1}).text() == "-L^(1/2) + L^2"
+    assert HalfLaurent({0: -12, 3: 5}).text() == "-12 + 5*L^(3/2)"
 
 
 def test_rejects_non_integers():

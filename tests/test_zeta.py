@@ -4,6 +4,8 @@ Hand computations backing the frozen values are noted inline; the arc-space
 oracle provides the independent route in test_arcs.py.
 """
 
+from math import gcd
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from motivic import (BundleClass, Divisor, HalfLaurent, MissingRestriction,
                      generator, inverse_series_constant_term, milnor_fibre_at,
                      nearby_cycle, pullback, symbol_motive, upsilon,
                      validate_resolution, vanishing_cycle, zeta_function)
+from motivic.jobs import parse_job
 from motivic.registry import POINT, Registry
 from motivic.zeta import RatTerm
 
@@ -352,3 +355,185 @@ def test_inverse_series_constant_term_is_minus_nearby():
         z = zeta_function(fx.resolution)
         assert inverse_series_constant_term(z, fx.registry, order=6) == \
             -nearby_cycle(fx.resolution)
+
+
+# -- grouped expansion ---------------------------------------------------------------------
+
+
+def _grouped_registry() -> Registry:
+    """Space U with two generators, two plain symbols and an opaque mu3."""
+    reg = Registry()
+    reg.declare_space("U", dim=1)
+    reg.declare_generators("U", ("a", "b"))
+    reg.declare_symbol("A", "U")
+    reg.declare_symbol("B", "U")
+    reg.declare_symbol("mu3", "U", 3)
+    return reg
+
+
+_MONOMIALS = ((), ("A",), ("B",), ("A", "B"), ("mu3",), ("A", "mu3"))
+_coeff_terms = st.lists(
+    st.tuples(st.sampled_from(_MONOMIALS), st.integers(0, 3),
+              st.dictionaries(st.integers(-3, 3), st.integers(-3, 3),
+                              min_size=1, max_size=3)),
+    min_size=1, max_size=5)
+
+
+def _expected_series(reg, terms, k: int) -> list[Motive]:
+    """sum over the terms of coeff . (enumerated series), degree by degree."""
+    want = [Motive.zero(reg, "U") for _ in range(k + 1)]
+    for t in terms:
+        for n, poly in _enumerated_series(t.factors, k).items():
+            want[n] = want[n] + t.coeff.scale(HalfLaurent(poly))
+    return want
+
+
+def _assert_no_stored_zero(series) -> None:
+    for m in series:
+        assert all(c for c in m._flat.values()), m._flat
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(_factor, min_size=1, max_size=3), min_size=1,
+                max_size=3),
+       st.lists(st.tuples(_coeff_terms, st.integers(0, 5)), min_size=1,
+                max_size=5),
+       st.integers(0, 16))
+def test_grouped_expansion_against_enumeration(pool, spec, k):
+    # several-term coefficients over plain and opaque monomials, bundle bits
+    # and L-exponents; a term picks a factor tuple from a small shared pool
+    # (index < len(pool)) or gets one of its own, so RationalMotive merges
+    # some terms and the degrees add others on the same (monomial, bits)
+    reg = _grouped_registry()
+    terms = []
+    for i, (cterms, pick) in enumerate(spec):
+        coeff = Motive(reg, "U", [((mon, bits), HalfLaurent(poly))
+                                  for mon, bits, poly in cterms])
+        factors = pool[pick] if pick < len(pool) else [(1 + i % 4, 1 + pick % 3)]
+        terms.append(RatTerm(coeff, tuple(factors)))
+    series = expand_series(RationalMotive("U", terms), k, reg)
+    assert series == _expected_series(reg, terms, k)
+    _assert_no_stored_zero(series)
+
+
+def test_grouped_expansion_drops_cancelled_strata():
+    # c . L^-1 T / (1 - L^-1 T) and -L^-1 c . L^-1 T^2 / (1 - L^-1 T^2) cancel
+    # at T^2, where a third stratum leaves [mu3] L^-2 on another group
+    reg = _grouped_registry()
+    c = Motive(reg, "U", [((("A",), 1), ONE), (((), 0), ONE - HALF)])
+    mu3 = symbol_motive(reg, "mu3")
+    terms = [RatTerm(c, ((1, 1),)),
+             RatTerm(c.scale(HalfLaurent.power(-2, -1)), ((2, 1),)),
+             RatTerm(mu3, ((2, 2),))]
+    series = expand_series(RationalMotive("U", terms), 6, reg)
+    assert series[2] == mu3.scale(HalfLaurent.power(-4))
+    assert series[2]._flat == {(("mu3",), 0, -4): 1}
+    assert series == _expected_series(reg, terms, 6)
+    _assert_no_stored_zero(series)
+    # without the third stratum the whole degree cancels
+    series = expand_series(RationalMotive("U", terms[:2]), 2, reg)
+    assert series[2].is_zero() and series[2]._flat == {}
+
+
+# -- the nearby cycle against its definition ----------------------------------------------------
+
+
+def _nearby_by_definition(r) -> Motive:
+    """Minus the large-T limit: each zeta term's coefficient times
+    (-1)^(m+1), m its number of factors."""
+    want = Motive.zero(r.registry, r.space_u0)
+    for t in zeta_function(r).terms:
+        want = want + t.coeff.scale((-1) ** (len(t.factors) + 1))
+    return want
+
+
+def _fixture_resolutions():
+    for name in fixtures.FIXTURE_NAMES:
+        job = parse_job(fixtures.load_fixture_job(name))
+        if job.kind == "resolution":
+            yield name, job.payload
+        elif job.kind == "arc-check":
+            yield name, job.payload[1]
+    _, plain, twisted = fixtures.cylinder_pair()
+    yield "cylinder_plain", plain
+    yield "cylinder_twisted", twisted
+
+
+@pytest.mark.parametrize("res", [pytest.param(res, id=name) for name, res
+                                 in _fixture_resolutions()])
+def test_nearby_cycle_is_its_definition_on_fixtures(res):
+    assert nearby_cycle(res) == _nearby_by_definition(res)
+
+
+def _nearby_registry() -> Registry:
+    reg = Registry()
+    reg.declare_space("U", dim=3)
+    reg.declare_generators("U", ("p", "q"))
+    reg.declare_symbol("A", "U")
+    reg.declare_symbol("mu3", "U", 3)
+    reg.declare_symbol("mu4", "U", 4)
+    return reg
+
+
+@st.composite
+def resolutions(draw):
+    """Resolution data over ``_nearby_registry``: divisors with N in 1..4 and
+    nu in 1..3 (repeated (N, nu) pairs allowed, so zeta terms merge), a class
+    per drawn stratum whose visible monodromy fits its cover order, and,
+    now and then, one broken invariant."""
+    reg = _nearby_registry()
+    divisors = [Divisor(f"E{i}", draw(st.integers(1, 4)), draw(st.integers(1, 3)))
+                for i in range(draw(st.integers(1, 4)))]
+    strata = {}
+    for mask in range(1, 1 << len(divisors)):
+        if not draw(st.booleans()):
+            continue
+        picked = [d for i, d in enumerate(divisors) if mask >> i & 1]
+        m = 0
+        for d in picked:
+            m = gcd(m, d.N)
+        terms = [(((("A",) * draw(st.integers(0, 1))), 0),
+                  HalfLaurent.power(2 * draw(st.integers(-2, 2)),
+                                    draw(st.integers(-2, 2))))]
+        if m == 2:
+            terms.append((((), draw(st.integers(0, 3))),
+                          HalfLaurent.power(draw(st.integers(-3, 3)))))
+        if m >= 3:
+            terms.append(((("mu3" if m == 3 else "mu4",), draw(st.integers(0, 3))),
+                          HalfLaurent.power(draw(st.integers(-3, 3)),
+                                            draw(st.sampled_from([-1, 1])))))
+        strata[frozenset(d.id for d in picked)] = Stratum(
+            Motive(reg, "U", terms), m)
+    res = ResolutionData(reg, "U", 3, divisors, strata)
+    broken = draw(st.sampled_from(["none"] * 4 + ["order", "boundary", "constant"]))
+    if broken == "order" and strata:
+        key = next(iter(strata))
+        strata[key] = Stratum(strata[key].cls, strata[key].cover_order + 1)
+    elif broken == "boundary":
+        res.divisors[0] = Divisor("E0", divisors[0].N + 1, 1, boundary=True)
+    elif broken == "constant":
+        res.constant = True
+    return res
+
+
+@settings(max_examples=80, deadline=None)
+@given(resolutions())
+def test_nearby_cycle_is_its_definition(res):
+    diags = validate_resolution(res)
+    if diags:
+        with pytest.raises(ValidationFailed) as exc:
+            nearby_cycle(res)
+        assert exc.value.diagnostics == diags
+        return
+    assert nearby_cycle(res) == _nearby_by_definition(res)
+
+
+def test_nearby_cycle_of_constant_data():
+    reg = _nearby_registry()
+    res = ResolutionData(reg, "U", 3, constant=True)
+    assert nearby_cycle(res).is_zero() and _nearby_by_definition(res).is_zero()
+    bad = ResolutionData(reg, "U", 3, [Divisor("E1", 1, 1)], constant=True)
+    with pytest.raises(ValidationFailed) as exc:
+        nearby_cycle(bad)
+    assert exc.value.diagnostics == validate_resolution(bad) == [
+        "constant-function data cannot carry divisors"]

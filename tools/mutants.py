@@ -76,6 +76,13 @@ MUTANTS = [
     Mutant("series_memo_shared_across_calls", "zeta", "expand_series",
            "memo: dict = {}",
            "memo = expand_series.__dict__.setdefault('memo', {})", (ZETA,)),
+    Mutant("series_flatten_keeps_zeros", "zeta", "expand_series",
+           "{(mon, bits, e): c for (mon, bits), sums in acc.items() "
+           "for e, c in sums.items() if c}",
+           "{(mon, bits, e): c for (mon, bits), sums in acc.items() "
+           "for e, c in sums.items()}", (ZETA,)),
+    Mutant("nearby_sign_flipped", "zeta", "_restricted_sum",
+           "HalfLaurent({0: 1, 2: -1})", "HalfLaurent({0: -1, 2: 1})", (ZETA,)),
     Mutant("factor_series_skips_first", "zeta", "_factor_series",
            "j = first", "j = first + 1", (ZETA,)),
     Mutant("factor_series_strict_bound", "zeta", "_factor_series",
