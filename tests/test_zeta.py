@@ -360,14 +360,15 @@ def test_inverse_series_constant_term_is_minus_nearby():
 # -- grouped expansion ---------------------------------------------------------------------
 
 
-def _grouped_registry() -> Registry:
-    """Space U with two generators, two plain symbols and an opaque mu3."""
+def _registry() -> Registry:
+    """Space U with two generators, two plain symbols and opaque mu3, mu4."""
     reg = Registry()
-    reg.declare_space("U", dim=1)
+    reg.declare_space("U", dim=3)
     reg.declare_generators("U", ("a", "b"))
     reg.declare_symbol("A", "U")
     reg.declare_symbol("B", "U")
     reg.declare_symbol("mu3", "U", 3)
+    reg.declare_symbol("mu4", "U", 4)
     return reg
 
 
@@ -404,7 +405,7 @@ def test_grouped_expansion_against_enumeration(pool, spec, k):
     # and L-exponents; a term picks a factor tuple from a small shared pool
     # (index < len(pool)) or gets one of its own, so RationalMotive merges
     # some terms and the degrees add others on the same (monomial, bits)
-    reg = _grouped_registry()
+    reg = _registry()
     terms = []
     for i, (cterms, pick) in enumerate(spec):
         coeff = Motive(reg, "U", [((mon, bits), HalfLaurent(poly))
@@ -419,7 +420,7 @@ def test_grouped_expansion_against_enumeration(pool, spec, k):
 def test_grouped_expansion_drops_cancelled_strata():
     # c . L^-1 T / (1 - L^-1 T) and -L^-1 c . L^-1 T^2 / (1 - L^-1 T^2) cancel
     # at T^2, where a third stratum leaves [mu3] L^-2 on another group
-    reg = _grouped_registry()
+    reg = _registry()
     c = Motive(reg, "U", [((("A",), 1), ONE), (((), 0), ONE - HALF)])
     mu3 = symbol_motive(reg, "mu3")
     terms = [RatTerm(c, ((1, 1),)),
@@ -465,23 +466,13 @@ def test_nearby_cycle_is_its_definition_on_fixtures(res):
     assert nearby_cycle(res) == _nearby_by_definition(res)
 
 
-def _nearby_registry() -> Registry:
-    reg = Registry()
-    reg.declare_space("U", dim=3)
-    reg.declare_generators("U", ("p", "q"))
-    reg.declare_symbol("A", "U")
-    reg.declare_symbol("mu3", "U", 3)
-    reg.declare_symbol("mu4", "U", 4)
-    return reg
-
-
 @st.composite
 def resolutions(draw):
-    """Resolution data over ``_nearby_registry``: divisors with N in 1..4 and
+    """Resolution data over ``_registry``: divisors with N in 1..4 and
     nu in 1..3 (repeated (N, nu) pairs allowed, so zeta terms merge), a class
     per drawn stratum whose visible monodromy fits its cover order, and,
     now and then, one broken invariant."""
-    reg = _nearby_registry()
+    reg = _registry()
     divisors = [Divisor(f"E{i}", draw(st.integers(1, 4)), draw(st.integers(1, 3)))
                 for i in range(draw(st.integers(1, 4)))]
     strata = {}
@@ -529,7 +520,7 @@ def test_nearby_cycle_is_its_definition(res):
 
 
 def test_nearby_cycle_of_constant_data():
-    reg = _nearby_registry()
+    reg = _registry()
     res = ResolutionData(reg, "U", 3, constant=True)
     assert nearby_cycle(res).is_zero() and _nearby_by_definition(res).is_zero()
     bad = ResolutionData(reg, "U", 3, [Divisor("E1", 1, 1)], constant=True)
