@@ -17,16 +17,17 @@ Z2-covers never appear: they are eagerly rewritten to
 ``1 - L^(1/2) . Y(p)`` at construction time.
 
 :class:`HalfLaurent` is the coefficient type at the boundary.  The
-constructor accepts ``((monomial, bits), HalfLaurent)`` terms and checks
-each distinct key once; ``terms()`` groups the flat dict back into that
-shape, sorted.  Every operation works on the flat dicts and accumulates
-plain integers.  Products group each operand by monomial once, so the
-opacity check and the monomial merge run once per monomial pair.  When one
-factor is a single term ``c . L^(k/2) . [m] . Y(b)`` (a twist by ``Y(b)``,
-say), the product relabels the other factor's keys: adding ``k``, XOR with
-``b`` and union with ``m`` are injective, and ``c`` times a nonzero integer
-is nonzero, so no keys collide, nothing accumulates and no zero is left to
-sweep.
+constructor takes ``((monomial, bits), coeff)`` terms, ``coeff`` a
+``HalfLaurent`` or ``(k2, c)`` integer pairs; it sorts each monomial,
+checks each distinct key once, adds repeats and drops zero sums.
+``terms()`` groups the flat dict back into sorted ``HalfLaurent`` terms.
+Every operation works on the flat dicts and accumulates plain integers.
+Products group each operand by monomial once, so the opacity check and the
+monomial merge run once per monomial pair.  When one factor is a single
+term ``c . L^(k/2) . [m] . Y(b)`` (a twist by ``Y(b)``, say), the product
+relabels the other factor's keys: adding ``k``, XOR with ``b`` and union
+with ``m`` are injective, and ``c`` times a nonzero integer is nonzero, so
+no keys collide, nothing accumulates and no zero is left to sweep.
 
 The product of two terms that both carry opaque monodromy of order >= 2 is
 outside the fragment and raises :class:`OdotUndecidable` instead of
@@ -48,6 +49,7 @@ from .halflaurent import HalfLaurent
 from .registry import Morphism, Registry
 
 TermKey = tuple[tuple[str, ...], int]
+Coeff = HalfLaurent | Iterable[tuple[int, int]]
 # (monomial, bundle bits, doubled exponent of L) -> nonzero integer
 Flat = dict[tuple[tuple[str, ...], int, int], int]
 
@@ -58,7 +60,7 @@ class Motive:
     __slots__ = ("reg", "space", "_flat")
 
     def __init__(self, reg: Registry, space: str,
-                 terms: Mapping[TermKey, HalfLaurent] | Iterable[tuple[TermKey, HalfLaurent]] = ()):
+                 terms: Mapping[TermKey, Coeff] | Iterable[tuple[TermKey, Coeff]] = ()):
         reg.space(space)
         self.reg = reg
         self.space = space
@@ -70,7 +72,7 @@ class Motive:
             if (mon, bits) not in checked:
                 self._check_term(reg, space, mon, bits)
                 checked.add((mon, bits))
-            for k2, c in coeff.items():
+            for k2, c in (coeff.items() if isinstance(coeff, HalfLaurent) else coeff):
                 key = (mon, bits, k2)
                 v = flat.get(key, 0) + c
                 if v:

@@ -161,7 +161,7 @@ class Registry:
 
     def generator_index(self, space: str, name: str) -> int:
         try:
-            return self._index[space][name]
+            return _get(self._index, space, "space")[name]
         except KeyError:
             raise RegistryError(f"unknown bundle generator {name!r} on {space!r}") from None
 

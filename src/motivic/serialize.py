@@ -36,6 +36,8 @@ RESULT_SCHEMA = "motivic.result/1"
 # -- motives ----------------------------------------------------------------
 
 
+# No motive passes through these two: ``perfbench/spantrace.py`` wraps them
+# by name, so they stay until its span table drops them.
 def coeff_to_json(c: HalfLaurent) -> list[list[int]]:
     return [[k, v] for k, v in c.items()]
 
@@ -50,17 +52,18 @@ def motive_to_json(m: Motive) -> dict[str, Any]:
         terms.append({
             "monomial": list(mon),
             "bundle": list(m.reg.names_of(m.space, bits)),
-            "coeff": coeff_to_json(coeff),
+            "coeff": [[k, c] for k, c in coeff.items()],
         })
     return {"space": m.space, "terms": terms}
 
 
 def motive_from_json(reg: Registry, data) -> Motive:
+    """One pass: the checking constructor sorts, adds repeats, drops zeros."""
     space = data["space"]
     items = []
     for t in data["terms"]:
         key = (tuple(t["monomial"]), reg.bits_of(space, t["bundle"]))
-        items.append((key, coeff_from_json(t["coeff"])))
+        items.append((key, [(int(k), int(c)) for k, c in t["coeff"]]))
     return Motive(reg, space, items)
 
 
@@ -74,6 +77,32 @@ def _opt_motive_from_json(reg, data):
 
 def bundle_to_json(reg: Registry, b: BundleClass) -> list[str]:
     return list(reg.names_of(b.space, b.bits))
+
+
+def _keyed(entries, field: str, where: str, build) -> dict:
+    """``{key: build(entry)}`` over a list keyed by ``field``, a divisor list
+    by its set; each repeated key is one validation diagnostic."""
+    table: dict = {}
+    repeated = []
+    for e in entries:
+        key = frozenset(e[field]) if isinstance(e[field], list) else e[field]
+        if key in table:
+            repeated.append(f"duplicate {field} {e[field]!r} in {where}")
+        else:
+            table[key] = build(e)
+    if repeated:
+        raise ValidationFailed(repeated)
+    return table
+
+
+def _classes_to_json(classes: dict) -> list[dict[str, Any]]:
+    return [{"divisors": sorted(k), "class": motive_to_json(v)}
+            for k, v in sorted(classes.items(), key=lambda kv: sorted(kv[0]))]
+
+
+def _classes_from_json(reg: Registry, owner, where: str) -> dict:
+    return _keyed(owner.get("classes", ()), "divisors", f"classes of {where}",
+                  lambda e: motive_from_json(reg, e["class"]))
 
 
 # -- registry -----------------------------------------------------------------
@@ -174,14 +203,10 @@ def resolution_to_json(r: ResolutionData) -> dict[str, Any]:
         values.append({
             "value": c, "space": table.space,
             "ambient": _opt_motive_to_json(table.ambient),
-            "classes": [{"divisors": sorted(k), "class": motive_to_json(v)}
-                        for k, v in sorted(table.classes.items(),
-                                           key=lambda kv: sorted(kv[0]))],
+            "classes": _classes_to_json(table.classes),
         })
     points = [{"label": lbl, "value": pt.value,
-               "classes": [{"divisors": sorted(k), "class": motive_to_json(v)}
-                           for k, v in sorted(pt.classes.items(),
-                                              key=lambda kv: sorted(kv[0]))]}
+               "classes": _classes_to_json(pt.classes)}
               for lbl, pt in sorted(r.points.items())]
     return {"kind": "resolution", "space_u0": r.space_u0, "dim_u": r.dim_u,
             "divisors": [{"id": d.id, "N": d.N, "nu": d.nu,
@@ -196,27 +221,20 @@ def resolution_from_json(reg: Registry, data) -> ResolutionData:
 
     divisors = [Divisor(d["id"], d["N"], d["nu"], d.get("boundary", False))
                 for d in data["divisors"]]
-    strata = {frozenset(s["divisors"]): Stratum(
-        motive_from_json(reg, s["class"]), s["cover_order"])
-        for s in data["strata"]}
-    critical_values = []
-    restrictions = {}
-    for v in data.get("critical_values", ()):
-        critical_values.append(v["value"])
-        if v.get("space") is None:
-            continue
-        restrictions[v["value"]] = RestrictionTable(
+    strata = _keyed(data["strata"], "divisors", "strata", lambda s: Stratum(
+        motive_from_json(reg, s["class"]), s["cover_order"]))
+    tables = _keyed(
+        data.get("critical_values", ()), "value", "critical_values",
+        lambda v: None if v.get("space") is None else RestrictionTable(
             reg.space(v["space"]).name,
-            {frozenset(e["divisors"]): motive_from_json(reg, e["class"])
-             for e in v.get("classes", ())},
-            _opt_motive_from_json(reg, v.get("ambient")))
-    points = {p["label"]: PointTable(
-        p["value"],
-        {frozenset(e["divisors"]): motive_from_json(reg, e["class"])
-         for e in p.get("classes", ())})
-        for p in data.get("points", ())}
+            _classes_from_json(reg, v, f"critical value {v['value']!r}"),
+            _opt_motive_from_json(reg, v.get("ambient"))))
+    points = _keyed(data.get("points", ()), "label", "points",
+                    lambda p: PointTable(p["value"], _classes_from_json(
+                        reg, p, f"point {p['label']!r}")))
     return ResolutionData(reg, data["space_u0"], data["dim_u"], divisors,
-                          strata, critical_values or ["0"], restrictions,
+                          strata, list(tables) or ["0"],
+                          {c: t for c, t in tables.items() if t is not None},
                           points, data.get("constant", False))
 
 
@@ -310,7 +328,7 @@ def _undeclared_regions(data, regions: dict[str, str]) -> list[str]:
 def atlas_from_json(reg: Registry, data) -> Atlas:
     from .dcrit import Atlas, CriticalChart, OverlapDatum, ScissorPiece
 
-    regions = {r["name"]: r["space"] for r in data["regions"]}
+    regions = _keyed(data["regions"], "name", "regions", lambda r: r["space"])
     undeclared = _undeclared_regions(data, regions)
     if undeclared:
         raise ValidationFailed(undeclared)

@@ -1,5 +1,6 @@
 """CLI surface: output text, exit-code contract, determinism, round-trips."""
 
+import copy
 import json
 import os
 import subprocess
@@ -143,8 +144,9 @@ def test_undeclared_region_exit_code(tmp_path, capsys):
     assert "validation: overlap cA|cB on undeclared region 'R_gone'" in err
 
 
-def _z2_with_stratum(space=None, monomial=None):
-    job = fixtures.load_fixture_job("z2")
+def _with_stratum(name, space=None, monomial=None):
+    """The fixture job with its first stratum class changed."""
+    job = fixtures.load_fixture_job(name)
     cls = job["payload"]["strata"][0]["class"]
     if space is not None:
         cls["space"] = space
@@ -192,8 +194,10 @@ def _ts_with_stratum_symbol():
 
 
 @pytest.mark.parametrize("command,job,message", [
-    ("nearby", _z2_with_stratum(space="NOWHERE"), "unknown space 'NOWHERE'"),
-    ("nearby", _z2_with_stratum(monomial=["nosym"]), "unknown symbol 'nosym'"),
+    ("nearby", _with_stratum("z2", space="NOWHERE"), "unknown space 'NOWHERE'"),
+    ("nearby", _with_stratum("x2y", space="NOWHERE"),
+     "unknown space 'NOWHERE'"),
+    ("nearby", _with_stratum("z2", monomial=["nosym"]), "unknown symbol 'nosym'"),
     ("vanishing",
      _fixture_with("x2y", "critical_values", 0, "space", "NOWHERE"),
      "unknown space 'NOWHERE'"),
@@ -213,9 +217,9 @@ def _ts_with_stratum_symbol():
     ("arc-check",
      _fixture_with("arc_z3", "monomial", "cover_symbols", {"three": "mu3"}),
      "cover_symbols key 'three' is not an integer order"),
-], ids=["space", "symbol", "critical_value_space", "base_space",
-        "unit_generator", "cover_symbol", "product", "default_cover_symbol",
-        "stratum_symbol_in_product", "cover_symbol_key"])
+], ids=["space", "space_with_bundle", "symbol", "critical_value_space",
+        "base_space", "unit_generator", "cover_symbol", "product",
+        "default_cover_symbol", "stratum_symbol_in_product", "cover_symbol_key"])
 def test_unknown_space_or_symbol_exit_code(tmp_path, capsys, command, job,
                                            message):
     path = tmp_path / "dangling.json"
@@ -223,6 +227,60 @@ def test_unknown_space_or_symbol_exit_code(tmp_path, capsys, command, job,
     code, out, err = run(capsys, command, "--job", str(path))
     assert code == 2 and out == ""
     assert err == f"validation: {message}\n"
+
+
+def _with_repeat(name, path, index, first):
+    """The fixture job with entry ``index`` of the list at ``payload[path]``
+    repeated at the front or the end; a repeated class is scaled by 7, so
+    which entry wins would change the output."""
+    job = fixtures.load_fixture_job(name)
+    entries = job["payload"]
+    for step in path:
+        entries = entries[step]
+    repeat = copy.deepcopy(entries[index])
+    for term in repeat.get("class", {}).get("terms", ()):
+        term["coeff"] = [[k, 7 * c] for k, c in term["coeff"]]
+    entries.insert(0 if first else len(entries), repeat)
+    return job
+
+
+@pytest.mark.parametrize("first", [False, True], ids=["last", "first"])
+@pytest.mark.parametrize("name,path,index,message", [
+    ("x2y_plane", ("strata",), 0, "duplicate divisors ['Ex'] in strata"),
+    ("x2y_plane", ("critical_values", 0, "classes"), 1,
+     "duplicate divisors ['Ex', 'Ey'] in classes of critical value '0'"),
+    ("x2y_plane", ("points", 0, "classes"), 2,
+     "duplicate divisors ['Ey'] in classes of point 'origin'"),
+    ("x2y_plane", ("points",), 1, "duplicate label 'x0' in points"),
+    ("x2y", ("critical_values",), 0, "duplicate value '0' in critical_values"),
+    ("atlas_cylinder", ("regions",), 0, "duplicate name 'R' in regions"),
+], ids=["strata", "critical_value_classes", "point_classes", "points",
+        "critical_values", "regions"])
+def test_repeated_key_exit_code(tmp_path, capsys, name, path, index, message,
+                                first):
+    job = _with_repeat(name, path, index, first)
+    command = "glue" if job["payload"]["kind"] == "atlas" else "nearby"
+    job_path = tmp_path / "repeated.json"
+    job_path.write_text(json.dumps(job), encoding="utf-8")
+    code, out, err = run(capsys, command, "--job", str(job_path))
+    assert code == 2 and out == ""
+    assert err == f"validation: {message}\n"
+
+
+def test_each_repeated_key_is_one_diagnostic(tmp_path, capsys):
+    # a divisor list keys by its set, so ["Ey", "Ex"] repeats ["Ex", "Ey"]
+    job = fixtures.load_fixture_job("x2y_plane")
+    strata = job["payload"]["strata"]
+    strata.append(copy.deepcopy(strata[0]))
+    strata.append(dict(copy.deepcopy(strata[1]), divisors=["Ey", "Ex"]))
+    strata.append(copy.deepcopy(strata[0]))
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(job), encoding="utf-8")
+    code, out, err = run(capsys, "zeta", "--job", str(path))
+    assert code == 2 and out == ""
+    assert err == ("validation: duplicate divisors ['Ex'] in strata\n"
+                   "validation: duplicate divisors ['Ey', 'Ex'] in strata\n"
+                   "validation: duplicate divisors ['Ex'] in strata\n")
 
 
 # one shipped fixture of each payload kind

@@ -6,11 +6,12 @@ from functools import cache
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from motivic import (MotivicError, Registry, RegistryError, ValidationFailed,
-                     fixtures, pullback, symbol_motive)
+from motivic import (HalfLaurent, Motive, MotivicError, Registry,
+                     RegistryError, ValidationFailed, fixtures, pullback,
+                     symbol_motive)
 from motivic.jobs import job_validator, parse_job
 from motivic.schemas import JOB, MOTIVE, all_schemas, write_schema_files
 from motivic.serialize import (atlas_from_json, atlas_to_json,
@@ -41,6 +42,81 @@ def test_motive_json_is_deterministic(ring_registry):
         a = json.dumps(motive_to_json(m), sort_keys=True)
         b = json.dumps(motive_to_json(m.normalized()), sort_keys=True)
         assert a == b
+
+
+@cache
+def _loader_registry() -> Registry:
+    """Two plain symbols, one opaque one and three generators on ``S``."""
+    reg = Registry()
+    reg.declare_space("S", dim=2)
+    reg.declare_generators("S", ("g0", "g1", "g2"))
+    for name, order in (("A", 1), ("B", 1), ("w3", 3)):
+        reg.declare_symbol(name, "S", order)
+    reg.freeze()
+    return reg
+
+
+def _reference_load(reg, doc) -> Motive:
+    """Reference loader: each coefficient a checked ``HalfLaurent``, then
+    the checking ``Motive`` constructor."""
+    space = doc["space"]
+    return Motive(reg, space, [
+        ((tuple(t["monomial"]), reg.bits_of(space, t["bundle"])),
+         HalfLaurent((int(k), int(c)) for k, c in t["coeff"]))
+        for t in doc["terms"]])
+
+
+# few exponents, monomials and bundles, so that exponents and (monomial,
+# bundle) entries repeat and cancel; some coefficients are integral floats
+_pairs = st.lists(st.tuples(st.integers(-3, 3), st.one_of(
+    st.integers(-2, 2), st.integers(-2, 2).map(float))), max_size=5)
+_terms = st.fixed_dictionaries({
+    "monomial": st.lists(st.sampled_from(("A", "B", "w3")), max_size=3),
+    "bundle": st.lists(st.sampled_from(("g0", "g1", "g2")), max_size=2,
+                       unique=True),
+    "coeff": _pairs.map(lambda pairs: [list(p) for p in pairs])})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_terms, max_size=6).map(
+    lambda terms: {"space": "S", "terms": terms}))
+@example({"space": "S", "terms": [
+    {"monomial": ["B", "A"], "bundle": ["g1"], "coeff": [[0, 1], [0, 2]]},
+    {"monomial": ["A", "B"], "bundle": ["g1"], "coeff": [[0, 1.0], [2, 1]]},
+    {"monomial": [], "bundle": [], "coeff": [[1, 1], [1, -1], [3, 0]]}]})
+def test_motive_from_json_matches_halflaurent_reference(doc):
+    reg = _loader_registry()
+    loaded = motive_from_json(reg, doc)
+    assert loaded == _reference_load(reg, doc)
+    assert 0 not in loaded._flat.values()
+    assert all(list(mon) == sorted(mon) for mon, _, _ in loaded._flat)
+    assert motive_to_json(motive_from_json(reg, motive_to_json(loaded))) \
+        == motive_to_json(loaded)
+
+
+def test_motive_from_json_builds_no_halflaurent(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("the loader built a HalfLaurent")
+
+    reg = _loader_registry()
+    doc = {"space": "S", "terms": [
+        {"monomial": ["B", "A"], "bundle": ["g0", "g2"],
+         "coeff": [[1, 2], [-1, 3], [1, -2]]},
+        {"monomial": ["w3"], "bundle": [], "coeff": [[0, 5]]}]}
+    monkeypatch.setattr(HalfLaurent, "__init__", refuse)
+    loaded = motive_from_json(reg, doc)
+    monkeypatch.undo()
+    assert loaded == _reference_load(reg, doc)
+
+
+def test_motive_from_json_refuses_a_stored_cover_symbol():
+    reg = parse_job(fixtures.load_fixture_job("x2y")).registry
+    sym = reg.symbols["cov_y"]
+    assert sym.cover_bits is not None
+    doc = {"space": sym.space, "terms": [
+        {"monomial": ["cov_y"], "bundle": [], "coeff": [[0, 1]]}]}
+    with pytest.raises(RegistryError, match="cover symbol 'cov_y' must be"):
+        motive_from_json(reg, doc)
 
 
 def test_registry_round_trip_cylinder():

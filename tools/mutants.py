@@ -47,6 +47,8 @@ class Mutant:
 
 FLAT = "tests/test_motive_flat.py"
 ZETA = "tests/test_zeta.py"
+LOADER = ("tests/test_serialize.py::"
+          "test_motive_from_json_matches_halflaurent_reference")
 
 MUTANTS = [
     Mutant("product_or_for_xor", "motive", "_product",
@@ -144,6 +146,22 @@ MUTANTS = [
            "(outer, inner)", "(outer,)",
            ("tests/test_transport.py::"
             "test_pullback_along_composite_is_pullback_of_pullback",)),
+    Mutant("loader_keeps_last_exponent", "serialize", "motive_from_json",
+           "[(int(k), int(c)) for k, c in t['coeff']]",
+           "list({int(k): int(c) for k, c in t['coeff']}.items())", (LOADER,)),
+    Mutant("constructor_overwrites_repeats", "motive", "Motive.__init__",
+           "flat.get(key, 0) + c", "c", (LOADER,)),
+    Mutant("constructor_keeps_monomial_order", "motive", "Motive.__init__",
+           "mon = tuple(sorted(mon))", "mon = tuple(mon)", (LOADER,)),
+    Mutant("keyed_skips_duplicate_check", "serialize", "_keyed",
+           "if key in table:\n"
+           "    repeated.append(f'duplicate {field} {e[field]!r} in {where}')\n"
+           "else:\n    table[key] = build(e)", "table[key] = build(e)",
+           ("tests/test_cli.py::test_repeated_key_exit_code",)),
+    Mutant("unknown_space_named_as_generator", "registry",
+           "Registry.generator_index",
+           "_get(self._index, space, 'space')[name]", "self._index[space][name]",
+           ("tests/test_cli.py::test_unknown_space_or_symbol_exit_code",)),
     Mutant("glue_skips_transport_check", "dcrit", "glue",
            "if lift_a != lift_b:\n    raise DescentFailure(label, lift_a.text(), "
            "lift_b.text(), 'transported chart classes disagree')", "pass",
