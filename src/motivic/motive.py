@@ -17,17 +17,17 @@ Z2-covers never appear: they are eagerly rewritten to
 ``1 - L^(1/2) . Y(p)`` at construction time.
 
 :class:`HalfLaurent` is the coefficient type at the boundary.  The
-constructor takes ``((monomial, bits), coeff)`` terms, ``coeff`` a
-``HalfLaurent`` or ``(k2, c)`` integer pairs; it sorts each monomial,
-checks each distinct key once, adds repeats and drops zero sums.
-``terms()`` groups the flat dict back into sorted ``HalfLaurent`` terms.
-Every operation works on the flat dicts and accumulates plain integers.
-Products group each operand by monomial once, so the opacity check and the
-monomial merge run once per monomial pair.  When one factor is a single
-term ``c . L^(k/2) . [m] . Y(b)`` (a twist by ``Y(b)``, say), the product
-relabels the other factor's keys: adding ``k``, XOR with ``b`` and union
-with ``m`` are injective, and ``c`` times a nonzero integer is nonzero, so
-no keys collide, nothing accumulates and no zero is left to sweep.
+constructor accepts ``((monomial, bits), coeff)`` terms, ``coeff`` a
+``HalfLaurent`` or plain-``int`` ``(k2, c)`` pairs or dict, and checks
+each distinct key once; ``terms()`` groups the flat dict back into that
+shape, sorted.  Every operation works on the flat dicts and accumulates
+plain integers.  Products group each operand by monomial once, so the
+opacity check and the monomial merge run once per monomial pair.  When one
+factor is a single term ``c . L^(k/2) . [m] . Y(b)`` (a twist by ``Y(b)``,
+say), the product relabels the other factor's keys: adding ``k``, XOR with
+``b`` and union with ``m`` are injective, and ``c`` times a nonzero integer
+is nonzero, so no keys collide, nothing accumulates and no zero is left to
+sweep.
 
 The product of two terms that both carry opaque monodromy of order >= 2 is
 outside the fragment and raises :class:`OdotUndecidable` instead of
@@ -49,7 +49,7 @@ from .halflaurent import HalfLaurent
 from .registry import Morphism, Registry
 
 TermKey = tuple[tuple[str, ...], int]
-Coeff = HalfLaurent | Iterable[tuple[int, int]]
+Coeff = HalfLaurent | Mapping[int, int] | Iterable[tuple[int, int]]
 # (monomial, bundle bits, doubled exponent of L) -> nonzero integer
 Flat = dict[tuple[tuple[str, ...], int, int], int]
 
@@ -72,7 +72,10 @@ class Motive:
             if (mon, bits) not in checked:
                 self._check_term(reg, space, mon, bits)
                 checked.add((mon, bits))
-            for k2, c in (coeff.items() if isinstance(coeff, HalfLaurent) else coeff):
+            plain = not isinstance(coeff, HalfLaurent)
+            for k2, c in (coeff.items() if isinstance(coeff, (HalfLaurent, Mapping)) else coeff):
+                if plain and (type(k2) is not int or type(c) is not int):
+                    raise TypeError("a coefficient wants integer exponent keys and coefficients")
                 key = (mon, bits, k2)
                 v = flat.get(key, 0) + c
                 if v:

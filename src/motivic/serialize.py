@@ -36,14 +36,12 @@ RESULT_SCHEMA = "motivic.result/1"
 # -- motives ----------------------------------------------------------------
 
 
-# No motive passes through these two: ``perfbench/spantrace.py`` wraps them
-# by name, so they stay until its span table drops them.
 def coeff_to_json(c: HalfLaurent) -> list[list[int]]:
     return [[k, v] for k, v in c.items()]
 
 
-def coeff_from_json(data) -> HalfLaurent:
-    return HalfLaurent((int(k), int(v)) for k, v in data)
+def coeff_from_json(data) -> list[tuple[int, int]]:
+    return [(int(k), int(v)) for k, v in data]
 
 
 def motive_to_json(m: Motive) -> dict[str, Any]:
@@ -52,18 +50,17 @@ def motive_to_json(m: Motive) -> dict[str, Any]:
         terms.append({
             "monomial": list(mon),
             "bundle": list(m.reg.names_of(m.space, bits)),
-            "coeff": [[k, c] for k, c in coeff.items()],
+            "coeff": coeff_to_json(coeff),
         })
     return {"space": m.space, "terms": terms}
 
 
 def motive_from_json(reg: Registry, data) -> Motive:
-    """One pass: the checking constructor sorts, adds repeats, drops zeros."""
     space = data["space"]
     items = []
     for t in data["terms"]:
         key = (tuple(t["monomial"]), reg.bits_of(space, t["bundle"]))
-        items.append((key, [(int(k), int(c)) for k, c in t["coeff"]]))
+        items.append((key, coeff_from_json(t["coeff"])))
     return Motive(reg, space, items)
 
 
@@ -79,17 +76,23 @@ def bundle_to_json(reg: Registry, b: BundleClass) -> list[str]:
     return list(reg.names_of(b.space, b.bits))
 
 
-def _keyed(entries, field: str, where: str, build) -> dict:
-    """``{key: build(entry)}`` over a list keyed by ``field``, a divisor list
-    by its set; each repeated key is one validation diagnostic."""
+def _keyed(entries, field: str, where: str, build, key=lambda v: v) -> dict:
+    """``{key(entry[field]): build(entry)}``.  Each repeated key is one
+    validation diagnostic; those an entry's own lists raise are collected
+    too, so one run reports every repeat in the list and in its entries."""
     table: dict = {}
+    seen = set()
     repeated = []
     for e in entries:
-        key = frozenset(e[field]) if isinstance(e[field], list) else e[field]
-        if key in table:
+        k = key(e[field])
+        if k in seen:
             repeated.append(f"duplicate {field} {e[field]!r} in {where}")
-        else:
-            table[key] = build(e)
+            continue
+        seen.add(k)
+        try:
+            table[k] = build(e)
+        except ValidationFailed as inner:
+            repeated.extend(inner.diagnostics)
     if repeated:
         raise ValidationFailed(repeated)
     return table
@@ -102,7 +105,7 @@ def _classes_to_json(classes: dict) -> list[dict[str, Any]]:
 
 def _classes_from_json(reg: Registry, owner, where: str) -> dict:
     return _keyed(owner.get("classes", ()), "divisors", f"classes of {where}",
-                  lambda e: motive_from_json(reg, e["class"]))
+                  lambda e: motive_from_json(reg, e["class"]), frozenset)
 
 
 # -- registry -----------------------------------------------------------------
@@ -222,7 +225,7 @@ def resolution_from_json(reg: Registry, data) -> ResolutionData:
     divisors = [Divisor(d["id"], d["N"], d["nu"], d.get("boundary", False))
                 for d in data["divisors"]]
     strata = _keyed(data["strata"], "divisors", "strata", lambda s: Stratum(
-        motive_from_json(reg, s["class"]), s["cover_order"]))
+        motive_from_json(reg, s["class"]), s["cover_order"]), frozenset)
     tables = _keyed(
         data.get("critical_values", ()), "value", "critical_values",
         lambda v: None if v.get("space") is None else RestrictionTable(

@@ -283,6 +283,24 @@ def test_each_repeated_key_is_one_diagnostic(tmp_path, capsys):
                    "validation: duplicate divisors ['Ex'] in strata\n")
 
 
+def test_repeated_keys_at_both_levels(tmp_path, capsys):
+    # a repeat inside a point's classes does not hide a later repeated label
+    job = fixtures.load_fixture_job("x2y_plane")
+    points = job["payload"]["points"]
+    classes = points[0]["classes"]
+    classes.append(copy.deepcopy(classes[0]))
+    points.append(copy.deepcopy(points[1]))
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(job), encoding="utf-8")
+    code, out, err = run(capsys, "nearby", "--job", str(path))
+    assert code == 2 and out == ""
+    divisors = classes[0]["divisors"]
+    assert err == (
+        f"validation: duplicate divisors {divisors!r} in classes of point "
+        "'origin'\n"
+        "validation: duplicate label 'x0' in points\n")
+
+
 # one shipped fixture of each payload kind
 KIND_FIXTURES = {"resolution": "z2", "arc-check": "arc_z2", "atlas": "atlas_z2",
                  "fixedpoints": "localize_z1z2", "ts": "ts_z2_10"}

@@ -109,6 +109,22 @@ def test_motive_from_json_builds_no_halflaurent(monkeypatch):
     assert loaded == _reference_load(reg, doc)
 
 
+@pytest.mark.parametrize("pairs", [[(0, 1.5)], [(0.5, 1)], [(0, 1.0)],
+                                   {0: 1.5}, [(0, True)]],
+                         ids=["float_coeff", "float_exponent",
+                              "integral_float", "dict", "bool"])
+def test_motive_refuses_non_integer_pairs(pairs):
+    reg = _loader_registry()
+    with pytest.raises(TypeError, match="integer exponent keys and coeff"):
+        Motive(reg, "S", [((("A",), 0), pairs)])
+
+
+def test_motive_takes_a_dict_of_integers_as_coefficient():
+    reg = _loader_registry()
+    assert Motive(reg, "S", [((("A",), 0), {0: 2, 3: -1})]) \
+        == Motive(reg, "S", [((("A",), 0), HalfLaurent({0: 2, 3: -1}))])
+
+
 def test_motive_from_json_refuses_a_stored_cover_symbol():
     reg = parse_job(fixtures.load_fixture_job("x2y")).registry
     sym = reg.symbols["cov_y"]

@@ -146,18 +146,26 @@ MUTANTS = [
            "(outer, inner)", "(outer,)",
            ("tests/test_transport.py::"
             "test_pullback_along_composite_is_pullback_of_pullback",)),
-    Mutant("loader_keeps_last_exponent", "serialize", "motive_from_json",
-           "[(int(k), int(c)) for k, c in t['coeff']]",
-           "list({int(k): int(c) for k, c in t['coeff']}.items())", (LOADER,)),
+    Mutant("loader_keeps_last_exponent", "serialize", "coeff_from_json",
+           "[(int(k), int(v)) for k, v in data]",
+           "list({int(k): int(v) for k, v in data}.items())", (LOADER,)),
     Mutant("constructor_overwrites_repeats", "motive", "Motive.__init__",
            "flat.get(key, 0) + c", "c", (LOADER,)),
     Mutant("constructor_keeps_monomial_order", "motive", "Motive.__init__",
            "mon = tuple(sorted(mon))", "mon = tuple(mon)", (LOADER,)),
     Mutant("keyed_skips_duplicate_check", "serialize", "_keyed",
-           "if key in table:\n"
+           "if k in seen:\n"
            "    repeated.append(f'duplicate {field} {e[field]!r} in {where}')\n"
-           "else:\n    table[key] = build(e)", "table[key] = build(e)",
+           "    continue", "pass",
            ("tests/test_cli.py::test_repeated_key_exit_code",)),
+    Mutant("keyed_drops_inner_diagnostics", "serialize", "_keyed",
+           "repeated.extend(inner.diagnostics)", "raise",
+           ("tests/test_cli.py::test_repeated_keys_at_both_levels",)),
+    Mutant("constructor_skips_integer_check", "motive", "Motive.__init__",
+           "if plain and (type(k2) is not int or type(c) is not int):\n"
+           "    raise TypeError('a coefficient wants integer exponent keys and "
+           "coefficients')", "pass",
+           ("tests/test_serialize.py::test_motive_refuses_non_integer_pairs",)),
     Mutant("unknown_space_named_as_generator", "registry",
            "Registry.generator_index",
            "_get(self._index, space, 'space')[name]", "self._index[space][name]",
