@@ -30,7 +30,7 @@ from typing import Optional
 from .bundles import BundleClass, bundle_pullback
 from .errors import (DescentFailure, MissingScissorTable, OrientationMissing,
                      ValidationFailed)
-from .motive import Motive, mot_sum, pullback, upsilon
+from .motive import Flat, Motive, _add_scaled, _check_operand, pullback, upsilon
 from .registry import POINT, Registry
 
 
@@ -241,22 +241,34 @@ def glue(atlas: Atlas) -> GlobalMotive:
 
 
 def pushforward_to_point(atlas: Atlas, glued: GlobalMotive) -> Motive:
-    """Absolute class: sum the disjointified pieces through scissor tables."""
+    """Absolute class: sum the disjointified pieces through scissor tables.
+
+    One pass over each piece's region value in flat form: a term
+    ``c . L^(k/2) . [mon] . Y(bits)`` adds ``sign . c . L^(k/2)`` times the
+    entry of ``(mon, bits)`` into one accumulator, and a sum that cancels
+    drops its key.  Pieces are read in order.  Before a piece adds
+    anything, its distinct ``(mon, bits)`` keys are checked in sorted
+    order, so the first key with no entry raises
+    :class:`MissingScissorTable`, and an entry from another registry or
+    space raises as a summand would.
+    """
     reg = atlas.registry
     if atlas.scissor is None:
         raise MissingScissorTable("atlas declares no scissor table")
-
-    def terms():
-        for piece in atlas.scissor:
-            if piece.region not in glued.values:
+    acc: Flat = {}
+    for piece in atlas.scissor:
+        if piece.region not in glued.values:
+            raise MissingScissorTable(
+                f"scissor piece over unglued region {piece.region!r}")
+        flat = glued.values[piece.region]._flat
+        entries = piece.entries
+        for mon, bits in sorted({(mon, bits) for mon, bits, _ in flat}):
+            entry = entries.get((mon, bits))
+            if entry is None:
                 raise MissingScissorTable(
-                    f"scissor piece over unglued region {piece.region!r}")
-            for (mon, bits), coeff in glued.values[piece.region].terms():
-                entry = piece.entries.get((mon, bits))
-                if entry is None:
-                    raise MissingScissorTable(
-                        f"region {piece.region!r}: no scissor entry for term "
-                        f"({mon}, bits={bits})")
-                yield entry, coeff * piece.sign
-
-    return mot_sum(reg, POINT, terms())
+                    f"region {piece.region!r}: no scissor entry for term "
+                    f"({mon}, bits={bits})")
+            _check_operand(reg, POINT, entry)
+        for (mon, bits, k), c in flat.items():
+            _add_scaled(acc, entries[mon, bits]._flat, ((k, piece.sign * c),))
+    return Motive._wrap(reg, POINT, acc)

@@ -13,7 +13,7 @@ from typing import Any
 # (see tests/test_cli.py::test_import_of_cli_loads_jsonschema).
 import jsonschema
 
-from .errors import RegistryError, ValidationFailed
+from .errors import RegistryError, SpaceMismatch, ValidationFailed
 from .registry import Registry
 from .schemas import JOB
 from .serialize import (atlas_from_json, fixedpoints_from_json,
@@ -65,7 +65,8 @@ def parse_job(data: dict) -> Job:
     """Validate a job document against the schema and build its objects.
 
     Unknown spaces, symbols or generators in a schema-valid job are
-    validation errors too.
+    validation errors too, and so is a symbol used on a space it does not
+    live on.
     """
     exc = jsonschema.exceptions.best_match(job_validator().iter_errors(data))
     if exc is not None:
@@ -74,7 +75,7 @@ def parse_job(data: dict) -> Job:
     try:
         reg = registry_from_json(data["registry"])
         kind, parsed = _build_payload(reg, data["payload"])
-    except RegistryError as err:
+    except (RegistryError, SpaceMismatch) as err:
         raise ValidationFailed([str(err)]) from None
     return Job(reg, kind, parsed, dict(data.get("params", {})))
 

@@ -76,17 +76,21 @@ def bundle_to_json(reg: Registry, b: BundleClass) -> list[str]:
     return list(reg.names_of(b.space, b.bits))
 
 
-def _keyed(entries, field: str, where: str, build, key=lambda v: v) -> dict:
-    """``{key(entry[field]): build(entry)}``.  Each repeated key is one
-    validation diagnostic; those an entry's own lists raise are collected
+def _keyed(entries, fields, where: str, build, key=None) -> dict:
+    """``{key(entry): build(entry)}``.  ``fields`` names the field, or the
+    tuple of fields, that an entry is keyed by; ``key`` defaults to the
+    value of the one field.  Each repeated key is one validation diagnostic
+    that shows those fields; those an entry's own lists raise are collected
     too, so one run reports every repeat in the list and in its entries."""
+    names = (fields,) if isinstance(fields, str) else fields
     table: dict = {}
     seen = set()
     repeated = []
     for e in entries:
-        k = key(e[field])
+        k = e[fields] if key is None else key(e)
         if k in seen:
-            repeated.append(f"duplicate {field} {e[field]!r} in {where}")
+            shown = " and ".join(f"{f} {e[f]!r}" for f in names)
+            repeated.append(f"duplicate {shown} in {where}")
             continue
         seen.add(k)
         try:
@@ -98,6 +102,13 @@ def _keyed(entries, field: str, where: str, build, key=lambda v: v) -> dict:
     return table
 
 
+def _term_key(reg: Registry, space: str, e) -> tuple[tuple[str, ...], int]:
+    """The (sorted monomial, bundle bits) of a table entry over ``space``;
+    a pushforward entry flagged ``cover`` has the monomial ``__cover__``."""
+    mon = ("__cover__",) if e.get("cover") else tuple(sorted(e["monomial"]))
+    return mon, reg.bits_of(space, e["bundle"])
+
+
 def _classes_to_json(classes: dict) -> list[dict[str, Any]]:
     return [{"divisors": sorted(k), "class": motive_to_json(v)}
             for k, v in sorted(classes.items(), key=lambda kv: sorted(kv[0]))]
@@ -105,7 +116,8 @@ def _classes_to_json(classes: dict) -> list[dict[str, Any]]:
 
 def _classes_from_json(reg: Registry, owner, where: str) -> dict:
     return _keyed(owner.get("classes", ()), "divisors", f"classes of {where}",
-                  lambda e: motive_from_json(reg, e["class"]), frozenset)
+                  lambda e: motive_from_json(reg, e["class"]),
+                  lambda e: frozenset(e["divisors"]))
 
 
 # -- registry -----------------------------------------------------------------
@@ -169,15 +181,18 @@ def registry_from_json(data) -> Registry:
     for p in data.get("products", ()):
         reg.declare_product(p["name"], p["left"], p["right"])
     for mor in data.get("morphisms", ()):
-        pull_symbols = {e["symbol"]: motive_from_json(reg, e["image"])
-                        for e in mor.get("pull_symbols", ())}
-        pull_bundles = {e["generator"]: reg.bits_of(mor["source"], e["image"])
-                        for e in mor.get("pull_bundles", ())}
-        push_classes = {}
-        for e in mor.get("push_classes", ()):
-            mon = ("__cover__",) if e.get("cover") else tuple(e["monomial"])
-            bits = reg.bits_of(mor["source"], e["bundle"])
-            push_classes[(mon, bits)] = motive_from_json(reg, e["image"])
+        source, where = mor["source"], f"of morphism {mor['name']!r}"
+        pull_symbols = _keyed(mor.get("pull_symbols", ()), "symbol",
+                              f"pull_symbols {where}",
+                              lambda e: motive_from_json(reg, e["image"]))
+        pull_bundles = _keyed(mor.get("pull_bundles", ()), "generator",
+                              f"pull_bundles {where}",
+                              lambda e: reg.bits_of(source, e["image"]))
+        push_classes = _keyed(
+            mor.get("push_classes", ()), ("monomial", "bundle"),
+            f"push_classes {where}",
+            lambda e: motive_from_json(reg, e["image"]),
+            lambda e: _term_key(reg, source, e))
         reg.declare_morphism(mor["name"], mor["source"], mor["target"],
                              mor.get("kind", "general"), pull_symbols,
                              pull_bundles, push_classes)
@@ -225,7 +240,8 @@ def resolution_from_json(reg: Registry, data) -> ResolutionData:
     divisors = [Divisor(d["id"], d["N"], d["nu"], d.get("boundary", False))
                 for d in data["divisors"]]
     strata = _keyed(data["strata"], "divisors", "strata", lambda s: Stratum(
-        motive_from_json(reg, s["class"]), s["cover_order"]), frozenset)
+        motive_from_json(reg, s["class"]), s["cover_order"]),
+        lambda s: frozenset(s["divisors"]))
     tables = _keyed(
         data.get("critical_values", ()), "value", "critical_values",
         lambda v: None if v.get("space") is None else RestrictionTable(
@@ -355,9 +371,11 @@ def atlas_from_json(reg: Registry, data) -> Atlas:
         scissor = []
         for p in data["scissor"]:
             sp = regions[p["region"]]
-            entries = {(tuple(e["monomial"]), reg.bits_of(sp, e["bundle"])):
-                       motive_from_json(reg, e["class"])
-                       for e in p["entries"]}
+            entries = _keyed(
+                p["entries"], ("monomial", "bundle"),
+                f"scissor entries of region {p['region']!r}",
+                lambda e: motive_from_json(reg, e["class"]),
+                lambda e: _term_key(reg, sp, e))
             scissor.append(ScissorPiece(p["region"], entries, p.get("sign", 1)))
     return Atlas(reg, regions, charts, overlaps, data.get("oriented", True),
                  scissor)

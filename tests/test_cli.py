@@ -155,6 +155,15 @@ def _with_stratum(name, space=None, monomial=None):
     return job
 
 
+def _x2y_with_misplaced_symbol():
+    """x2y with its first stratum class moved to ``GmW`` and its ``p1`` term
+    made the monomial ``Pfib``, a symbol declared on ``Gm``."""
+    job = _with_stratum("x2y", space="GmW")
+    term = job["payload"]["strata"][0]["class"]["terms"][1]
+    term["monomial"], term["bundle"] = ["Pfib"], []
+    return job
+
+
 def _fixture_with(name, *path_and_value):
     """The fixture job with ``payload[path...] = value`` set."""
     job = fixtures.load_fixture_job(name)
@@ -217,9 +226,12 @@ def _ts_with_stratum_symbol():
     ("arc-check",
      _fixture_with("arc_z3", "monomial", "cover_symbols", {"three": "mu3"}),
      "cover_symbols key 'three' is not an integer order"),
+    ("nearby", _x2y_with_misplaced_symbol(),
+     "symbol 'Pfib' lives on 'Gm', not on 'GmW'"),
 ], ids=["space", "space_with_bundle", "symbol", "critical_value_space",
         "base_space", "unit_generator", "cover_symbol", "product",
-        "default_cover_symbol", "stratum_symbol_in_product", "cover_symbol_key"])
+        "default_cover_symbol", "stratum_symbol_in_product", "cover_symbol_key",
+        "symbol_on_another_space"])
 def test_unknown_space_or_symbol_exit_code(tmp_path, capsys, command, job,
                                            message):
     path = tmp_path / "dangling.json"
@@ -254,8 +266,10 @@ def _with_repeat(name, path, index, first):
     ("x2y_plane", ("points",), 1, "duplicate label 'x0' in points"),
     ("x2y", ("critical_values",), 0, "duplicate value '0' in critical_values"),
     ("atlas_cylinder", ("regions",), 0, "duplicate name 'R' in regions"),
+    ("atlas_cylinder", ("scissor", 0, "entries"), 0,
+     "duplicate monomial [] and bundle [] in scissor entries of region 'R'"),
 ], ids=["strata", "critical_value_classes", "point_classes", "points",
-        "critical_values", "regions"])
+        "critical_values", "regions", "scissor_entries"])
 def test_repeated_key_exit_code(tmp_path, capsys, name, path, index, message,
                                 first):
     job = _with_repeat(name, path, index, first)
@@ -299,6 +313,49 @@ def test_repeated_keys_at_both_levels(tmp_path, capsys):
         f"validation: duplicate divisors {divisors!r} in classes of point "
         "'origin'\n"
         "validation: duplicate label 'x0' in points\n")
+
+
+def _image(space):
+    return {"space": space,
+            "terms": [{"monomial": [], "bundle": [], "coeff": [[0, 1]]}]}
+
+
+@pytest.mark.parametrize("table,entries,repeats", [
+    ("pull_symbols", [{"symbol": "Pfib", "image": _image("GmW")}] * 3,
+     ["symbol 'Pfib'"] * 2),
+    ("pull_bundles", [{"generator": "p1", "image": []}] * 3,
+     ["generator 'p1'"] * 2),
+    # a pushforward entry keys by its sorted monomial
+    ("push_classes", [{"monomial": m, "bundle": [], "image": _image("Gm")}
+                      for m in (["Pfib", "cov_y"], ["cov_y", "Pfib"],
+                                ["Pfib", "cov_y"])],
+     ["monomial ['cov_y', 'Pfib'] and bundle []",
+      "monomial ['Pfib', 'cov_y'] and bundle []"]),
+    ("push_classes",
+     [{"monomial": [], "bundle": [], "cover": True, "image": _image("Gm")}] * 3,
+     ["monomial [] and bundle []"] * 2),
+], ids=["pull_symbols", "pull_bundles", "push_classes", "push_classes_cover"])
+def test_repeated_morphism_table_key_exit_code(tmp_path, capsys, table,
+                                               entries, repeats):
+    job = fixtures.load_fixture_job("x2y")
+    job["registry"]["morphisms"][0][table] = entries
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(job), encoding="utf-8")
+    code, out, err = run(capsys, "nearby", "--job", str(path))
+    assert code == 2 and out == ""
+    assert err == "".join(f"validation: duplicate {shown} in {table} of "
+                          "morphism 'sq'\n" for shown in repeats)
+
+
+def test_cover_and_plain_pushforward_entries_are_two_keys(tmp_path, capsys):
+    job = fixtures.load_fixture_job("x2y")
+    job["registry"]["morphisms"][0]["push_classes"] = [
+        {"monomial": [], "bundle": [], "cover": cover, "image": _image("Gm")}
+        for cover in (False, True)]
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps(job), encoding="utf-8")
+    assert run(capsys, "nearby", "--job", str(path)) == run(
+        capsys, "nearby", "--fixture", "x2y")
 
 
 # one shipped fixture of each payload kind

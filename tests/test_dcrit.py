@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motivic import (Atlas, BundleClass, CriticalChart, DescentFailure,
-                     HalfLaurent, MissingScissorTable, Motive,
-                     OrientationMissing, OverlapDatum, Registry, ScissorPiece,
-                     bundle_pullback, check_orientation, fixtures, generator,
-                     glue, pullback, pushforward_to_point, upsilon)
+                     GlobalMotive, HalfLaurent, MissingScissorTable, Motive,
+                     MotivicError, OrientationMissing, OverlapDatum, Registry,
+                     ScissorPiece, bundle_pullback, check_orientation, fixtures,
+                     generator, glue, pullback, pushforward_to_point, upsilon)
+from motivic.motive import mot_sum
 from motivic.registry import POINT
 
 from conftest import random_consistent_atlas
@@ -184,6 +185,110 @@ def test_pushforward_missing_scissor_entry():
                   [ScissorPiece("R", {})])
     with pytest.raises(MissingScissorTable):
         pushforward_to_point(empty, glued)
+
+
+def _regrouped_pushforward(atlas: Atlas, glued: GlobalMotive) -> Motive:
+    """Reference: regroup each region value with ``terms()``, scale each
+    coefficient by the piece sign and add the entries through ``mot_sum``."""
+    reg = atlas.registry
+    if atlas.scissor is None:
+        raise MissingScissorTable("atlas declares no scissor table")
+
+    def terms():
+        for piece in atlas.scissor:
+            if piece.region not in glued.values:
+                raise MissingScissorTable(
+                    f"scissor piece over unglued region {piece.region!r}")
+            for (mon, bits), coeff in glued.values[piece.region].terms():
+                entry = piece.entries.get((mon, bits))
+                if entry is None:
+                    raise MissingScissorTable(
+                        f"region {piece.region!r}: no scissor entry for term "
+                        f"({mon}, bits={bits})")
+                yield entry, coeff * piece.sign
+
+    return mot_sum(reg, POINT, terms())
+
+
+@st.composite
+def scissor_sums(draw):
+    """Glued values on regions ``A`` (over ``U``) and ``B`` (over ``V``) and
+    scissor pieces with signs +-1 over them.  A piece may be repeated with
+    the opposite sign, so that the sum cancels; it may lack the entry of
+    some key, carry an entry over another space or from another registry,
+    or lie over the unglued region ``Z``."""
+    reg = Registry()
+    keys = {}
+    for space in ("U", "V"):
+        reg.declare_space(space, dim=1)
+        reg.declare_generators(space, (f"{space}p", f"{space}q"))
+        reg.declare_symbol(f"S{space}", space)
+        reg.declare_symbol(f"T{space}", space)
+        keys[space] = [(mon, bits) for bits in range(4) for mon in
+                       ((), (f"S{space}",), (f"S{space}", f"T{space}"),
+                        (f"T{space}", f"T{space}"))]
+    coeffs = st.dictionaries(st.integers(-3, 3), st.integers(-3, 3),
+                             min_size=1, max_size=3)
+    regions = {"A": "U", "B": "V"}
+    values = {r: Motive(reg, space, draw(st.lists(
+        st.tuples(st.sampled_from(keys[space]), coeffs), max_size=5)))
+        for r, space in regions.items()}
+    pieces = []
+    for _ in range(draw(st.integers(1, 3))):
+        region = "Z" if draw(st.integers(0, 9)) == 0 else \
+            draw(st.sampled_from(sorted(regions)))
+        entries = {key: Motive(reg, POINT, {((), 0): draw(coeffs)})
+                   for key in keys[regions.get(region, "U")]}
+        used = sorted(key for key, _ in values.get(region, values["A"]).terms())
+        fault = draw(st.sampled_from([None] * 7 + ["missing", "space",
+                                                   "registry"]))
+        if fault and used:
+            key = draw(st.sampled_from(used))
+            if fault == "missing":
+                del entries[key]
+            else:
+                entries[key] = Motive(reg if fault == "space" else Registry(),
+                                      "U" if fault == "space" else POINT)
+        pieces.append(ScissorPiece(region, entries, draw(st.sampled_from((1, -1)))))
+        if draw(st.integers(0, 3)) == 0:
+            pieces.append(ScissorPiece(region, entries, -pieces[-1].sign))
+    scissor = None if draw(st.integers(0, 19)) == 0 else pieces
+    atlas = Atlas(reg, regions, [], [], True, scissor)
+    return atlas, GlobalMotive(values, {}, [])
+
+
+def _outcome(push, atlas, glued):
+    try:
+        total = push(atlas, glued)
+    except MotivicError as exc:
+        return type(exc), str(exc)
+    assert total.reg is atlas.registry and 0 not in total._flat.values()
+    return total.space, total._flat
+
+
+@settings(max_examples=150, deadline=None)
+@given(scissor_sums())
+def test_pushforward_matches_the_regrouped_sum(drawn):
+    # the one flat pass sums what the regrouped terms summed, and it fails
+    # where they failed, with the same exception and message
+    atlas, glued = drawn
+    assert (_outcome(pushforward_to_point, atlas, glued)
+            == _outcome(_regrouped_pushforward, atlas, glued))
+
+
+def test_pushforward_names_the_first_missing_key_in_sorted_order():
+    # the value lists its keys out of sorted order; two of them have no entry
+    reg = Registry()
+    reg.declare_space("U", dim=1)
+    reg.declare_generators("U", ("p", "q"))
+    reg.declare_symbol("S", "U")
+    value = Motive(reg, "U", [((("S",), 0), {0: 1}), (((), 2), {1: 1}),
+                              (((), 1), {0: 1})])
+    piece = ScissorPiece("A", {((), 1): Motive.one(reg, POINT)})
+    atlas = Atlas(reg, {"A": "U"}, [], [], True, [piece])
+    with pytest.raises(MissingScissorTable, match=re.escape(
+            "region 'A': no scissor entry for term ((), bits=2)")):
+        pushforward_to_point(atlas, GlobalMotive({"A": value}, {}, []))
 
 
 def test_overlap_with_restriction_morphisms():

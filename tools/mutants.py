@@ -154,13 +154,25 @@ MUTANTS = [
     Mutant("constructor_keeps_monomial_order", "motive", "Motive.__init__",
            "mon = tuple(sorted(mon))", "mon = tuple(mon)", (LOADER,)),
     Mutant("keyed_skips_duplicate_check", "serialize", "_keyed",
-           "if k in seen:\n"
-           "    repeated.append(f'duplicate {field} {e[field]!r} in {where}')\n"
-           "    continue", "pass",
+           "k in seen", "False",
            ("tests/test_cli.py::test_repeated_key_exit_code",)),
     Mutant("keyed_drops_inner_diagnostics", "serialize", "_keyed",
            "repeated.extend(inner.diagnostics)", "raise",
            ("tests/test_cli.py::test_repeated_keys_at_both_levels",)),
+    Mutant("scissor_entries_last_wins", "serialize", "atlas_from_json",
+           "_keyed(p['entries'], ('monomial', 'bundle'), "
+           "f\"scissor entries of region {p['region']!r}\", "
+           "lambda e: motive_from_json(reg, e['class']), "
+           "lambda e: _term_key(reg, sp, e))",
+           "{_term_key(reg, sp, e): motive_from_json(reg, e['class']) "
+           "for e in p['entries']}",
+           ("tests/test_cli.py::test_repeated_key_exit_code",)),
+    Mutant("parse_job_lets_space_mismatch_escape", "jobs", "parse_job",
+           "(RegistryError, SpaceMismatch)", "RegistryError",
+           ("tests/test_cli.py::test_unknown_space_or_symbol_exit_code",)),
+    Mutant("pushforward_drops_piece_sign", "dcrit", "pushforward_to_point",
+           "piece.sign * c", "c",
+           ("tests/test_dcrit.py::test_pushforward_matches_the_regrouped_sum",)),
     Mutant("constructor_skips_integer_check", "motive", "Motive.__init__",
            "if plain and (type(k2) is not int or type(c) is not int):\n"
            "    raise TypeError('a coefficient wants integer exponent keys and "
