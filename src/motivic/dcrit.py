@@ -30,7 +30,8 @@ from typing import Optional
 from .bundles import BundleClass, bundle_pullback
 from .errors import (DescentFailure, MissingScissorTable, OrientationMissing,
                      ValidationFailed)
-from .motive import Flat, Motive, _add_scaled, _check_operand, pullback, upsilon
+from .motive import (Flat, Motive, _add_scaled, _check_operand, _term_table,
+                     pullback, upsilon)
 from .registry import POINT, Registry
 
 
@@ -62,14 +63,18 @@ class OverlapDatum:
 class ScissorPiece:
     """One piece of a disjointification, with its pushforward table.
 
-    ``entries`` maps term keys (monomial, bundle bits) of the region's value
-    to their absolute classes over the point; sign allows inclusion-exclusion
-    over a region lattice.
+    ``entries`` maps term keys (monomial, bundle bits) of the region's value,
+    monomials sorted on construction, to their absolute classes over the
+    point; sign allows inclusion-exclusion over a region lattice.
     """
 
     region: str
     entries: dict[tuple[tuple[str, ...], int], Motive]
     sign: int = 1
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "entries", _term_table(
+            self.entries, f"region {self.region!r}"))
 
 
 @dataclass

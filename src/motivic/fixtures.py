@@ -17,7 +17,6 @@ Naming conventions used throughout:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,6 +28,7 @@ from .jobs import FIXTURE_NAMES, fixture_path, load_fixture_job  # noqa: F401
 from .localize import FixedComponentDatum
 from .motive import Motive, symbol_motive, upsilon
 from .registry import POINT, Registry
+from .schemas import write_json_files, write_main
 from .zeta import (Divisor, PointTable, ResolutionData, RestrictionTable,
                    Stratum)
 
@@ -389,21 +389,8 @@ def fixture_job(name: str) -> dict:
 
 
 def write_fixture_files(directory) -> None:
-    from pathlib import Path
-
-    out = Path(directory)
-    out.mkdir(parents=True, exist_ok=True)
-    for name in FIXTURE_NAMES:
-        path = out / f"{name}.json"
-        path.write_text(json.dumps(fixture_job(name), indent=1, sort_keys=True)
-                        + "\n", encoding="utf-8")
+    write_json_files(directory, {n: fixture_job(n) for n in FIXTURE_NAMES})
 
 
 if __name__ == "__main__":  # pragma: no cover
-    import sys
-
-    if len(sys.argv) == 3 and sys.argv[1] == "--write":
-        write_fixture_files(sys.argv[2])
-    else:
-        print("usage: python -m motivic.fixtures --write DIR", file=sys.stderr)
-        sys.exit(2)
+    write_main("motivic.fixtures", write_fixture_files)

@@ -215,6 +215,19 @@ def _check_operand(reg: Registry, space: str, other: Motive) -> None:
         raise SpaceMismatch(f"{space!r} vs {other.space!r}")
 
 
+def _term_table(table: Mapping[TermKey, object], owner: str) -> dict:
+    """``table`` keyed as a flat form is: each monomial sorted.  Two keys
+    that name one term raise :class:`RegistryError`."""
+    out: dict = {}
+    for (mon, bits), value in table.items():
+        key = (tuple(sorted(mon)), bits)
+        if key in out:
+            raise RegistryError(f"{owner}: two entries for term "
+                                f"({key[0]}, bits={bits})")
+        out[key] = value
+    return out
+
+
 def _add_scaled(acc: Flat, flat: Flat, coeff: Iterable[tuple[int, int]]) -> None:
     """acc += coeff * flat, where ``coeff`` lists (doubled L-exponent,
     integer) pairs; keys whose sum cancels are dropped."""

@@ -74,7 +74,7 @@ class Morphism:
     pull_symbols: dict[str, object] = field(default_factory=dict)
     # pullback images: target generator name -> bits over source
     pull_bundles: dict[str, int] = field(default_factory=dict)
-    # pushforward images: (monomial, bits) term key -> Motive over target
+    # pushforward images: (sorted monomial, bits) term key -> Motive over target
     push_classes: dict[tuple[tuple[str, ...], int], object] = field(default_factory=dict)
     # a composite: the morphisms to pull along, in order; its tables are empty
     steps: tuple[str, ...] = ()
@@ -220,7 +220,7 @@ class Registry:
                          pull_symbols: Optional[dict[str, object]] = None,
                          pull_bundles: Optional[dict[str, int]] = None,
                          push_classes: Optional[dict] = None) -> Morphism:
-        from .motive import Motive, symbol_motive
+        from .motive import Motive, _term_table, symbol_motive
 
         if kind not in MORPHISM_KINDS:
             raise RegistryError(f"unknown morphism kind {kind!r}")
@@ -239,7 +239,8 @@ class Registry:
                                     f"is not a motive over {source!r}")
             images[sym_name] = image
         mor = Morphism(name, source, target, kind, images,
-                       dict(pull_bundles or {}), dict(push_classes or {}))
+                       dict(pull_bundles or {}),
+                       _term_table(push_classes or {}, f"morphism {name!r}"))
         return self._add(self.morphisms, name, mor,
                          "morphism {!r} already declared")
 

@@ -1,8 +1,10 @@
 """JSON Schemas (draft-07) for every file format the CLI accepts or emits.
 
 The same dictionaries are shipped under ``docs/schemas/`` and honored
-bit-exactly: loaders validate against them and unknown fields are rejected
-through ``additionalProperties: false``.
+bit-exactly: loaders validate against them.  ``_record`` builds every object
+schema, closed with ``additionalProperties: false``, so an unknown field is
+refused at any depth; the one open object is ``monomial.cover_symbols``, a
+map from orders to symbol names.
 
 Shared sub-schemas live once in ``DEFINITIONS`` and are referenced by
 ``$ref``; ``document`` makes a standalone file (``JOB``, ``all_schemas``)
@@ -16,257 +18,143 @@ def _ref(name: str) -> dict:
     return {"$ref": f"#/definitions/{name}"}
 
 
+def _record(required: list[str], **properties) -> dict:
+    """A closed object schema; ``required`` is left out when empty."""
+    return {"type": "object", "additionalProperties": False,
+            **({"required": required} if required else {}),
+            "properties": properties}
+
+
+def _list(items: dict, **extra) -> dict:
+    return {"type": "array", "items": items, **extra}
+
+
+def _or_null(schema: dict) -> dict:
+    return {"oneOf": [{"type": "null"}, schema]}
+
+
+def _int(minimum: int | None = None) -> dict:
+    return {"type": "integer",
+            **({} if minimum is None else {"minimum": minimum})}
+
+
+_STR = {"type": "string"}
+_BOOL = {"type": "boolean"}
+_NAME_LIST = _list(_STR)
+_MOTIVE = _ref("motive")
 _OPT_MOTIVE = _ref("optional_motive")
-_DIV_CLASS = _ref("divisor_class")
+_DIV_CLASSES = _list(_ref("divisor_class"))
 
 
-MOTIVE = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["space", "terms"],
-    "properties": {
-        "space": {"type": "string"},
-        "terms": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "additionalProperties": False,
-                "required": ["monomial", "bundle", "coeff"],
-                "properties": {
-                    "monomial": {"type": "array", "items": {"type": "string"}},
-                    "bundle": {"type": "array", "items": {"type": "string"}},
-                    "coeff": {"type": "array", "items": {
-                        "type": "array", "items": {"type": "integer"},
-                        "minItems": 2, "maxItems": 2}},
-                },
-            },
-        },
-    },
-}
-
-_NAME_LIST = {"type": "array", "items": {"type": "string"}}
+MOTIVE = _record(
+    ["space", "terms"], space=_STR,
+    terms=_list(_record(["monomial", "bundle", "coeff"],
+                        monomial=_NAME_LIST, bundle=_NAME_LIST,
+                        coeff=_list(_list(_int(), minItems=2, maxItems=2)))))
 
 # no ``$id`` here: embedded in ``JOB``, it would become the base of its $refs
-REGISTRY = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["schema"],
-    "properties": {
-        "schema": {"const": "motivic.registry/1"},
-        "spaces": {"type": "array", "items": {
-            "type": "object", "additionalProperties": False,
-            "required": ["name"],
-            "properties": {"name": {"type": "string"},
-                           "dim": {"oneOf": [{"type": "null"},
-                                             {"type": "integer", "minimum": 0}]},
-                           "strata": _NAME_LIST}}},
-        "generators": {"type": "array", "items": {
-            "type": "object", "additionalProperties": False,
-            "required": ["space", "names"],
-            "properties": {"space": {"type": "string"}, "names": _NAME_LIST}}},
-        "symbols": {"type": "array", "items": {
-            "type": "object", "additionalProperties": False,
-            "required": ["name", "space"],
-            "properties": {"name": {"type": "string"},
-                           "space": {"type": "string"},
-                           "order": {"type": "integer", "minimum": 1},
-                           "underlying": _OPT_MOTIVE,
-                           "cover": {"oneOf": [{"type": "null"}, _NAME_LIST]}}}},
-        "morphisms": {"type": "array", "items": {
-            "type": "object", "additionalProperties": False,
-            "required": ["name", "source", "target"],
-            "properties": {
-                "name": {"type": "string"}, "source": {"type": "string"},
-                "target": {"type": "string"},
-                "kind": {"enum": ["open-inclusion", "etale", "to-point",
-                                  "general"]},
-                "pull_symbols": {"type": "array", "items": {
-                    "type": "object", "additionalProperties": False,
-                    "required": ["symbol", "image"],
-                    "properties": {"symbol": {"type": "string"},
-                                   "image": _ref("motive")}}},
-                "pull_bundles": {"type": "array", "items": {
-                    "type": "object", "additionalProperties": False,
-                    "required": ["generator", "image"],
-                    "properties": {"generator": {"type": "string"},
-                                   "image": _NAME_LIST}}},
-                "push_classes": {"type": "array", "items": {
-                    "type": "object", "additionalProperties": False,
-                    "required": ["monomial", "bundle", "image"],
-                    "properties": {"monomial": _NAME_LIST,
-                                   "bundle": _NAME_LIST,
-                                   "cover": {"type": "boolean"},
-                                   "image": _ref("motive")}}},
-            }}},
-        "products": {"type": "array", "items": {
-            "type": "object", "additionalProperties": False,
-            "required": ["name", "left", "right"],
-            "properties": {"name": {"type": "string"},
-                           "left": {"type": "string"},
-                           "right": {"type": "string"}}}},
-        "square_roots": {"type": "array", "items": {
-            "type": "object", "additionalProperties": False,
-            "required": ["space", "line_bundle", "trivialization", "class"],
-            "properties": {"space": {"type": "string"},
-                           "line_bundle": {"type": "string"},
-                           "trivialization": {"type": "string"},
-                           "class": _NAME_LIST}}},
-    },
-}
+REGISTRY = _record(
+    ["schema"],
+    schema={"const": "motivic.registry/1"},
+    spaces=_list(_record(["name"], name=_STR, dim=_or_null(_int(0)),
+                         strata=_NAME_LIST)),
+    generators=_list(_record(["space", "names"], space=_STR,
+                             names=_NAME_LIST)),
+    symbols=_list(_record(["name", "space"], name=_STR, space=_STR,
+                          order=_int(1), underlying=_OPT_MOTIVE,
+                          cover=_or_null(_NAME_LIST))),
+    morphisms=_list(_record(
+        ["name", "source", "target"], name=_STR, source=_STR, target=_STR,
+        kind={"enum": ["open-inclusion", "etale", "to-point", "general"]},
+        pull_symbols=_list(_record(["symbol", "image"], symbol=_STR,
+                                   image=_MOTIVE)),
+        pull_bundles=_list(_record(["generator", "image"], generator=_STR,
+                                   image=_NAME_LIST)),
+        push_classes=_list(_record(["monomial", "bundle", "image"],
+                                   monomial=_NAME_LIST, bundle=_NAME_LIST,
+                                   cover=_BOOL, image=_MOTIVE)))),
+    products=_list(_record(["name", "left", "right"], name=_STR, left=_STR,
+                           right=_STR)),
+    square_roots=_list(_record(
+        ["space", "line_bundle", "trivialization", "class"], space=_STR,
+        line_bundle=_STR, trivialization=_STR, **{"class": _NAME_LIST})),
+)
 
-RESOLUTION = {
-    "type": "object", "additionalProperties": False,
-    "required": ["kind", "space_u0", "dim_u", "divisors", "strata"],
-    "properties": {
-        "kind": {"const": "resolution"},
-        "space_u0": {"type": "string"},
-        "dim_u": {"type": "integer", "minimum": 1},
-        "divisors": {"type": "array", "items": {
-            "type": "object", "additionalProperties": False,
-            "required": ["id", "N", "nu"],
-            "properties": {"id": {"type": "string"},
-                           "N": {"type": "integer", "minimum": 1},
-                           "nu": {"type": "integer", "minimum": 1},
-                           "boundary": {"type": "boolean"}}}},
-        "strata": {"type": "array", "items": {
-            "type": "object", "additionalProperties": False,
-            "required": ["divisors", "cover_order", "class"],
-            "properties": {"divisors": _NAME_LIST,
-                           "cover_order": {"type": "integer", "minimum": 1},
-                           "class": _ref("motive")}}},
-        "critical_values": {"type": "array", "items": {
-            "type": "object", "additionalProperties": False,
-            "required": ["value"],
-            "properties": {"value": {"type": "string"},
-                           "space": {"oneOf": [{"type": "null"},
-                                               {"type": "string"}]},
-                           "ambient": _OPT_MOTIVE,
-                           "classes": {"type": "array", "items": _DIV_CLASS}}}},
-        "points": {"type": "array", "items": {
-            "type": "object", "additionalProperties": False,
-            "required": ["label", "value", "classes"],
-            "properties": {"label": {"type": "string"},
-                           "value": {"type": "string"},
-                           "classes": {"type": "array", "items": _DIV_CLASS}}}},
-        "constant": {"type": "boolean"},
-    },
-}
+RESOLUTION = _record(
+    ["kind", "space_u0", "dim_u", "divisors", "strata"],
+    kind={"const": "resolution"},
+    space_u0=_STR,
+    dim_u=_int(1),
+    divisors=_list(_record(["id", "N", "nu"], id=_STR, N=_int(1), nu=_int(1),
+                           boundary=_BOOL)),
+    strata=_list(_record(["divisors", "cover_order", "class"],
+                         divisors=_NAME_LIST, cover_order=_int(1),
+                         **{"class": _MOTIVE})),
+    critical_values=_list(_record(["value"], value=_STR,
+                                  space=_or_null(_STR), ambient=_OPT_MOTIVE,
+                                  classes=_DIV_CLASSES)),
+    points=_list(_record(["label", "value", "classes"], label=_STR,
+                         value=_STR, classes=_DIV_CLASSES)),
+    constant=_BOOL,
+)
 
-MONOMIAL = {
-    "type": "object", "additionalProperties": False,
-    "required": ["kind", "exponents", "base_space"],
-    "properties": {
-        "kind": {"const": "monomial"},
-        "exponents": {"type": "array", "items": {"type": "integer",
-                                                 "minimum": 1}},
-        "unit_vars": {"type": "array", "items": {"type": "integer",
-                                                 "minimum": 0}},
-        "base_space": {"type": "string"},
-        "unit_generators": _NAME_LIST,
-        "cover_symbols": {"type": "object",
-                          "additionalProperties": {"type": "string"}},
-    },
-}
+MONOMIAL = _record(
+    ["kind", "exponents", "base_space"],
+    kind={"const": "monomial"},
+    exponents=_list(_int(1)),
+    unit_vars=_list(_int(0)),
+    base_space=_STR,
+    unit_generators=_NAME_LIST,
+    # the one open object: order -> symbol name
+    cover_symbols={"type": "object", "additionalProperties": _STR},
+)
 
-_CHART_MF = {"oneOf": [_ref("motive"), {
-    "type": "object", "additionalProperties": False,
-    "required": ["vanishing_of"],
-    "properties": {"vanishing_of": _ref("resolution"),
-                   "critical_value": {"type": "string"}},
-}]}
+ATLAS = _record(
+    ["kind", "regions", "charts"],
+    kind={"const": "atlas"},
+    regions=_list(_record(["name", "space"], name=_STR, space=_STR)),
+    charts=_list(_record(
+        ["id", "region", "dim_u", "mf", "Q"], id=_STR, region=_STR,
+        dim_u=_int(0),
+        mf={"oneOf": [_MOTIVE, _record(["vanishing_of"],
+                                       vanishing_of=_ref("resolution"),
+                                       critical_value=_STR)]},
+        Q=_NAME_LIST)),
+    overlaps=_list(_record(
+        ["chart_a", "chart_b", "region", "p_a", "p_b", "q_t"],
+        chart_a=_STR, chart_b=_STR, region=_STR, p_a=_NAME_LIST,
+        p_b=_NAME_LIST, q_t=_NAME_LIST, restrict_a=_or_null(_STR),
+        restrict_b=_or_null(_STR), mf_t=_OPT_MOTIVE)),
+    oriented=_BOOL,
+    scissor=_or_null(_list(_record(
+        ["region", "entries"], region=_STR, sign={"enum": [1, -1]},
+        entries=_list(_record(["monomial", "bundle", "class"],
+                              monomial=_NAME_LIST, bundle=_NAME_LIST,
+                              **{"class": _MOTIVE}))))),
+)
 
-ATLAS = {
-    "type": "object", "additionalProperties": False,
-    "required": ["kind", "regions", "charts"],
-    "properties": {
-        "kind": {"const": "atlas"},
-        "regions": {"type": "array", "items": {
-            "type": "object", "additionalProperties": False,
-            "required": ["name", "space"],
-            "properties": {"name": {"type": "string"},
-                           "space": {"type": "string"}}}},
-        "charts": {"type": "array", "items": {
-            "type": "object", "additionalProperties": False,
-            "required": ["id", "region", "dim_u", "mf", "Q"],
-            "properties": {"id": {"type": "string"},
-                           "region": {"type": "string"},
-                           "dim_u": {"type": "integer", "minimum": 0},
-                           "mf": _CHART_MF, "Q": _NAME_LIST}}},
-        "overlaps": {"type": "array", "items": {
-            "type": "object", "additionalProperties": False,
-            "required": ["chart_a", "chart_b", "region", "p_a", "p_b", "q_t"],
-            "properties": {"chart_a": {"type": "string"},
-                           "chart_b": {"type": "string"},
-                           "region": {"type": "string"},
-                           "p_a": _NAME_LIST, "p_b": _NAME_LIST,
-                           "q_t": _NAME_LIST,
-                           "restrict_a": {"oneOf": [{"type": "null"},
-                                                    {"type": "string"}]},
-                           "restrict_b": {"oneOf": [{"type": "null"},
-                                                    {"type": "string"}]},
-                           "mf_t": _OPT_MOTIVE}}},
-        "oriented": {"type": "boolean"},
-        "scissor": {"oneOf": [{"type": "null"}, {"type": "array", "items": {
-            "type": "object", "additionalProperties": False,
-            "required": ["region", "entries"],
-            "properties": {"region": {"type": "string"},
-                           "sign": {"enum": [1, -1]},
-                           "entries": {"type": "array", "items": {
-                               "type": "object",
-                               "additionalProperties": False,
-                               "required": ["monomial", "bundle", "class"],
-                               "properties": {"monomial": _NAME_LIST,
-                                              "bundle": _NAME_LIST,
-                                              "class": _ref("motive")}}}}}}]},
-    },
-}
+FIXEDPOINTS = _record(
+    ["kind", "components"],
+    kind={"const": "fixedpoints"},
+    components=_list(_record(["id", "weights"], id=_STR, weights=_list(_int()),
+                             motive=_OPT_MOTIVE, good=_BOOL,
+                             circle_compact=_BOOL)),
+    direct=_OPT_MOTIVE,
+    direct_atlas=_or_null(_ref("atlas")),
+)
 
-FIXEDPOINTS = {
-    "type": "object", "additionalProperties": False,
-    "required": ["kind", "components"],
-    "properties": {
-        "kind": {"const": "fixedpoints"},
-        "components": {"type": "array", "items": {
-            "type": "object", "additionalProperties": False,
-            "required": ["id", "weights"],
-            "properties": {"id": {"type": "string"},
-                           "weights": {"type": "array",
-                                       "items": {"type": "integer"}},
-                           "motive": _OPT_MOTIVE,
-                           "good": {"type": "boolean"},
-                           "circle_compact": {"type": "boolean"}}}},
-        "direct": _OPT_MOTIVE,
-        "direct_atlas": {"oneOf": [{"type": "null"}, _ref("atlas")]},
-    },
-}
+ARC_CHECK = _record(["kind", "monomial", "resolution"],
+                    kind={"const": "arc-check"}, monomial=_ref("monomial"),
+                    resolution=_ref("resolution"))
 
-ARC_CHECK = {
-    "type": "object", "additionalProperties": False,
-    "required": ["kind", "monomial", "resolution"],
-    "properties": {
-        "kind": {"const": "arc-check"},
-        "monomial": _ref("monomial"),
-        "resolution": _ref("resolution"),
-    },
-}
-
-TS = {
-    "type": "object", "additionalProperties": False,
-    "required": ["kind", "factors"],
-    "properties": {
-        "kind": {"const": "ts"},
-        "factors": {"type": "array", "items": _ref("motive"), "minItems": 1},
-    },
-}
+TS = _record(["kind", "factors"], kind={"const": "ts"},
+             factors=_list(_MOTIVE, minItems=1))
 
 DEFINITIONS = {
     "motive": MOTIVE,
-    "optional_motive": {"oneOf": [{"type": "null"}, _ref("motive")]},
-    "divisor_class": {
-        "type": "object", "additionalProperties": False,
-        "required": ["divisors", "class"],
-        "properties": {"divisors": _NAME_LIST, "class": _ref("motive")},
-    },
+    "optional_motive": _or_null(_MOTIVE),
+    "divisor_class": _record(["divisors", "class"], divisors=_NAME_LIST,
+                             **{"class": _MOTIVE}),
     "resolution": RESOLUTION,
     "monomial": MONOMIAL,
     "atlas": ATLAS,
@@ -293,24 +181,15 @@ def document(schema: dict, id_: str | None = None) -> dict:
     return {**head, **schema, **({"definitions": reached} if reached else {})}
 
 
-JOB = document({
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["schema", "registry", "payload"],
-    "properties": {
-        "schema": {"const": "motivic.job/1"},
-        "registry": REGISTRY,
-        "payload": {"oneOf": [_ref("resolution"), _ref("monomial"),
-                              _ref("atlas"), FIXEDPOINTS, ARC_CHECK, TS]},
-        "params": {
-            "type": "object", "additionalProperties": False,
-            "properties": {
-                "series_order": {"type": "integer", "minimum": 0},
-                "critical_value": {"type": "string"},
-            },
-        },
-    },
-}, "motivic.job/1")
+JOB = document(_record(
+    ["schema", "registry", "payload"],
+    schema={"const": "motivic.job/1"},
+    registry=REGISTRY,
+    payload={"oneOf": [_ref("resolution"), _ref("monomial"), _ref("atlas"),
+                       FIXEDPOINTS, ARC_CHECK, TS]},
+    params=_record([], series_order=_int(0), critical_value=_STR),
+), "motivic.job/1")
+
 
 def all_schemas() -> dict:
     """Every shipped schema document by file name.  Only ``JOB`` is built at
@@ -329,23 +208,33 @@ def all_schemas() -> dict:
     }
 
 
-def write_schema_files(directory) -> None:
+def write_json_files(directory, documents: dict) -> None:
+    """Write each document to ``directory/<name>.json`` as the shipped
+    files are written: indent 1, sorted keys, a final newline."""
     import json
     from pathlib import Path
 
     out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
-    for name, schema in all_schemas().items():
+    for name, doc in documents.items():
         (out / f"{name}.json").write_text(
-            json.dumps(schema, indent=1, sort_keys=True) + "\n",
-            encoding="utf-8")
+            json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 
 
-if __name__ == "__main__":  # pragma: no cover
+def write_main(module: str, write) -> None:
+    """``python -m <module> --write DIR``: call ``write(DIR)``."""
     import sys
 
     if len(sys.argv) == 3 and sys.argv[1] == "--write":
-        write_schema_files(sys.argv[2])
+        write(sys.argv[2])
     else:
-        print("usage: python -m motivic.schemas --write DIR", file=sys.stderr)
+        print(f"usage: python -m {module} --write DIR", file=sys.stderr)
         sys.exit(2)
+
+
+def write_schema_files(directory) -> None:
+    write_json_files(directory, all_schemas())
+
+
+if __name__ == "__main__":  # pragma: no cover
+    write_main("motivic.schemas", write_schema_files)

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from motivic import (Atlas, BundleClass, CriticalChart, DescentFailure,
                      GlobalMotive, HalfLaurent, MissingScissorTable, Motive,
                      MotivicError, OrientationMissing, OverlapDatum, Registry,
-                     ScissorPiece, bundle_pullback, check_orientation, fixtures,
-                     generator, glue, pullback, pushforward_to_point, upsilon)
+                     RegistryError, ScissorPiece, bundle_pullback,
+                     check_orientation, fixtures, generator, glue, pullback,
+                     pushforward_to_point, upsilon)
 from motivic.motive import mot_sum
 from motivic.registry import POINT
 
@@ -289,6 +290,23 @@ def test_pushforward_names_the_first_missing_key_in_sorted_order():
     with pytest.raises(MissingScissorTable, match=re.escape(
             "region 'A': no scissor entry for term ((), bits=2)")):
         pushforward_to_point(atlas, GlobalMotive({"A": value}, {}, []))
+
+
+def test_scissor_entry_monomial_is_sorted():
+    # the entry names [b].[a]; the glued value stores that term as ('a', 'b')
+    reg = Registry()
+    reg.declare_space("U", dim=1)
+    reg.declare_symbol("a", "U")
+    reg.declare_symbol("b", "U")
+    img = Motive.coefficient(reg, POINT, HalfLaurent.const(3))
+    piece = ScissorPiece("R", {(("b", "a"), 0): img})
+    assert piece.entries == {(("a", "b"), 0): img}
+    value = Motive(reg, "U", [((("a", "b"), 0), {0: 1})])
+    atlas = Atlas(reg, {"R": "U"}, [], [], True, [piece])
+    assert pushforward_to_point(atlas, GlobalMotive({"R": value}, {}, [])) == img
+    with pytest.raises(RegistryError, match=re.escape(
+            "region 'R': two entries for term (('a', 'b'), bits=0)")):
+        ScissorPiece("R", {(("b", "a"), 0): img, (("a", "b"), 0): img})
 
 
 def test_overlap_with_restriction_morphisms():

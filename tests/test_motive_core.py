@@ -1,6 +1,7 @@
 """Core ring operations: worked examples frozen first, then randomized laws."""
 
 import random
+import re
 
 import pytest
 
@@ -327,6 +328,26 @@ def test_pushforward_missing_entry(reg):
     reg.declare_morphism("pi3", "X", "K", "to-point", push_classes={})
     with pytest.raises(MissingTransport):
         pushforward(reg, "pi3", Motive.one(reg, "X"))
+
+
+def test_pushforward_table_key_monomial_is_sorted(reg):
+    # the table names [B].[A]; the motive stores that term as ('A', 'B')
+    img = Motive.coefficient(reg, "K", HalfLaurent.const(5))
+    reg.declare_morphism("pi", "X", "K", "to-point",
+                         push_classes={(("B", "A"), 0): img})
+    assert reg.morphism("pi").push_classes == {(("A", "B"), 0): img}
+    ab = symbol_motive(reg, "A").odot(symbol_motive(reg, "B"))
+    assert pushforward(reg, "pi", ab) == img
+
+
+def test_pushforward_table_refuses_two_keys_for_one_term(reg):
+    img = Motive.one(reg, "K")
+    with pytest.raises(RegistryError, match=re.escape(
+            "morphism 'pi': two entries for term (('A', 'B'), bits=0)")):
+        reg.declare_morphism("pi", "X", "K", "to-point",
+                             push_classes={(("B", "A"), 0): img,
+                                           (("A", "B"), 0): img})
+    assert "pi" not in reg.morphisms
 
 
 # -- monodromy forgetting -------------------------------------------------------------

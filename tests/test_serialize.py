@@ -1,7 +1,9 @@
 """Round-trips, schema validation, and fixture-file stability."""
 
+import io
 import json
 import random
+from contextlib import redirect_stderr, redirect_stdout
 from functools import cache
 
 import jsonschema
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from motivic import (HalfLaurent, Motive, MotivicError, Registry,
                      RegistryError, ValidationFailed, fixtures, pullback,
                      symbol_motive)
+from motivic.cli import main
 from motivic.jobs import job_validator, parse_job
 from motivic.schemas import JOB, MOTIVE, all_schemas, write_schema_files
 from motivic.serialize import (atlas_from_json, atlas_to_json,
@@ -448,6 +451,47 @@ def test_unknown_fields_rejected():
     data["payload"]["bogus_field"] = True
     with pytest.raises(ValidationFailed):
         parse_job(data)
+
+
+def test_every_job_object_schema_is_closed():
+    objects = [path for path, node in _nodes(JOB)
+               if isinstance(node, dict) and node.get("type") == "object"]
+    assert len(objects) > 30
+    open_ = [path for path in objects
+             if _at(JOB, path).get("additionalProperties") is not False]
+    assert open_ == [("definitions", "monomial", "properties", "cover_symbols")]
+
+
+@st.composite
+def jobs_with_an_unknown_field(draw):
+    """A shipped fixture job with ``"surprise": 1`` added to one object, at
+    any depth.  The value is an int, so the open ``cover_symbols`` map,
+    whose values are names, refuses it too."""
+    data = fixtures.load_fixture_job(draw(st.sampled_from(fixtures.FIXTURE_NAMES)))
+    objects = [node for _, node in _nodes(data) if isinstance(node, dict)]
+    draw(st.sampled_from(objects))["surprise"] = 1
+    return data
+
+
+# a command that reads each payload kind
+_COMMAND = {"resolution": "zeta", "arc-check": "arc-check", "atlas": "glue",
+            "fixedpoints": "localize", "ts": "ts"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(jobs_with_an_unknown_field())
+def test_unknown_field_is_refused_at_every_depth(tmp_path_factory, data):
+    with pytest.raises(ValidationFailed) as exc:
+        parse_job(data)
+    [diagnostic] = exc.value.diagnostics
+    assert diagnostic.startswith("job schema: ")
+    path = tmp_path_factory.mktemp("surprise") / "job.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([_COMMAND[data["payload"]["kind"]], "--job", str(path)])
+    assert (code, out.getvalue(), err.getvalue()) == \
+        (2, "", f"validation: {diagnostic}\n")
 
 
 def test_schema_files_on_disk_match_definitions():

@@ -6,11 +6,12 @@ selection that must catch it.  An edit replaces the one node whose source
 (as ``ast.unparse`` prints it) equals ``find`` with the node(s) parsed from
 ``replace``; an edit that matches no node, or more than one, is an error.
 
-For each mutant the repository's ``src``, ``tests`` and ``pyproject.toml``
-are copied to a temporary directory, the mutated module is written there,
-and the selection runs in a fresh interpreter.  The mutant is killed when
-pytest reports a failing test (exit status 1).  The script first runs every
-selection on the unmutated copy, which must pass.
+For each mutant the repository's ``src``, ``tests``, ``docs`` and
+``pyproject.toml`` are copied to a temporary directory (the drift tests read
+``docs/schemas``), the mutated module is written there, and the selection
+runs in a fresh interpreter.  The mutant is killed when pytest reports a
+failing test (exit status 1).  The script first runs every selection on the
+unmutated copy, which must pass.
 
     python tools/mutants.py            # all mutants; exit 1 if any survives
     python tools/mutants.py --list     # print the list and check the edits
@@ -125,6 +126,11 @@ MUTANTS = [
            "todo.append(reached[name])", "pass",
            ("tests/test_serialize.py::"
             "test_shipped_schema_definitions_are_closed_and_used",)),
+    Mutant("record_left_open", "schemas", "_record", "False", "True",
+           ("tests/test_serialize.py::"
+            "test_unknown_field_is_refused_at_every_depth",
+            "tests/test_serialize.py::"
+            "test_schema_files_on_disk_match_definitions")),
     Mutant("run_skips_kind_check", "cli", "run",
            "require_kind(job, args.kind)", "pass",
            ("tests/test_cli.py::test_command_refuses_another_payload_kind",)),
@@ -153,6 +159,11 @@ MUTANTS = [
            "flat.get(key, 0) + c", "c", (LOADER,)),
     Mutant("constructor_keeps_monomial_order", "motive", "Motive.__init__",
            "mon = tuple(sorted(mon))", "mon = tuple(mon)", (LOADER,)),
+    Mutant("term_table_keeps_monomial_order", "motive", "_term_table",
+           "tuple(sorted(mon))", "tuple(mon)",
+           ("tests/test_motive_core.py::"
+            "test_pushforward_table_key_monomial_is_sorted",
+            "tests/test_dcrit.py::test_scissor_entry_monomial_is_sorted")),
     Mutant("keyed_skips_duplicate_check", "serialize", "_keyed",
            "k in seen", "False",
            ("tests/test_cli.py::test_repeated_key_exit_code",)),
@@ -256,7 +267,7 @@ def module_path(root: Path, mutant: Mutant) -> Path:
 
 def _copy(dest: Path) -> None:
     ignore = shutil.ignore_patterns("__pycache__", "*.egg-info", ".hypothesis")
-    for name in ("src", "tests"):
+    for name in ("src", "tests", "docs"):
         shutil.copytree(ROOT / name, dest / name, ignore=ignore)
     shutil.copy(ROOT / "pyproject.toml", dest / "pyproject.toml")
 
