@@ -28,13 +28,13 @@ at the first order divisible by ``a``, and shares the exponent rule
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .bundles import BundleClass
 from .errors import UnsupportedShape
 from .halflaurent import HalfLaurent
 from .motive import Motive, symbol_motive, upsilon
-from .registry import Registry
+from .registry import FrozenRecord, Registry, _set
 
 
 @dataclass(frozen=True)
@@ -60,20 +60,22 @@ class MonomialFunction:
         return len(self.exponents)
 
 
-@dataclass(frozen=True)
-class ArcContext:
+class ArcContext(FrozenRecord):
     """Naming conventions tying oracle output to a fixture's vocabulary.
 
     ``unit_generators`` lists, per unit variable in index order, the declared
     square-root generator of that coordinate on ``base_space``;
     ``cover_symbols`` names the registered order-a cover symbols used for
-    a >= 3.
+    a >= 3 (a new empty dict when left out).
     """
 
-    registry: Registry
-    base_space: str
-    unit_generators: tuple[str, ...] = ()
-    cover_symbols: dict[int, str] = field(default_factory=dict)
+    def __init__(self, registry: Registry, base_space: str,
+                 unit_generators: tuple[str, ...] = (),
+                 cover_symbols: dict[int, str] | None = None):
+        _set(self, "registry", registry)
+        _set(self, "base_space", base_space)
+        _set(self, "unit_generators", unit_generators)
+        _set(self, "cover_symbols", {} if cover_symbols is None else cover_symbols)
 
 
 def _single_affine_exponent(f: MonomialFunction) -> int:

@@ -9,17 +9,15 @@ pairs is pure bookkeeping: data are registered once and looked up here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import SpaceMismatch
-from .registry import Registry
+from .registry import FrozenRecord, Registry, _set
 from .render import bundle_text
 
 
-@dataclass(frozen=True)
-class BundleClass:
-    space: str
-    bits: int = 0
+class BundleClass(FrozenRecord):
+    def __init__(self, space: str, bits: int = 0):
+        _set(self, "space", space)
+        _set(self, "bits", bits)
 
     def is_zero(self) -> bool:
         return self.bits == 0

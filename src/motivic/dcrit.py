@@ -24,7 +24,7 @@ each restricts to ``mf_a . Y(P_a) . Y(Q_T)``.  Any failure raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .bundles import BundleClass, bundle_pullback
@@ -32,31 +32,36 @@ from .errors import (DescentFailure, MissingScissorTable, OrientationMissing,
                      ValidationFailed)
 from .motive import (Flat, Motive, _add_scaled, _check_operand, _term_table,
                      pullback, upsilon)
-from .registry import POINT, Registry
+from .registry import POINT, FrozenRecord, Record, Registry, _set
 
 
-@dataclass(frozen=True)
-class CriticalChart:
-    id: str
-    region: str
-    dim_u: int
-    mf: Motive
-    q: BundleClass
+class CriticalChart(FrozenRecord):
+    def __init__(self, id: str, region: str, dim_u: int, mf: Motive,
+                 q: BundleClass):
+        _set(self, "id", id)
+        _set(self, "region", region)
+        _set(self, "dim_u", dim_u)
+        _set(self, "mf", mf)
+        _set(self, "q", q)
 
 
-@dataclass(frozen=True)
-class OverlapDatum:
-    chart_a: str
-    chart_b: str
-    region: str
-    p_a: BundleClass
-    p_b: BundleClass
-    q_t: BundleClass
-    # morphism names restricting each chart's region to the overlap region;
-    # None means the overlap region is the chart's own region
-    restrict_a: Optional[str] = None
-    restrict_b: Optional[str] = None
-    mf_t: Optional[Motive] = None  # optional shared-chart class for extra checks
+class OverlapDatum(FrozenRecord):
+    def __init__(self, chart_a: str, chart_b: str, region: str,
+                 p_a: BundleClass, p_b: BundleClass, q_t: BundleClass,
+                 restrict_a: Optional[str] = None,
+                 restrict_b: Optional[str] = None,
+                 mf_t: Optional[Motive] = None):
+        _set(self, "chart_a", chart_a)
+        _set(self, "chart_b", chart_b)
+        _set(self, "region", region)
+        _set(self, "p_a", p_a)
+        _set(self, "p_b", p_b)
+        _set(self, "q_t", q_t)
+        # morphism names restricting each chart's region to the overlap region;
+        # None means the overlap region is the chart's own region
+        _set(self, "restrict_a", restrict_a)
+        _set(self, "restrict_b", restrict_b)
+        _set(self, "mf_t", mf_t)  # optional shared-chart class for extra checks
 
 
 @dataclass(frozen=True)
@@ -77,14 +82,16 @@ class ScissorPiece:
             self.entries, f"region {self.region!r}"))
 
 
-@dataclass
-class Atlas:
-    registry: Registry
-    regions: dict[str, str]  # region name -> space name
-    charts: list[CriticalChart] = field(default_factory=list)
-    overlaps: list[OverlapDatum] = field(default_factory=list)
-    oriented: bool = True
-    scissor: Optional[list[ScissorPiece]] = None
+class Atlas(Record):
+    def __init__(self, registry: Registry, regions: dict[str, str],
+                 charts: Optional[list[CriticalChart]] = None,
+                 overlaps: Optional[list[OverlapDatum]] = None,
+                 oriented: bool = True,
+                 scissor: Optional[list[ScissorPiece]] = None):
+        self.registry, self.regions = registry, regions  # region -> space name
+        self.charts = [] if charts is None else charts
+        self.overlaps = [] if overlaps is None else overlaps
+        self.oriented, self.scissor = oriented, scissor
 
     def chart_index(self) -> dict[str, CriticalChart]:
         """Chart id -> chart; the first of charts sharing an id wins."""
@@ -122,11 +129,11 @@ class Atlas:
                      self.oriented, self.scissor)
 
 
-@dataclass
-class GlobalMotive:
-    values: dict[str, Motive]
-    provenance: dict[str, str]
-    checked_overlaps: list[str]
+class GlobalMotive(Record):
+    def __init__(self, values: dict[str, Motive], provenance: dict[str, str],
+                 checked_overlaps: list[str]):
+        self.values, self.provenance = values, provenance
+        self.checked_overlaps = checked_overlaps
 
     def __eq__(self, other):
         return (isinstance(other, GlobalMotive) and self.values == other.values

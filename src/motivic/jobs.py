@@ -4,7 +4,6 @@ names and files of the shipped fixture jobs."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import cache
 from typing import Any
 
@@ -14,7 +13,7 @@ from typing import Any
 import jsonschema
 
 from .errors import RegistryError, SpaceMismatch, ValidationFailed
-from .registry import Registry
+from .registry import Record, Registry
 from .schemas import JOB
 from .serialize import (atlas_from_json, fixedpoints_from_json,
                         monomial_from_json, registry_from_json,
@@ -43,12 +42,11 @@ def load_fixture_job(name: str) -> dict:
     return json.loads(fixture_path(name).read_text(encoding="utf-8"))
 
 
-@dataclass
-class Job:
-    registry: Registry
-    kind: str
-    payload: Any
-    params: dict = field(default_factory=dict)
+class Job(Record):
+    def __init__(self, registry: Registry, kind: str, payload: Any,
+                 params: dict | None = None):
+        self.registry, self.kind, self.payload = registry, kind, payload
+        self.params = {} if params is None else params
 
 
 @cache

@@ -13,27 +13,28 @@ recorded as asserted flags on the input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import SpaceMismatch, ZeroWeight
 from .halflaurent import HalfLaurent
 from .motive import Motive, mot_sum
-from .registry import POINT, Registry
+from .registry import POINT, FrozenRecord, Registry, _set
 
 
-@dataclass(frozen=True)
-class FixedComponentDatum:
+class FixedComponentDatum(FrozenRecord):
     """One fixed component: its nonzero tangent weights and absolute class.
 
     ``motive`` None marks an isolated point (class 1 over the point).
     """
 
-    id: str
-    weights: tuple[int, ...]
-    motive: Optional[Motive] = None
-    good: bool = True
-    circle_compact: bool = True
+    def __init__(self, id: str, weights: tuple[int, ...],
+                 motive: Optional[Motive] = None, good: bool = True,
+                 circle_compact: bool = True):
+        _set(self, "id", id)
+        _set(self, "weights", weights)
+        _set(self, "motive", motive)
+        _set(self, "good", good)
+        _set(self, "circle_compact", circle_compact)
 
 
 def virtual_index(weights) -> int:

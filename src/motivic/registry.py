@@ -29,7 +29,6 @@ The absolute point is registered under the name ``"K"`` in every registry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .errors import MissingTransport, RegistryError, UnknownDatum
@@ -39,15 +38,52 @@ POINT = "K"
 MORPHISM_KINDS = ("open-inclusion", "etale", "to-point", "general")
 
 
-@dataclass(frozen=True)
-class Space:
-    name: str
-    dim: Optional[int] = None
-    strata: tuple[str, ...] = ()
+class Record:
+    """A record whose fields are the attributes its ``__init__`` sets, in
+    order, compared and shown as a dataclass is, with no code generated
+    when the class is made.  Every module with a record imports this one."""
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
 
 
-@dataclass(frozen=True)
-class Symbol:
+_set = object.__setattr__
+
+
+class FrozenRecord(Record):
+    """A record hashed by value whose ``__init__`` sets each field once,
+    through ``_set``, as a frozen dataclass's generated ``__init__`` does:
+    its fields read as fast as plain attributes, which a ``NamedTuple``'s
+    do not on CPython 3.11, and the atlas loops read them thousands of
+    times per call."""
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Space(FrozenRecord):
+    def __init__(self, name: str, dim: Optional[int] = None,
+                 strata: tuple[str, ...] = ()):
+        _set(self, "name", name)
+        _set(self, "dim", dim)
+        _set(self, "strata", strata)
+
+
+class Symbol(FrozenRecord):
     """A named monodromic generator over a space.
 
     ``order`` is the order of the cyclic quotient the action factors
@@ -57,39 +93,45 @@ class Symbol:
     class; such symbols are rewritten away at construction time.
     """
 
-    name: str
-    space: str
-    order: int = 1
-    underlying: Optional[object] = None  # Motive; typed loosely to avoid a cycle
-    cover_bits: Optional[int] = None
+    def __init__(self, name: str, space: str, order: int = 1,
+                 underlying: Optional[object] = None,
+                 cover_bits: Optional[int] = None):
+        _set(self, "name", name)
+        _set(self, "space", space)
+        _set(self, "order", order)
+        _set(self, "underlying", underlying)  # Motive; typed loosely to avoid a cycle
+        _set(self, "cover_bits", cover_bits)
 
 
-@dataclass(frozen=True)
-class Morphism:
-    name: str
-    source: str
-    target: str
-    kind: str = "general"
-    # pullback images: target symbol name -> Motive over source
-    pull_symbols: dict[str, object] = field(default_factory=dict)
-    # pullback images: target generator name -> bits over source
-    pull_bundles: dict[str, int] = field(default_factory=dict)
-    # pushforward images: (sorted monomial, bits) term key -> Motive over target
-    push_classes: dict[tuple[tuple[str, ...], int], object] = field(default_factory=dict)
-    # a composite: the morphisms to pull along, in order; its tables are empty
-    steps: tuple[str, ...] = ()
+class Morphism(FrozenRecord):
+    def __init__(self, name: str, source: str, target: str,
+                 kind: str = "general", pull_symbols=None, pull_bundles=None,
+                 push_classes=None, steps: tuple[str, ...] = ()):
+        _set(self, "name", name)
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "kind", kind)
+        # pullback images: target symbol name -> Motive over source
+        _set(self, "pull_symbols", {} if pull_symbols is None else pull_symbols)
+        # pullback images: target generator name -> bits over source
+        _set(self, "pull_bundles", {} if pull_bundles is None else pull_bundles)
+        # pushforward images: (sorted monomial, bits) term key -> Motive over target
+        _set(self, "push_classes", {} if push_classes is None else push_classes)
+        # a composite: the morphisms to pull along, in order; its tables are empty
+        _set(self, "steps", steps)
 
 
-@dataclass(frozen=True)
-class Product:
+class Product(FrozenRecord):
     """A declared product space X x Y with symbol/generator images."""
 
-    name: str
-    left: str
-    right: str
-    # (side, name) -> image name on the product; side is 0 (left) or 1 (right)
-    symbol_images: dict[tuple[int, str], str] = field(default_factory=dict)
-    bundle_images: dict[tuple[int, str], str] = field(default_factory=dict)
+    def __init__(self, name: str, left: str, right: str,
+                 symbol_images=None, bundle_images=None):
+        _set(self, "name", name)
+        _set(self, "left", left)
+        _set(self, "right", right)
+        # (side, name) -> image name on the product; side is 0 (left) or 1 (right)
+        _set(self, "symbol_images", {} if symbol_images is None else symbol_images)
+        _set(self, "bundle_images", {} if bundle_images is None else bundle_images)
 
 
 def _get(table: dict, name: str, what: str):
@@ -202,7 +244,8 @@ class Registry:
         if not underlying.is_plain():
             raise RegistryError(
                 f"underlying class of {name!r} must have trivial monodromy")
-        sym = replace(self.symbol(name), underlying=underlying)
+        sym = self.symbol(name)
+        sym = Symbol(sym.name, sym.space, sym.order, underlying, sym.cover_bits)
         return self._add(self.symbols, name, sym)
 
     def symbol(self, name: str) -> Symbol:

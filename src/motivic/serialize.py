@@ -7,7 +7,7 @@ entries are emitted in canonical order, so equal in-memory values produce
 byte-identical JSON.
 
 Only the ring types are imported at module level.  Each payload builder
-imports the dataclasses it constructs, so parsing a job loads the modules
+imports the records it constructs, so parsing a job loads the modules
 of its own payload kind and no other.
 """
 
@@ -239,18 +239,29 @@ def resolution_from_json(reg: Registry, data) -> ResolutionData:
 
     divisors = [Divisor(d["id"], d["N"], d["nu"], d.get("boundary", False))
                 for d in data["divisors"]]
-    strata = _keyed(data["strata"], "divisors", "strata", lambda s: Stratum(
+    repeated: list[str] = []
+
+    def keyed(*args) -> dict:  # each list is read, so each one's repeats show
+        try:
+            return _keyed(*args)
+        except ValidationFailed as err:
+            repeated.extend(err.diagnostics)
+            return {}
+
+    strata = keyed(data["strata"], "divisors", "strata", lambda s: Stratum(
         motive_from_json(reg, s["class"]), s["cover_order"]),
         lambda s: frozenset(s["divisors"]))
-    tables = _keyed(
+    tables = keyed(
         data.get("critical_values", ()), "value", "critical_values",
         lambda v: None if v.get("space") is None else RestrictionTable(
             reg.space(v["space"]).name,
             _classes_from_json(reg, v, f"critical value {v['value']!r}"),
             _opt_motive_from_json(reg, v.get("ambient"))))
-    points = _keyed(data.get("points", ()), "label", "points",
-                    lambda p: PointTable(p["value"], _classes_from_json(
-                        reg, p, f"point {p['label']!r}")))
+    points = keyed(data.get("points", ()), "label", "points",
+                   lambda p: PointTable(p["value"], _classes_from_json(
+                       reg, p, f"point {p['label']!r}")))
+    if repeated:
+        raise ValidationFailed(repeated)
     return ResolutionData(reg, data["space_u0"], data["dim_u"], divisors,
                           strata, list(tables) or ["0"],
                           {c: t for c, t in tables.items() if t is not None},

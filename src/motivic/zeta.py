@@ -33,37 +33,36 @@ are built once, for the entries that do not cancel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
 from typing import Optional
 
 from .errors import MissingRestriction, ValidationFailed
 from .halflaurent import HalfLaurent
 from .motive import Motive, _by_term, _check_operand, mot_sum
-from .registry import POINT, Registry
+from .registry import POINT, FrozenRecord, Record, Registry, _set
 
 DivKey = frozenset
 
 
-@dataclass(frozen=True)
-class Divisor:
-    id: str
-    N: int
-    nu: int
-    boundary: bool = False  # closure of a component of the zero locus away
-    #                         from the critical locus; forces N = nu = 1
+class Divisor(FrozenRecord):
+    def __init__(self, id: str, N: int, nu: int, boundary: bool = False):
+        _set(self, "id", id)
+        _set(self, "N", N)
+        _set(self, "nu", nu)
+        # closure of a component of the zero locus away from the critical
+        # locus; forces N = nu = 1
+        _set(self, "boundary", boundary)
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(FrozenRecord):
     """Open stratum data for a divisor subset: its cover class and order."""
 
-    cls: Motive
-    cover_order: int
+    def __init__(self, cls: Motive, cover_order: int):
+        _set(self, "cls", cls)
+        _set(self, "cover_order", cover_order)
 
 
-@dataclass(frozen=True)
-class RestrictionTable:
+class RestrictionTable(FrozenRecord):
     """Restrictions of stratum classes to one critical-value slice X_c.
 
     ``ambient`` is the class of X_c written in the same symbol vocabulary as
@@ -72,30 +71,36 @@ class RestrictionTable:
     cancellation happen in normal form.
     """
 
-    space: str
-    classes: dict[DivKey, Motive]
-    ambient: Optional[Motive] = None
+    def __init__(self, space: str, classes: dict[DivKey, Motive],
+                 ambient: Optional[Motive] = None):
+        _set(self, "space", space)
+        _set(self, "classes", classes)
+        _set(self, "ambient", ambient)
 
 
-@dataclass(frozen=True)
-class PointTable:
+class PointTable(FrozenRecord):
     """Point restrictions of every stratum class, over the absolute point."""
 
-    value: str
-    classes: dict[DivKey, Motive]
+    def __init__(self, value: str, classes: dict[DivKey, Motive]):
+        _set(self, "value", value)
+        _set(self, "classes", classes)
 
 
-@dataclass
-class ResolutionData:
-    registry: Registry
-    space_u0: str
-    dim_u: int
-    divisors: list[Divisor] = field(default_factory=list)
-    strata: dict[DivKey, Stratum] = field(default_factory=dict)
-    critical_values: list[str] = field(default_factory=lambda: ["0"])
-    restrictions: dict[str, RestrictionTable] = field(default_factory=dict)
-    points: dict[str, PointTable] = field(default_factory=dict)
-    constant: bool = False
+class ResolutionData(Record):
+    """Divisors, strata classes by divisor set, and restriction tables by
+    critical value and by point label; a list or table left out is a new
+    empty one, and ``critical_values`` then is ``["0"]``."""
+
+    def __init__(self, registry: Registry, space_u0: str, dim_u: int,
+                 divisors=None, strata=None, critical_values=None,
+                 restrictions=None, points=None, constant: bool = False):
+        self.registry, self.space_u0, self.dim_u = registry, space_u0, dim_u
+        self.divisors = [] if divisors is None else divisors
+        self.strata = {} if strata is None else strata
+        self.critical_values = ["0"] if critical_values is None else critical_values
+        self.restrictions = {} if restrictions is None else restrictions
+        self.points = {} if points is None else points
+        self.constant = constant
 
     def divisor(self, did: str) -> Divisor:
         for d in self.divisors:
@@ -104,10 +109,10 @@ class ResolutionData:
         raise KeyError(did)
 
 
-@dataclass(frozen=True)
-class RatTerm:
-    coeff: Motive
-    factors: tuple[tuple[int, int], ...]  # sorted (N, nu) multiset
+class RatTerm(FrozenRecord):
+    def __init__(self, coeff: Motive, factors: tuple[tuple[int, int], ...]):
+        _set(self, "coeff", coeff)
+        _set(self, "factors", factors)  # sorted (N, nu) multiset
 
 
 class RationalMotive:

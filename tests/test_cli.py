@@ -315,6 +315,21 @@ def test_repeated_keys_at_both_levels(tmp_path, capsys):
         "validation: duplicate label 'x0' in points\n")
 
 
+def test_every_resolution_list_reports_its_repeats(tmp_path, capsys):
+    # a repeat in strata does not hide those in critical_values and points
+    job = fixtures.load_fixture_job("x2y")
+    for name in ("strata", "critical_values", "points"):
+        entries = job["payload"][name]
+        entries.append(copy.deepcopy(entries[0]))
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(job), encoding="utf-8")
+    code, out, err = run(capsys, "nearby", "--job", str(path))
+    assert code == 2 and out == ""
+    assert err == ("validation: duplicate divisors ['E1'] in strata\n"
+                   "validation: duplicate value '0' in critical_values\n"
+                   "validation: duplicate label 'y0' in points\n")
+
+
 def _image(space):
     return {"space": space,
             "terms": [{"monomial": [], "bundle": [], "coeff": [[0, 1]]}]}

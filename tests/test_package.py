@@ -1,5 +1,6 @@
 """The package surface, and which modules each entry point loads."""
 
+import json
 import os
 import subprocess
 import sys
@@ -133,3 +134,32 @@ def test_only_selftest_loads_the_fixture_builders(argv, runs):
 def test_selftest_loads_the_fixture_builders():
     loaded = _loaded("-m", "motivic.cli", "selftest", "--machine-readable")
     assert {"fixtures", "selftest"} <= loaded
+
+
+# the dataclasses defined in loaded ``motivic.*`` modules after a command runs
+_DATACLASSES = """
+import dataclasses, json, sys
+from motivic.cli import main
+main(sys.argv[1:])
+print(json.dumps(sorted({
+    name for module, mod in list(sys.modules.items())
+    if module.startswith("motivic.") for name, obj in vars(mod).items()
+    if isinstance(obj, type) and dataclasses.is_dataclass(obj)})))
+"""
+
+
+@pytest.mark.parametrize("argv,allowed", [
+    (("vanishing", "--fixture", "x2y"), set()),
+    (("zeta", "--fixture", "x2_line_blowup"), set()),
+    (("arc-check", "--fixture", "arc_x2y"), {"MonomialFunction"}),
+    (("glue", "--fixture", "atlas_cylinder"), {"ScissorPiece"}),
+    (("localize", "--fixture", "localize_two_points"), {"ScissorPiece"}),
+], ids=["vanishing", "zeta", "arc-check", "glue", "localize"])
+def test_a_command_builds_no_other_dataclass(argv, allowed):
+    # each dataclass costs about a millisecond of code generation per call
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", _DATACLASSES, *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    found = set(json.loads(proc.stdout.splitlines()[-1]))
+    assert found <= allowed

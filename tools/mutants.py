@@ -170,6 +170,14 @@ MUTANTS = [
     Mutant("keyed_drops_inner_diagnostics", "serialize", "_keyed",
            "repeated.extend(inner.diagnostics)", "raise",
            ("tests/test_cli.py::test_repeated_keys_at_both_levels",)),
+    Mutant("resolution_stops_at_first_repeated_list", "serialize",
+           "resolution_from_json", "repeated.extend(err.diagnostics)", "raise",
+           ("tests/test_cli.py::"
+            "test_every_resolution_list_reports_its_repeats",)),
+    Mutant("product_images_share_one_dict", "registry",
+           "Registry.declare_product", "Product(name, left, right)",
+           "Product(name, left, right, *[{}] * 2)",
+           ("tests/test_records.py::test_records_never_share_a_container",)),
     Mutant("scissor_entries_last_wins", "serialize", "atlas_from_json",
            "_keyed(p['entries'], ('monomial', 'bundle'), "
            "f\"scissor entries of region {p['region']!r}\", "
