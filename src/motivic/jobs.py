@@ -1,5 +1,8 @@
 """Job-file parsing: schema validation plus payload dispatch, and the
-names and files of the shipped fixture jobs."""
+names and files of the shipped fixture jobs.
+
+The fixture jobs are the one definition of the standard examples: the
+builders in ``motivic.fixtures`` read them through ``build_payload``."""
 
 from __future__ import annotations
 
@@ -21,8 +24,8 @@ from .serialize import (atlas_from_json, fixedpoints_from_json,
 
 
 # the job files shipped under ``motivic/fixtures/``.  They are named and
-# loaded here, not in the builder module ``motivic.fixtures`` (which
-# re-exports these names), so the CLI reads them without importing it.
+# loaded here, not in ``motivic.fixtures`` (which re-exports these names and
+# reads the files into records), so the CLI reads them without importing it.
 FIXTURE_NAMES = (
     "z2", "z3", "z4", "x2", "x2y", "x2y_plane", "x2_line", "x2_line_blowup",
     "arc_z2", "arc_z3", "arc_z4", "arc_x2y", "atlas_z2", "atlas_cylinder",
@@ -72,13 +75,14 @@ def parse_job(data: dict) -> Job:
         raise ValidationFailed([f"job schema: {exc.message} (at /{path})"])
     try:
         reg = registry_from_json(data["registry"])
-        kind, parsed = _build_payload(reg, data["payload"])
+        kind, parsed = build_payload(reg, data["payload"])
     except (RegistryError, SpaceMismatch) as err:
         raise ValidationFailed([str(err)]) from None
     return Job(reg, kind, parsed, dict(data.get("params", {})))
 
 
-def _build_payload(reg: Registry, payload: dict) -> tuple[str, Any]:
+def build_payload(reg: Registry, payload: dict) -> tuple[str, Any]:
+    """The kind of a schema-valid payload and its records over ``reg``."""
     kind = payload["kind"]
     if kind == "resolution":
         parsed = resolution_from_json(reg, payload)

@@ -208,33 +208,24 @@ def all_schemas() -> dict:
     }
 
 
-def write_json_files(directory, documents: dict) -> None:
-    """Write each document to ``directory/<name>.json`` as the shipped
-    files are written: indent 1, sorted keys, a final newline."""
+def write_schema_files(directory) -> None:
+    """Write each schema to ``directory/<name>.json`` as the shipped files
+    are written: indent 1, sorted keys, a final newline."""
     import json
     from pathlib import Path
 
     out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
-    for name, doc in documents.items():
+    for name, doc in all_schemas().items():
         (out / f"{name}.json").write_text(
             json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def write_main(module: str, write) -> None:
-    """``python -m <module> --write DIR``: call ``write(DIR)``."""
+if __name__ == "__main__":  # pragma: no cover
     import sys
 
     if len(sys.argv) == 3 and sys.argv[1] == "--write":
-        write(sys.argv[2])
+        write_schema_files(sys.argv[2])
     else:
-        print(f"usage: python -m {module} --write DIR", file=sys.stderr)
+        print("usage: python -m motivic.schemas --write DIR", file=sys.stderr)
         sys.exit(2)
-
-
-def write_schema_files(directory) -> None:
-    write_json_files(directory, all_schemas())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    write_main("motivic.schemas", write_schema_files)

@@ -144,7 +144,7 @@ def _check_limit_consistency():
     for builder in (fixtures.z2, fixtures.z3, fixtures.x2y):
         fx = builder()
         z = zeta.zeta_function(fx.resolution)
-        const = zeta.inverse_series_constant_term(z, fx.registry, order=6)
+        const = zeta.inverse_series_constant_term(z, fx.registry)
         assert const == -zeta.nearby_cycle(fx.resolution)
 
 

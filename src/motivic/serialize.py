@@ -102,6 +102,17 @@ def _keyed(entries, fields, where: str, build, key=None) -> dict:
     return table
 
 
+def _collect(repeated: list[str], *args) -> dict:
+    """``_keyed(*args)``, or ``{}`` with its diagnostics added to
+    ``repeated``: a reader reads every keyed list before it raises, so one
+    run reports the repeats of all of them, in order."""
+    try:
+        return _keyed(*args)
+    except ValidationFailed as err:
+        repeated.extend(err.diagnostics)
+        return {}
+
+
 def _term_key(reg: Registry, space: str, e) -> tuple[tuple[str, ...], int]:
     """The (sorted monomial, bundle bits) of a table entry over ``space``;
     a pushforward entry flagged ``cover`` has the monomial ``__cover__``."""
@@ -180,22 +191,25 @@ def registry_from_json(data) -> Registry:
             reg.set_underlying(sym["name"], motive_from_json(reg, sym["underlying"]))
     for p in data.get("products", ()):
         reg.declare_product(p["name"], p["left"], p["right"])
+    repeated: list[str] = []
     for mor in data.get("morphisms", ()):
         source, where = mor["source"], f"of morphism {mor['name']!r}"
-        pull_symbols = _keyed(mor.get("pull_symbols", ()), "symbol",
-                              f"pull_symbols {where}",
-                              lambda e: motive_from_json(reg, e["image"]))
-        pull_bundles = _keyed(mor.get("pull_bundles", ()), "generator",
-                              f"pull_bundles {where}",
-                              lambda e: reg.bits_of(source, e["image"]))
-        push_classes = _keyed(
-            mor.get("push_classes", ()), ("monomial", "bundle"),
+        pull_symbols = _collect(repeated, mor.get("pull_symbols", ()), "symbol",
+                                f"pull_symbols {where}",
+                                lambda e: motive_from_json(reg, e["image"]))
+        pull_bundles = _collect(repeated, mor.get("pull_bundles", ()),
+                                "generator", f"pull_bundles {where}",
+                                lambda e: reg.bits_of(source, e["image"]))
+        push_classes = _collect(
+            repeated, mor.get("push_classes", ()), ("monomial", "bundle"),
             f"push_classes {where}",
             lambda e: motive_from_json(reg, e["image"]),
             lambda e: _term_key(reg, source, e))
         reg.declare_morphism(mor["name"], mor["source"], mor["target"],
                              mor.get("kind", "general"), pull_symbols,
                              pull_bundles, push_classes)
+    if repeated:
+        raise ValidationFailed(repeated)
     for sq in data.get("square_roots", ()):
         reg.declare_square_root(sq["space"], sq["line_bundle"],
                                 sq["trivialization"],
@@ -240,26 +254,19 @@ def resolution_from_json(reg: Registry, data) -> ResolutionData:
     divisors = [Divisor(d["id"], d["N"], d["nu"], d.get("boundary", False))
                 for d in data["divisors"]]
     repeated: list[str] = []
-
-    def keyed(*args) -> dict:  # each list is read, so each one's repeats show
-        try:
-            return _keyed(*args)
-        except ValidationFailed as err:
-            repeated.extend(err.diagnostics)
-            return {}
-
-    strata = keyed(data["strata"], "divisors", "strata", lambda s: Stratum(
-        motive_from_json(reg, s["class"]), s["cover_order"]),
+    strata = _collect(
+        repeated, data["strata"], "divisors", "strata",
+        lambda s: Stratum(motive_from_json(reg, s["class"]), s["cover_order"]),
         lambda s: frozenset(s["divisors"]))
-    tables = keyed(
-        data.get("critical_values", ()), "value", "critical_values",
+    tables = _collect(
+        repeated, data.get("critical_values", ()), "value", "critical_values",
         lambda v: None if v.get("space") is None else RestrictionTable(
             reg.space(v["space"]).name,
             _classes_from_json(reg, v, f"critical value {v['value']!r}"),
             _opt_motive_from_json(reg, v.get("ambient"))))
-    points = keyed(data.get("points", ()), "label", "points",
-                   lambda p: PointTable(p["value"], _classes_from_json(
-                       reg, p, f"point {p['label']!r}")))
+    points = _collect(repeated, data.get("points", ()), "label", "points",
+                      lambda p: PointTable(p["value"], _classes_from_json(
+                          reg, p, f"point {p['label']!r}")))
     if repeated:
         raise ValidationFailed(repeated)
     return ResolutionData(reg, data["space_u0"], data["dim_u"], divisors,

@@ -17,13 +17,12 @@ restricted to the critical locus through user-supplied restriction tables;
 both sums go through one routine.  Resolutions are inputs, never computed.
 
 Shared work is built once per call and reused exactly.  ``zeta_function``
-raises ``L - 1`` to each subset size once.  ``expand_series`` and
-``inverse_series_constant_term`` memoize the truncated series of every
-factor tuple they build: a term's sorted factor tuple is often an earlier
-tuple plus one factor, and the longer tuple's series is the prefix's series
-times that factor, the same products in the same order as a fresh build.
-The memo is keyed by the factor tuple alone, so it is valid for one
-``(k, first, sign)`` only and never outlives the call.
+raises ``L - 1`` to each subset size once.  ``expand_series`` memoizes the
+truncated series of every factor tuple it builds: a term's sorted factor
+tuple is often an earlier tuple plus one factor, and the longer tuple's
+series is the prefix's series times that factor, the same products in the
+same order as a fresh build.  The memo is keyed by the factor tuple alone,
+so it is valid for one truncation ``k`` only and never outlives the call.
 
 ``expand_series`` groups each term's coefficient once by (monomial, bundle
 bits) and accumulates every degree as group -> {doubled exponent of L:
@@ -221,18 +220,17 @@ def zeta_function(r: ResolutionData) -> RationalMotive:
     return RationalMotive(r.space_u0, terms)
 
 
-def _factor_series(factors, k: int, first: int, sign: int,
-                   memo: dict) -> dict[int, dict[int, int]]:
+def _factor_series(factors, k: int, memo: dict) -> dict[int, dict[int, int]]:
     """The product over ``(N, nu)`` in ``factors`` of
 
-        sum_{j >= first} sign . L^(-sign j nu) . T^(j N),
+        sum_{j >= 1} L^(-j nu) . T^(j N),
 
     truncated at T^k: degree -> {doubled exponent of L: coefficient}.
-    Every coefficient has the sign ``sign ** len(factors)``, so none cancels.
+    Every coefficient is positive, so none cancels.
 
     ``memo`` holds the series of every factor tuple built so far with this
-    ``(k, first, sign)``; a tuple's series continues from its longest
-    memoized prefix, and a stored series is never changed.
+    ``k``; a tuple's series continues from its longest memoized prefix, and
+    a stored series is never changed.
     """
     built = len(factors)
     while built and factors[:built] not in memo:
@@ -242,12 +240,12 @@ def _factor_series(factors, k: int, first: int, sign: int,
         N, nu = factors[i]
         nxt: dict[int, dict[int, int]] = {}
         for deg, poly in series.items():
-            j = first
+            j = 1
             while deg + j * N <= k:
                 acc = nxt.setdefault(deg + j * N, {})
-                shift = -2 * sign * j * nu
+                shift = -2 * j * nu
                 for e, c in poly.items():
-                    acc[e + shift] = acc.get(e + shift, 0) + sign * c
+                    acc[e + shift] = acc.get(e + shift, 0) + c
                 j += 1
         series = memo[factors[:i + 1]] = nxt
     return series
@@ -266,7 +264,7 @@ def expand_series(z: RationalMotive, k: int, reg: Registry) -> list[Motive]:
     degrees: list[dict[tuple, dict[int, int]]] = [{} for _ in range(k + 1)]
     memo: dict = {}
     for term in z.terms:
-        series = _factor_series(term.factors, k, 1, 1, memo)
+        series = _factor_series(term.factors, k, memo)
         if not series:
             continue
         _check_operand(reg, z.space, term.coeff)
@@ -365,16 +363,12 @@ def milnor_fibre_at(r: ResolutionData, x: str) -> Motive:
     return (Motive.one(reg, POINT) - mf).scale(HalfLaurent.power(-r.dim_u))
 
 
-def inverse_series_constant_term(z: RationalMotive, reg: Registry,
-                                 order: int = 4) -> Motive:
+def inverse_series_constant_term(z: RationalMotive, reg: Registry) -> Motive:
     """Constant term of the expansion in T^(-1), computed per term.
 
     Each factor expands as -sum_{j>=0} L^(j nu) T^(-j N); the constant term
-    of the product is the product of the j = 0 parts, i.e. (-1)^m.  The
-    expansion is carried to ``order`` to make the check nontrivial.
+    of the product is the product of the j = 0 parts, i.e. (-1)^m for m
+    factors.
     """
-    memo: dict = {}
-    return mot_sum(reg, z.space,
-                   ((term.coeff,
-                     _factor_series(term.factors, order, 0, -1, memo).get(0, {}))
-                    for term in z.terms))
+    return mot_sum(reg, z.space, ((term.coeff, {0: (-1) ** len(term.factors)})
+                                  for term in z.terms))

@@ -362,6 +362,26 @@ def test_repeated_morphism_table_key_exit_code(tmp_path, capsys, table,
                           "morphism 'sq'\n" for shown in repeats)
 
 
+def test_every_morphism_table_reports_its_repeats(tmp_path, capsys):
+    # a repeat in one table of 'sq' hides neither its other table's repeat
+    # nor those of a later morphism
+    job = fixtures.load_fixture_job("x2y")
+    sq = job["registry"]["morphisms"][0]
+    sq["pull_bundles"] *= 2
+    sq["push_classes"] = [{"monomial": [], "bundle": [], "cover": True,
+                           "image": _image("Gm")}] * 2
+    job["registry"]["morphisms"].append(dict(copy.deepcopy(sq), name="sq2"))
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(job), encoding="utf-8")
+    code, out, err = run(capsys, "nearby", "--job", str(path))
+    assert code == 2 and out == ""
+    assert err == "".join(
+        f"validation: duplicate {shown} in {table} of morphism {name!r}\n"
+        for name in ("sq", "sq2")
+        for shown, table in (("generator 'p1'", "pull_bundles"),
+                             ("monomial [] and bundle []", "push_classes")))
+
+
 def test_cover_and_plain_pushforward_entries_are_two_keys(tmp_path, capsys):
     job = fixtures.load_fixture_job("x2y")
     job["registry"]["morphisms"][0]["push_classes"] = [

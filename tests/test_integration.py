@@ -59,7 +59,7 @@ def test_full_pipeline_story(tmp_path, capsys):
                                        HalfLaurent.power(-1) * (L - ONE))
 
     # the same story through the CLI, via a job file on disk
-    job = fixtures.fixture_job("atlas_cylinder")
+    job = fixtures.load_fixture_job("atlas_cylinder")
     path = tmp_path / "story.json"
     path.write_text(json.dumps(job), encoding="utf-8")
     assert main(["glue", "--job", str(path)]) == 0

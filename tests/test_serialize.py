@@ -17,10 +17,12 @@ from motivic import (HalfLaurent, Motive, MotivicError, Registry,
 from motivic.cli import main
 from motivic.jobs import job_validator, parse_job
 from motivic.schemas import JOB, MOTIVE, all_schemas, write_schema_files
-from motivic.serialize import (atlas_from_json, atlas_to_json,
+from motivic.serialize import (JOB_SCHEMA, atlas_from_json, atlas_to_json,
+                               fixedpoints_to_json, monomial_to_json,
                                motive_from_json, motive_to_json,
                                registry_from_json, registry_to_json,
-                               resolution_from_json, resolution_to_json)
+                               resolution_from_json, resolution_to_json,
+                               ts_to_json)
 
 from conftest import rand_fragment_motive
 
@@ -269,12 +271,52 @@ def test_atlas_chart_by_zeta_reference():
     assert glue(a2).values == glue(fx.atlas).values
 
 
-def test_fixture_files_match_builders_bit_for_bit():
+def _payload_to_json(kind: str, payload) -> dict:
+    """The payload writer of each job kind, applied to its parse."""
+    if kind == "resolution":
+        return resolution_to_json(payload)
+    if kind == "arc-check":
+        (monomial, context), resolution = payload
+        return {"kind": kind, "monomial": monomial_to_json(monomial, context),
+                "resolution": resolution_to_json(resolution)}
+    if kind == "atlas":
+        return atlas_to_json(payload)
+    if kind == "fixedpoints":
+        return fixedpoints_to_json(*payload)
+    return ts_to_json(payload)
+
+
+def test_fixture_files_round_trip_bit_for_bit():
+    # each shipped job is what the writers make of its own parse
     for name in fixtures.FIXTURE_NAMES:
         shipped = fixtures.fixture_path(name).read_text(encoding="utf-8")
-        built = json.dumps(fixtures.fixture_job(name), indent=1,
-                           sort_keys=True) + "\n"
-        assert shipped == built, f"fixture {name} drifted"
+        job = parse_job(json.loads(shipped))
+        doc = {"schema": JOB_SCHEMA, "registry": registry_to_json(job.registry),
+               "payload": _payload_to_json(job.kind, job.payload)}
+        if job.params:
+            doc["params"] = job.params
+        written = json.dumps(doc, indent=1, sort_keys=True) + "\n"
+        assert written == shipped, f"fixture {name} does not round-trip"
+
+
+def test_ts_chain_is_the_shipped_ts_job():
+    reg, factors, _last = fixtures.ts_chain(10)
+    job = fixtures.load_fixture_job("ts_z2_10")
+    assert registry_to_json(reg) == job["registry"]
+    assert ts_to_json(factors) == job["payload"]
+
+
+@pytest.mark.parametrize("first,second", [
+    ("x2", "x2y"), ("x2_line", "x2_line_blowup"), ("z2", "arc_z2"),
+    ("z3", "arc_z3"), ("z4", "arc_z4"), ("x2y", "arc_x2y")])
+def test_jobs_read_together_ship_one_registry(first, second):
+    # the builders read both jobs of a pair over the first one's registry,
+    # and z^a and x^2 y through their arc jobs, whose resolution is the
+    # plain job's payload
+    a, b = (fixtures.load_fixture_job(name) for name in (first, second))
+    assert a["registry"] == b["registry"]
+    if second.startswith("arc_"):
+        assert b["payload"]["resolution"] == a["payload"]
 
 
 def test_all_fixture_jobs_validate_and_parse():

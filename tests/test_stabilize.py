@@ -10,6 +10,7 @@ from motivic import (BundleClass, EmbeddingDatum, HalfLaurent,
                      mot_boxdot, quadratic_form_motive, stabilize_pullback,
                      thom_sebastiani, twist_by_quadratic, upsilon,
                      vanishing_cycle)
+from motivic.jobs import parse_job
 
 
 @pytest.fixture
@@ -42,9 +43,13 @@ def test_ts_with_identity_factor_keeps_value():
 
 def test_ts_of_cylinder_and_point_chart():
     # L^(-1/2) boxtimes 1 = L^(-1/2) upstairs
-    regc, plain, _ = fixtures.cylinder_pair()
-    regc.declare_space("P0", dim=0)
-    regc.declare_product("GmP0", "Gm", "P0")
+    # the x2 job, with a point and its product with the torus declared
+    data = fixtures.load_fixture_job("x2")
+    data["registry"]["spaces"].append({"name": "P0", "dim": 0})
+    data["registry"]["products"].append(
+        {"name": "GmP0", "left": "Gm", "right": "P0"})
+    job = parse_job(data)
+    regc, plain = job.registry, job.payload
     v = vanishing_cycle(plain)
     out = thom_sebastiani(v, Motive.one(regc, "P0"))
     assert out == Motive.half_power(regc, "GmP0", -1)

@@ -309,7 +309,7 @@ def test_factor_series_against_enumeration(spec, k):
     want = Motive.zero(reg, "U")
     for t in terms:
         want = want + t.coeff.scale((-1) ** len(t.factors))
-    assert inverse_series_constant_term(z, reg, order=k) == want
+    assert inverse_series_constant_term(z, reg) == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -319,8 +319,8 @@ def test_shared_prefix_series_against_enumeration(divisors, k, step, down):
     # one term per nonempty subset of one divisor list, repeated (N, nu)
     # pairs allowed: most sorted factor tuples extend another term's by one
     # factor, so expand_series reuses prefix series within a call; the
-    # same z expanded at two orders in a row, then inverse-expanded, fails
-    # if that reuse leaks across calls or across (first, sign)
+    # same z expanded at two orders in a row fails if that reuse leaks
+    # across calls
     reg = Registry()
     reg.declare_space("U", dim=1)
     reg.declare_generators("U", ("a",))
@@ -345,7 +345,7 @@ def test_shared_prefix_series_against_enumeration(divisors, k, step, down):
     want = Motive.zero(reg, "U")
     for t in z.terms:
         want = want + t.coeff.scale((-1) ** len(t.factors))
-    assert inverse_series_constant_term(z, reg, order=k) == want
+    assert inverse_series_constant_term(z, reg) == want
 
 
 def test_inverse_series_constant_term_is_minus_nearby():
@@ -353,7 +353,7 @@ def test_inverse_series_constant_term_is_minus_nearby():
                     fixtures.x2y_plane):
         fx = builder()
         z = zeta_function(fx.resolution)
-        assert inverse_series_constant_term(z, fx.registry, order=6) == \
+        assert inverse_series_constant_term(z, fx.registry) == \
             -nearby_cycle(fx.resolution)
 
 

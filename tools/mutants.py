@@ -69,13 +69,11 @@ MUTANTS = [
     Mutant("pullback_drops_exponent", "motive", "pullback",
            "(mon2, bits2 ^ img, k + k2)", "(mon2, bits2 ^ img, k2)",
            (FLAT, "tests/test_transport.py")),
-    Mutant("expand_series_first_0", "zeta", "expand_series",
-           "_factor_series(term.factors, k, 1, 1, memo)",
-           "_factor_series(term.factors, k, 0, 1, memo)", (ZETA,)),
+    Mutant("expand_series_first_0", "zeta", "_factor_series",
+           "j = 1", "j = 0", (ZETA,)),
     Mutant("inverse_constant_term_first_1", "zeta",
            "inverse_series_constant_term",
-           "_factor_series(term.factors, order, 0, -1, memo)",
-           "_factor_series(term.factors, order, 1, -1, memo)", (ZETA,)),
+           "{0: (-1) ** len(term.factors)}", "{}", (ZETA,)),
     Mutant("series_memo_shared_across_calls", "zeta", "expand_series",
            "memo: dict = {}",
            "memo = expand_series.__dict__.setdefault('memo', {})", (ZETA,)),
@@ -87,7 +85,7 @@ MUTANTS = [
     Mutant("nearby_sign_flipped", "zeta", "_restricted_sum",
            "HalfLaurent({0: 1, 2: -1})", "HalfLaurent({0: -1, 2: 1})", (ZETA,)),
     Mutant("factor_series_skips_first", "zeta", "_factor_series",
-           "j = first", "j = first + 1", (ZETA,)),
+           "j = 1", "j = 2", (ZETA,)),
     Mutant("factor_series_strict_bound", "zeta", "_factor_series",
            "deg + j * N <= k", "deg + j * N < k", (ZETA,)),
     Mutant("parse_job_first_error", "jobs", "parse_job",
@@ -171,9 +169,19 @@ MUTANTS = [
            "repeated.extend(inner.diagnostics)", "raise",
            ("tests/test_cli.py::test_repeated_keys_at_both_levels",)),
     Mutant("resolution_stops_at_first_repeated_list", "serialize",
-           "resolution_from_json", "repeated.extend(err.diagnostics)", "raise",
+           "_collect", "repeated.extend(err.diagnostics)", "raise",
            ("tests/test_cli.py::"
             "test_every_resolution_list_reports_its_repeats",)),
+    Mutant("registry_stops_at_first_repeated_morphism", "serialize",
+           "registry_from_json",
+           "reg.declare_morphism(mor['name'], mor['source'], mor['target'], "
+           "mor.get('kind', 'general'), pull_symbols, pull_bundles, "
+           "push_classes)",
+           "if repeated:\n    raise ValidationFailed(repeated)\n"
+           "reg.declare_morphism(mor['name'], mor['source'], mor['target'], "
+           "mor.get('kind', 'general'), pull_symbols, pull_bundles, "
+           "push_classes)",
+           ("tests/test_cli.py::test_every_morphism_table_reports_its_repeats",)),
     Mutant("product_images_share_one_dict", "registry",
            "Registry.declare_product", "Product(name, left, right)",
            "Product(name, left, right, *[{}] * 2)",
