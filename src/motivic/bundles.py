@@ -66,9 +66,16 @@ def tensor_square_roots(reg: Registry, space: str,
 
 def bundle_pullback(reg: Registry, morphism: str, cls: BundleClass) -> BundleClass:
     """F2-linear transport of a bundle class along a registered morphism."""
+    return BundleClass(*pull_class_bits(reg, morphism, cls))
+
+
+def pull_class_bits(reg: Registry, morphism: str,
+                    cls: BundleClass) -> tuple[str, int]:
+    """The space and bits of ``bundle_pullback(reg, morphism, cls)``, with
+    its checks and errors but no class built."""
     mor = reg.morphism(morphism)
     if cls.space != mor.target:
         raise SpaceMismatch(
             f"class on {cls.space!r} cannot be pulled along {morphism!r} "
             f"with target {mor.target!r}")
-    return BundleClass(mor.source, reg.pull_bits(mor, cls.bits))
+    return mor.source, reg.pull_bits(mor, cls.bits)

@@ -27,11 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .bundles import BundleClass, bundle_pullback
+from .bundles import BundleClass, pull_class_bits
 from .errors import (DescentFailure, MissingScissorTable, OrientationMissing,
                      ValidationFailed)
 from .motive import (Flat, Motive, _add_scaled, _check_operand, _term_table,
-                     pullback, upsilon)
+                     twisted_pullback)
 from .registry import POINT, FrozenRecord, Record, Registry, _set
 
 
@@ -140,13 +140,8 @@ class GlobalMotive(Record):
                 and self.provenance == other.provenance)
 
 
-def _restrict_motive(reg: Registry, m: Motive, morphism: Optional[str]) -> Motive:
-    return m if morphism is None else pullback(reg, morphism, m)
-
-
-def _restrict_bundle(reg: Registry, b: BundleClass,
-                     morphism: Optional[str]) -> BundleClass:
-    return b if morphism is None else bundle_pullback(reg, morphism, b)
+def _label(o: OverlapDatum) -> str:
+    return f"{o.chart_a}|{o.chart_b}@{o.region}"
 
 
 def _structural_diagnostics(atlas: Atlas) -> list[str]:
@@ -201,18 +196,19 @@ def check_orientation(atlas: Atlas) -> list[str]:
     charts = atlas.chart_index()
     diags: list[str] = []
     for o in atlas.overlaps:
-        label = f"{o.chart_a}|{o.chart_b}@{o.region}"
         for cid, p, mor in ((o.chart_a, o.p_a, o.restrict_a),
                             (o.chart_b, o.p_b, o.restrict_b)):
-            q = _restrict_bundle(reg, charts[cid].q, mor)
-            if q.space != o.q_t.space or p.space != o.q_t.space:
-                diags.append(f"overlap {label}: classes on mismatched spaces")
-                continue
-            if o.q_t.bits != (p.bits ^ q.bits):
+            q = charts[cid].q
+            space, bits = ((q.space, q.bits) if mor is None
+                           else pull_class_bits(reg, mor, q))
+            expected = p.bits ^ bits
+            if space != o.q_t.space or p.space != o.q_t.space:
+                diags.append(f"overlap {_label(o)}: classes on mismatched spaces")
+            elif o.q_t.bits != expected:
                 diags.append(
-                    f"overlap {label}: Q_T != P + Q for chart {cid} "
+                    f"overlap {_label(o)}: Q_T != P + Q for chart {cid} "
                     f"(got {o.q_t.text(reg)}, "
-                    f"expected {p.tensor(q).text(reg)})")
+                    f"expected {BundleClass(space, expected).text(reg)})")
     return diags
 
 
@@ -225,7 +221,7 @@ def glue(atlas: Atlas) -> GlobalMotive:
     values: dict[str, Motive] = {}
     provenance: dict[str, str] = {}
     for chart in sorted(atlas.charts, key=lambda c: c.id):
-        candidate = chart.mf.odot(upsilon(reg, chart.q))
+        candidate = twisted_pullback(reg, None, chart.mf, chart.q)
         if chart.region in values:
             if values[chart.region] != candidate:
                 raise DescentFailure(
@@ -238,10 +234,9 @@ def glue(atlas: Atlas) -> GlobalMotive:
     checked: list[str] = []
     for o in sorted(atlas.overlaps,
                     key=lambda o: (o.chart_a, o.chart_b, o.region)):
-        label = f"{o.chart_a}|{o.chart_b}@{o.region}"
-        ca, cb = charts[o.chart_a], charts[o.chart_b]
-        lift_a = _restrict_motive(reg, ca.mf, o.restrict_a).odot(upsilon(reg, o.p_a))
-        lift_b = _restrict_motive(reg, cb.mf, o.restrict_b).odot(upsilon(reg, o.p_b))
+        label = _label(o)
+        lift_a = twisted_pullback(reg, o.restrict_a, charts[o.chart_a].mf, o.p_a)
+        lift_b = twisted_pullback(reg, o.restrict_b, charts[o.chart_b].mf, o.p_b)
         if lift_a != lift_b:
             raise DescentFailure(label, lift_a.text(), lift_b.text(),
                                  "transported chart classes disagree")

@@ -29,6 +29,13 @@ say), the product relabels the other factor's keys: adding ``k``, XOR with
 is nonzero, so no keys collide, nothing accumulates and no zero is left to
 sweep.
 
+A pullback is one pass over the flat form that transports each distinct
+monomial and each distinct bundle class once.  A twist by ``Y(P)`` after a
+pullback, as in ``Phi^*(MF) = MF . Y(P_Phi)``, is part of that pass:
+:func:`pullback` given ``P`` XORs P's bits into each transported bundle
+image, so no second pass relabels the terms.  :func:`twisted_pullback`
+takes the morphism as optional; with none it is the product with ``Y(P)``.
+
 The product of two terms that both carry opaque monodromy of order >= 2 is
 outside the fragment and raises :class:`OdotUndecidable` instead of
 guessing.  The plain fibre product ``mot_dot`` is exposed only where it
@@ -378,35 +385,64 @@ def symbol_motive(reg: Registry, name: str) -> Motive:
 # -- functoriality -------------------------------------------------------------------
 
 
-def pullback(reg: Registry, morphism: str, m: Motive) -> Motive:
+def pullback(reg: Registry, morphism: str, m: Motive,
+             p: BundleClass | None = None) -> Motive:
     """Pull a motive back along a morphism, in one pass over its flat form.
 
-    Each distinct monomial and each distinct bundle class is transported
-    once.  A term with the empty monomial lands at ``((), image of bits,
-    k2)``; any other term lands as its coefficient times the product of the
-    two images.  A composite pulls back along its steps in order.
+    Given ``p``, the result is ``pullback(reg, morphism, m).odot(upsilon(reg,
+    p))``: P's bits are XORed into each transported bundle image inside the
+    pass, so no second pass relabels the terms.  It raises what that
+    two-step form raises, in the same order: the morphism and ``m``'s space
+    first, then the pass's own errors, then ``p``'s range and space.
     """
     mor = reg.morphism(morphism)
     if m.space != mor.target:
         raise SpaceMismatch(
             f"motive on {m.space!r} cannot be pulled along {morphism!r} "
             f"with target {mor.target!r}")
+    flat = _pull_flat(reg, mor, m._flat, 0 if p is None else p.bits)
+    if p is not None:
+        reg.check_bits(p.space, p.bits)
+        if p.space != mor.source:
+            raise SpaceMismatch(f"{mor.source!r} vs {p.space!r}")
+    return Motive._wrap(reg, mor.source, flat)
+
+
+def twisted_pullback(reg: Registry, morphism: str | None, m: Motive,
+                     p: BundleClass) -> Motive:
+    """``pullback(reg, morphism, m).odot(upsilon(reg, p))``, with the twist
+    inside the pullback pass; ``morphism`` None is the identity, giving
+    ``m.odot(upsilon(reg, p))``."""
+    if morphism is None:
+        return m.odot(upsilon(reg, p))
+    return pullback(reg, morphism, m, p)
+
+
+def _pull_flat(reg: Registry, mor: Morphism, flat: Flat, twist: int) -> Flat:
+    """The flat form of ``flat`` pulled along ``mor``, times ``Y(twist)``.
+
+    Each distinct monomial and each distinct bundle class is transported
+    once; a class's image carries the twist, XORed in once.  A term with the
+    empty monomial lands at ``((), image of bits, k2)``; any other term
+    lands as its coefficient times the product of the two images.  A
+    composite pulls back along its steps in order and twists in the last.
+    """
     if mor.steps:
-        for step in mor.steps:
-            m = pullback(reg, step, m)
-        return m
+        for step in mor.steps[:-1]:
+            flat = _pull_flat(reg, reg.morphisms[step], flat, 0)
+        return _pull_flat(reg, reg.morphisms[mor.steps[-1]], flat, twist)
     mons: dict[tuple[str, ...], Flat] = {}
     images: dict[int, int] = {}
     acc: Flat = {}
     get = acc.get
-    for (mon, bits, k), c in m._flat.items():
+    for (mon, bits, k), c in flat.items():
         if mon:
             mon_img = mons.get(mon)
             if mon_img is None:
                 mon_img = mons[mon] = _pull_monomial(reg, mor, mon)
         img = images.get(bits)
         if img is None:
-            img = images[bits] = reg.pull_bits(mor, bits)
+            img = images[bits] = reg.pull_bits(mor, bits) ^ twist
         if not mon:
             key = ((), img, k)
             acc[key] = get(key, 0) + c
@@ -416,7 +452,7 @@ def pullback(reg: Registry, morphism: str, m: Motive) -> Motive:
             acc[key] = get(key, 0) + c * c2
     for key in [key for key, c in acc.items() if not c]:
         del acc[key]
-    return Motive._wrap(reg, mor.source, acc)
+    return acc
 
 
 def _pull_monomial(reg: Registry, mor: Morphism, mon: tuple[str, ...]) -> Flat:

@@ -303,21 +303,20 @@ class Registry:
             return bits
         gens = self.check_bits(mor.target, bits)
         table, source = mor.pull_bundles, self._index[mor.source]
-        acc = i = 0
-        while bits:
-            if bits & 1:
-                name = gens[i]
-                img = table.get(name)
-                if img is None:
-                    j = source.get(name)
-                    if j is None:
-                        raise MissingTransport(
-                            f"morphism {mor.name!r} has no image for generator "
-                            f"{name!r}")
-                    img = 1 << j
-                acc ^= img
-            bits >>= 1
-            i += 1
+        acc = 0
+        while bits:  # the set bits, lowest first
+            low = bits & -bits
+            name = gens[low.bit_length() - 1]
+            img = table.get(name)
+            if img is None:
+                j = source.get(name)
+                if j is None:
+                    raise MissingTransport(
+                        f"morphism {mor.name!r} has no image for generator "
+                        f"{name!r}")
+                img = 1 << j
+            acc ^= img
+            bits ^= low
         return acc
 
     # -- products ----------------------------------------------------------------

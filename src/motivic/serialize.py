@@ -387,14 +387,17 @@ def atlas_from_json(reg: Registry, data) -> Atlas:
     scissor = None
     if data.get("scissor") is not None:
         scissor = []
+        repeated: list[str] = []
         for p in data["scissor"]:
             sp = regions[p["region"]]
-            entries = _keyed(
-                p["entries"], ("monomial", "bundle"),
+            entries = _collect(
+                repeated, p["entries"], ("monomial", "bundle"),
                 f"scissor entries of region {p['region']!r}",
                 lambda e: motive_from_json(reg, e["class"]),
                 lambda e: _term_key(reg, sp, e))
             scissor.append(ScissorPiece(p["region"], entries, p.get("sign", 1)))
+        if repeated:
+            raise ValidationFailed(repeated)
     return Atlas(reg, regions, charts, overlaps, data.get("oriented", True),
                  scissor)
 

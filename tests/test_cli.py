@@ -382,6 +382,20 @@ def test_every_morphism_table_reports_its_repeats(tmp_path, capsys):
                              ("monomial [] and bundle []", "push_classes")))
 
 
+def test_every_scissor_piece_reports_its_repeats(tmp_path, capsys):
+    # a repeat in the entries of piece 'P1' hides none of those of 'P2'
+    job = fixtures.load_fixture_job("localize_two_points")
+    for piece in job["payload"]["direct_atlas"]["scissor"]:
+        piece["entries"] *= 3
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(job), encoding="utf-8")
+    code, out, err = run(capsys, "localize", "--job", str(path))
+    assert code == 2 and out == ""
+    assert err == "".join(
+        "validation: duplicate monomial [] and bundle [] in scissor entries "
+        f"of region {region!r}\n" for region in ("P1", "P1", "P2", "P2"))
+
+
 def test_cover_and_plain_pushforward_entries_are_two_keys(tmp_path, capsys):
     job = fixtures.load_fixture_job("x2y")
     job["registry"]["morphisms"][0]["push_classes"] = [

@@ -461,3 +461,64 @@ def test_glued_values_agree_on_every_overlap(drawn):
         if o.restrict_b is not None:
             vb = pullback(reg, o.restrict_b, vb)
         assert va == vb
+
+
+# -- pinned diagnostics of the cocycle check and of descent ----------------------
+
+
+def _restricted_pair(q_b=0, p_a=1, restrict_b="r2w", scale_b=1):
+    """Charts cA on R1 and cB on R2 meeting over W, each restricted to it
+    by a morphism taking the generator p to w.  With the defaults both
+    cocycle identities hold (Q_T = 0) and both lifts are L^(-1/2) ⊙ Y(w)."""
+    reg = Registry()
+    for space, gen in (("R1", "p"), ("R2", "p"), ("W", "w")):
+        reg.declare_space(space, dim=1)
+        reg.declare_generators(space, (gen,))
+    reg.declare_morphism("r1w", "W", "R1", pull_bundles={"p": 1})
+    reg.declare_morphism("r2w", "W", "R2", pull_bundles={"p": 1})
+    half = HalfLaurent.power(-1)
+    charts = [CriticalChart("cA", "RA", 2, Motive(reg, "R1", {((), 0): half}),
+                            BundleClass("R1", 1)),
+              CriticalChart("cB", "RB", 2,
+                            Motive(reg, "R2", {((), 1): half}).scale(scale_b),
+                            BundleClass("R2", q_b))]
+    overlaps = [OverlapDatum("cA", "cB", "OV", BundleClass("W", p_a),
+                             BundleClass("W", 0), BundleClass("W", 0),
+                             "r1w", restrict_b)]
+    return Atlas(reg, {"RA": "R1", "RB": "R2", "OV": "W"}, charts, overlaps,
+                 True)
+
+
+def test_restricted_pair_glues():
+    glued = glue(_restricted_pair())
+    assert [v.text() for v in glued.values.values()] == ["L^(-1/2) ⊙ Y(p)"] * 2
+    assert glued.checked_overlaps == ["cA|cB@OV"]
+
+
+@pytest.mark.parametrize("atlas,diags", [
+    (_restricted_pair(p_a=0),
+     ["overlap cA|cB@OV: Q_T != P + Q for chart cA (got Y(0), expected Y(w))"]),
+    (_restricted_pair(q_b=1),
+     ["overlap cA|cB@OV: Q_T != P + Q for chart cB (got Y(0), expected Y(w))"]),
+    (_restricted_pair(p_a=0, q_b=1),
+     ["overlap cA|cB@OV: Q_T != P + Q for chart cA (got Y(0), expected Y(w))",
+      "overlap cA|cB@OV: Q_T != P + Q for chart cB (got Y(0), expected Y(w))"]),
+    (_restricted_pair(restrict_b=None),
+     ["overlap cA|cB@OV: classes on mismatched spaces"]),
+], ids=["side_a", "side_b", "both_sides", "mismatched_spaces"])
+def test_orientation_diagnostics_are_pinned(atlas, diags):
+    assert check_orientation(atlas) == diags
+    with pytest.raises(DescentFailure) as err:
+        glue(atlas)
+    assert str(err.value) == (f"descent failure on overlap orientation: "
+                              f"{diags[0]!r} != '' (cocycle identity broken)")
+
+
+def test_disagreeing_overlap_failure_is_pinned():
+    atlas = _restricted_pair(scale_b=2)
+    assert check_orientation(atlas) == []
+    with pytest.raises(DescentFailure) as err:
+        glue(atlas)
+    assert str(err.value) == (
+        "descent failure on overlap cA|cB@OV: 'L^(-1/2) ⊙ Y(w)' != "
+        "'2*L^(-1/2) ⊙ Y(w)' (transported chart classes disagree)")

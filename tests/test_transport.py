@@ -10,6 +10,8 @@ applies too.  Each space carries a plain symbol ``P<i>``, an opaque one
 
 The reference transport reads the declared tables by name and rebuilds each
 term through the public constructors; it shares no loop with ``pullback``.
+``twisted_pullback`` is checked against that reference times ``Y(P)``, and
+its failures against the two-step form ``pullback(...).odot(upsilon(...))``.
 """
 
 import pytest
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 from motivic import (BundleClass, HalfLaurent, Motive, MissingTransport,
                      Registry, RegistryError, SpaceMismatch, pullback,
                      symbol_motive, upsilon)
+from motivic.motive import twisted_pullback
 
 POOL = ("a", "b", "c", "d")
 
@@ -124,6 +127,23 @@ def test_pullback_is_multiplicative(data):
         a, b = pullback(reg, f, a), pullback(reg, f, b)
 
 
+def _morphisms_to_v0(reg: Registry, n: int) -> dict[int, list]:
+    """Index i -> the names of morphisms V<i> -> V0 in the chain: None (the
+    identity) for i = 0, then ``f1`` and composites, nested on both sides
+    when n = 3."""
+    names: dict[int, list] = {0: [None], 1: ["f1"]}
+    outer = "f1"
+    for i in range(2, n + 1):  # f1 . f2, then (f1 . f2) . f3
+        reg.compose(f"f{i}", outer, f"c{i}")
+        outer = f"c{i}"
+        names[i] = [outer]
+    if n == 3:  # f1 . (f2 . f3)
+        reg.compose("f3", "f2", "g32")
+        reg.compose("g32", "f1", "g31")
+        names[3].append("g31")
+    return names
+
+
 @settings(max_examples=40, deadline=None)
 @given(chains())
 def test_pullback_along_composite_is_pullback_of_pullback(chain):
@@ -131,15 +151,97 @@ def test_pullback_along_composite_is_pullback_of_pullback(chain):
     steps = [m]
     for i in range(1, n + 1):
         steps.append(pullback(reg, f"f{i}", steps[-1]))
-    outer = "f1"
-    for i in range(2, n + 1):  # f1 . f2, then (f1 . f2) . f3
-        reg.compose(f"f{i}", outer, f"c{i}")
-        outer = f"c{i}"
-        assert pullback(reg, outer, m) == steps[i]
-    if n == 3:  # f1 . (f2 . f3)
-        reg.compose("f3", "f2", "g32")
-        reg.compose("g32", "f1", "g31")
-        assert pullback(reg, "g31", m) == steps[3]
+    for i, names in _morphisms_to_v0(reg, n).items():
+        for name in names:
+            if name is not None:
+                assert pullback(reg, name, m) == steps[i]
+
+
+# -- the twist folded into the pullback pass ------------------------------------
+
+
+def two_step(reg: Registry, morphism, m: Motive, p: BundleClass) -> Motive:
+    """The twist as two passes: the pullback, then the product with Y(p)."""
+    pulled = m if morphism is None else pullback(reg, morphism, m)
+    return pulled.odot(upsilon(reg, p))
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or the class and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_twisted_pullback_matches_reference_twist(data):
+    reg, n, m = data.draw(chains())
+    names = _morphisms_to_v0(reg, n)
+    i = data.draw(st.integers(0, n))
+    morphism = data.draw(st.sampled_from(names[i]))
+    space = f"V{i}"
+    p = BundleClass(space, data.draw(
+        st.integers(0, (1 << len(reg.generators[space])) - 1)))
+    expected = m
+    for j in range(1, i + 1):
+        expected = reference_pullback(reg, f"f{j}", expected)
+    assert twisted_pullback(reg, morphism, m, p) == \
+        expected.odot(upsilon(reg, p))
+
+
+def _foreign_motive(draw) -> Motive:
+    """A motive over a space ``V0`` of another registry, which declares
+    every pooled generator on it."""
+    other = Registry()
+    other.declare_space("V0")
+    other.declare_generators("V0", POOL)
+    other.declare_symbol("P0", "V0")
+    return Motive(other, "V0", {(draw(st.sampled_from(((), ("P0",)))),
+                                 draw(st.integers(0, (1 << len(POOL)) - 1))):
+                                draw(coeffs)})
+
+
+BREAKS = ("unknown morphism", "missing image", "m on another space",
+          "m from another registry", "p out of range", "p on another space",
+          "p on an unknown space")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_twisted_pullback_fails_as_the_two_step_form(data):
+    # each break alone or two at once, so the order of the checks shows
+    reg, n, m = data.draw(chains())
+    names = _morphisms_to_v0(reg, n)
+    # no tables: each generator of V0 pulls only to its namesake on V1
+    reg.declare_morphism("g", "V1", "V0")
+    i = data.draw(st.integers(0, n))
+    morphism, space = data.draw(st.sampled_from(names[i])), f"V{i}"
+    broken = data.draw(st.lists(st.sampled_from(BREAKS), max_size=2,
+                                unique=True))
+    if "missing image" in broken:
+        morphism, space = "g", "V1"
+        every = (1 << len(reg.generators["V0"])) - 1
+        m = m + upsilon(reg, BundleClass("V0", every))
+    if "unknown morphism" in broken:
+        morphism = "h"
+    if "m on another space" in broken:
+        m = data.draw(motives(reg, 1))
+    if "m from another registry" in broken:
+        m = _foreign_motive(data.draw)
+    ngen = len(reg.generators[space])
+    bits = data.draw(st.integers(0, (1 << ngen) - 1))
+    if "p out of range" in broken:
+        bits = data.draw(st.sampled_from((1 << ngen, -1)))
+    if "p on another space" in broken:
+        space = data.draw(st.sampled_from(
+            [f"V{j}" for j in range(n + 1) if f"V{j}" != space]))
+    if "p on an unknown space" in broken:
+        space = "W"
+    p = BundleClass(space, bits)
+    assert outcome(twisted_pullback, reg, morphism, m, p) == \
+        outcome(two_step, reg, morphism, m, p)
 
 
 # -- error paths the fast paths must keep ---------------------------------------
@@ -188,3 +290,14 @@ def test_pullback_missing_images_raise(small):
 def test_pullback_refuses_motive_on_wrong_space(small):
     with pytest.raises(SpaceMismatch, match="cannot be pulled along 'f'"):
         pullback(small, "f", Motive.one(small, "Z"))
+
+
+def test_twist_refuses_class_on_another_space(small):
+    # p passes its range check on X, so only the space check can refuse it
+    one = Motive.one(small, "X")
+    for fn in (two_step, twisted_pullback):
+        with pytest.raises(SpaceMismatch) as err:
+            fn(small, "f", one, BundleClass("X", 1))
+        assert str(err.value) == "'Z' vs 'X'"
+    assert twisted_pullback(small, "f", one, BundleClass("Z", 1)) == \
+        upsilon(small, BundleClass("Z", 1))

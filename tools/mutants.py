@@ -50,6 +50,8 @@ FLAT = "tests/test_motive_flat.py"
 ZETA = "tests/test_zeta.py"
 LOADER = ("tests/test_serialize.py::"
           "test_motive_from_json_matches_halflaurent_reference")
+TWIST = ("tests/test_transport.py::"
+         "test_twisted_pullback_matches_reference_twist")
 
 MUTANTS = [
     Mutant("product_or_for_xor", "motive", "_product",
@@ -66,7 +68,7 @@ MUTANTS = [
            "bits2 ^ bits", "bits2 | bits", (FLAT,)),
     Mutant("relabel_skips_opacity_check", "motive", "_product",
            "_opaque(reg, mon2)", "False", (FLAT,)),
-    Mutant("pullback_drops_exponent", "motive", "pullback",
+    Mutant("pullback_drops_exponent", "motive", "_pull_flat",
            "(mon2, bits2 ^ img, k + k2)", "(mon2, bits2 ^ img, k2)",
            (FLAT, "tests/test_transport.py")),
     Mutant("expand_series_first_0", "zeta", "_factor_series",
@@ -100,7 +102,7 @@ MUTANTS = [
            "from . import zeta", "from . import dcrit, zeta",
            ("tests/test_package.py::"
             "test_vanishing_loads_no_other_payload_module",)),
-    Mutant("pullback_unit_path_drops_bits", "motive", "pullback",
+    Mutant("pullback_unit_path_drops_bits", "motive", "_pull_flat",
            "((), img, k)", "((), 0, k)", ("tests/test_transport.py",)),
     Mutant("upsilon_skips_range_check", "motive", "upsilon",
            "reg.check_bits(p.space, p.bits)", "pass",
@@ -111,7 +113,7 @@ MUTANTS = [
            ("tests/test_registry.py::"
             "test_right_factor_cover_image_names_right_factor_bits",)),
     Mutant("orientation_or_for_xor", "dcrit", "check_orientation",
-           "p.bits ^ q.bits", "p.bits | q.bits", ("tests/test_dcrit.py",)),
+           "p.bits ^ bits", "p.bits | bits", ("tests/test_dcrit.py",)),
     Mutant("virtual_index_counts_every_weight", "localize", "virtual_index",
            "1 if w > 0 else -1", "1", ("tests/test_localize.py",)),
     Mutant("arc_class_drops_unit_vars", "arcs", "_free_exponent",
@@ -187,7 +189,7 @@ MUTANTS = [
            "Product(name, left, right, *[{}] * 2)",
            ("tests/test_records.py::test_records_never_share_a_container",)),
     Mutant("scissor_entries_last_wins", "serialize", "atlas_from_json",
-           "_keyed(p['entries'], ('monomial', 'bundle'), "
+           "_collect(repeated, p['entries'], ('monomial', 'bundle'), "
            "f\"scissor entries of region {p['region']!r}\", "
            "lambda e: motive_from_json(reg, e['class']), "
            "lambda e: _term_key(reg, sp, e))",
@@ -212,7 +214,29 @@ MUTANTS = [
     Mutant("glue_skips_transport_check", "dcrit", "glue",
            "if lift_a != lift_b:\n    raise DescentFailure(label, lift_a.text(), "
            "lift_b.text(), 'transported chart classes disagree')", "pass",
-           ("tests/test_dcrit.py::test_glued_values_agree_on_every_overlap",)),
+           ("tests/test_dcrit.py::test_glued_values_agree_on_every_overlap",
+            "tests/test_dcrit.py::test_disagreeing_overlap_failure_is_pinned")),
+    Mutant("scissor_stops_at_first_repeated_piece", "serialize",
+           "atlas_from_json",
+           "scissor.append(ScissorPiece(p['region'], entries, p.get('sign', 1)))",
+           "if repeated:\n    raise ValidationFailed(repeated)\n"
+           "scissor.append(ScissorPiece(p['region'], entries, p.get('sign', 1)))",
+           ("tests/test_cli.py::test_every_scissor_piece_reports_its_repeats",)),
+    Mutant("twist_dropped_from_flat_loop", "motive", "_pull_flat",
+           "reg.pull_bits(mor, bits) ^ twist", "reg.pull_bits(mor, bits)",
+           (TWIST,)),
+    Mutant("twist_dropped_after_composite_steps", "motive", "_pull_flat",
+           "_pull_flat(reg, reg.morphisms[mor.steps[-1]], flat, twist)",
+           "_pull_flat(reg, reg.morphisms[mor.steps[-1]], flat, 0)", (TWIST,)),
+    Mutant("twist_skips_space_check", "motive", "pullback",
+           "p.space != mor.source", "False",
+           ("tests/test_transport.py::"
+            "test_twist_refuses_class_on_another_space",)),
+    Mutant("pull_bits_index_off_by_one", "registry", "Registry.pull_bits",
+           "low.bit_length() - 1", "low.bit_length()", (TWIST,)),
+    Mutant("orientation_expects_bare_p", "dcrit", "check_orientation",
+           "BundleClass(space, expected)", "BundleClass(space, p.bits)",
+           ("tests/test_dcrit.py::test_orientation_diagnostics_are_pinned",)),
 ]
 
 
