@@ -17,8 +17,12 @@ frozen (:meth:`Registry.freeze`).  It records:
   symbol images are all stored as motives over the source;
   :meth:`Registry.pull_bits` is the one routine that transports bundle
   generators along a morphism, and the one home of its same-name fallback
-  rule.  A composite (:meth:`Registry.compose`) holds no tables: it is its
-  steps, pulled along in order, so it refuses exactly what they refuse;
+  rule.  It memoizes each (morphism, bits) image it computes, since the
+  atlas loops pull the same classes along the same restrictions again and
+  again; nothing needs invalidating, as no declaration changes an image
+  already computed.  A composite (:meth:`Registry.compose`) holds no
+  tables: it is its steps, pulled along in order, so it refuses exactly
+  what they refuse;
 * product spaces with symbol/generator images for external products; the
   product's generators are the left factor's, then the right's;
 * square-root data: the bookkept correspondence between (line bundle,
@@ -36,6 +40,10 @@ from .errors import MissingTransport, RegistryError, UnknownDatum
 POINT = "K"
 
 MORPHISM_KINDS = ("open-inclusion", "etale", "to-point", "general")
+
+# the most images :meth:`Registry.pull_bits` keeps per morphism: a target with
+# g generators has 2^g bundle classes, and the memo must not grow with them
+PULL_MEMO_CAP = 256
 
 
 class Record:
@@ -152,6 +160,7 @@ class Registry:
         self.morphisms: dict[str, Morphism] = {}
         self.products: dict[str, Product] = {}
         self.square_roots: dict[tuple[str, str, str], int] = {}
+        self._pulled: dict[str, dict[int, int]] = {}  # morphism -> bits -> image
         self._frozen = False
         self.declare_space(POINT, dim=0)
 
@@ -296,28 +305,41 @@ class Registry:
         A generator with no table image goes to the generator of the same
         name on the source; with neither, :class:`MissingTransport`.  A
         composite transports along its steps in order.
+
+        Each image is memoized per morphism (at most ``PULL_MEMO_CAP`` of
+        them), so a class pulled again costs one lookup.  No declaration
+        can make a stored image stale: generators are only appended, a
+        morphism's table is fixed when it is declared and its name cannot
+        be declared again, and a pull that raises stores nothing.
         """
+        memo = self._pulled.setdefault(mor.name, {})
+        img = memo.get(bits)
+        if img is not None:
+            return img
         if mor.steps:
+            img = bits
             for step in mor.steps:
-                bits = self.pull_bits(self.morphisms[step], bits)
-            return bits
-        gens = self.check_bits(mor.target, bits)
-        table, source = mor.pull_bundles, self._index[mor.source]
-        acc = 0
-        while bits:  # the set bits, lowest first
-            low = bits & -bits
-            name = gens[low.bit_length() - 1]
-            img = table.get(name)
-            if img is None:
-                j = source.get(name)
-                if j is None:
-                    raise MissingTransport(
-                        f"morphism {mor.name!r} has no image for generator "
-                        f"{name!r}")
-                img = 1 << j
-            acc ^= img
-            bits ^= low
-        return acc
+                img = self.pull_bits(self.morphisms[step], img)
+        else:
+            gens = self.check_bits(mor.target, bits)
+            table, source = mor.pull_bundles, self._index[mor.source]
+            img, rest = 0, bits
+            while rest:  # the set bits, lowest first
+                low = rest & -rest
+                name = gens[low.bit_length() - 1]
+                step_img = table.get(name)
+                if step_img is None:
+                    j = source.get(name)
+                    if j is None:
+                        raise MissingTransport(
+                            f"morphism {mor.name!r} has no image for generator "
+                            f"{name!r}")
+                    step_img = 1 << j
+                img ^= step_img
+                rest ^= low
+        if len(memo) < PULL_MEMO_CAP:
+            memo[bits] = img
+        return img
 
     # -- products ----------------------------------------------------------------
 

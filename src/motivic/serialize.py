@@ -421,6 +421,11 @@ def fixedpoints_to_json(components, direct, direct_atlas=None) -> dict[str, Any]
 def fixedpoints_from_json(reg: Registry, data):
     from .localize import FixedComponentDatum
 
+    zeros = [f"component {c['id']!r} has a zero tangent weight; zero-weight "
+             "directions belong to the fixed component"
+             for c in data["components"] if 0 in c["weights"]]
+    if zeros:
+        raise ValidationFailed(zeros)
     components = [FixedComponentDatum(
         c["id"], tuple(c["weights"]), _opt_motive_from_json(reg, c.get("motive")),
         c.get("good", True), c.get("circle_compact", True))

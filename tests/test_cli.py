@@ -452,6 +452,21 @@ def test_symbol_image_off_the_source_exit_code(tmp_path, capsys):
                    "motive over 'GmW'\n")
 
 
+def test_zero_tangent_weight_exit_code(tmp_path, capsys):
+    # a zero weight is refused at parse time, one line per component
+    job = fixtures.load_fixture_job("localize_two_points")
+    for comp in job["payload"]["components"]:
+        comp["weights"] = [0]
+    path = tmp_path / "zero_weight.json"
+    path.write_text(json.dumps(job), encoding="utf-8")
+    code, out, err = run(capsys, "localize", "--job", str(path))
+    assert code == 2 and out == ""
+    assert err == "".join(
+        f"validation: component {name!r} has a zero tangent weight; "
+        "zero-weight directions belong to the fixed component\n"
+        for name in ("x1", "x2"))
+
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 

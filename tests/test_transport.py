@@ -10,6 +10,8 @@ applies too.  Each space carries a plain symbol ``P<i>``, an opaque one
 
 The reference transport reads the declared tables by name and rebuilds each
 term through the public constructors; it shares no loop with ``pullback``.
+Its bundle half, ``reference_bits``, is also the reference for the memo of
+``Registry.pull_bits`` over repeated pulls.
 ``twisted_pullback`` is checked against that reference times ``Y(P)``, and
 its failures against the two-step form ``pullback(...).odot(upsilon(...))``.
 """
@@ -22,6 +24,7 @@ from motivic import (BundleClass, HalfLaurent, Motive, MissingTransport,
                      Registry, RegistryError, SpaceMismatch, pullback,
                      symbol_motive, upsilon)
 from motivic.motive import twisted_pullback
+from motivic.registry import PULL_MEMO_CAP
 
 POOL = ("a", "b", "c", "d")
 
@@ -85,16 +88,33 @@ def chains(draw):
     return reg, n, draw(motives(reg, 0))
 
 
+def reference_bits(reg: Registry, morphism: str, bits: int) -> int:
+    """The by-name walk: each named generator goes to its table image, else
+    to its namesake on the source; a composite walks its steps in order."""
+    mor = reg.morphisms[morphism]
+    if mor.steps:
+        for step in mor.steps:
+            bits = reference_bits(reg, step, bits)
+        return bits
+    source_gens = reg.generators[mor.source]
+    out = 0
+    for name in reg.names_of(mor.target, bits):
+        if name in mor.pull_bundles:
+            out ^= mor.pull_bundles[name]
+        elif name in source_gens:
+            out ^= 1 << source_gens.index(name)
+        else:
+            raise MissingTransport(f"morphism {morphism!r} has no image for "
+                                   f"generator {name!r}")
+    return out
+
+
 def reference_pullback(reg: Registry, morphism: str, m: Motive) -> Motive:
     mor = reg.morphisms[morphism]
-    source_gens = reg.generators[mor.source]
     out = Motive.zero(reg, mor.source)
     for (mon, bits), coeff in m.terms():
-        image_bits = 0
-        for name in reg.names_of(m.space, bits):
-            image_bits ^= (mor.pull_bundles[name] if name in mor.pull_bundles
-                           else 1 << source_gens.index(name))
-        term = Motive(reg, mor.source, {((), image_bits): coeff})
+        term = Motive(reg, mor.source,
+                      {((), reference_bits(reg, morphism, bits)): coeff})
         for name in mon:
             image = mor.pull_symbols.get(name, name)
             if isinstance(image, str):
@@ -155,6 +175,75 @@ def test_pullback_along_composite_is_pullback_of_pullback(chain):
         for name in names:
             if name is not None:
                 assert pullback(reg, name, m) == steps[i]
+
+
+# -- the memo of Registry.pull_bits ----------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_memoized_pull_bits_matches_by_name_walk(data):
+    # every class in range, one past it and -1, each pulled twice in a drawn
+    # order along every morphism, so hits follow misses and a composite is
+    # pulled on one class after another
+    reg, n, _ = data.draw(chains())
+    _morphisms_to_v0(reg, n)
+    reg.declare_morphism("g", "V1", "V0")  # same-name rule only: may miss
+    for name in data.draw(st.permutations(sorted(reg.morphisms))):
+        mor = reg.morphisms[name]
+        order = data.draw(st.permutations(
+            range(-1, (1 << len(reg.generators[mor.target])) + 1)))
+        for bits in order + order:
+            assert outcome(reg.pull_bits, mor, bits) == \
+                outcome(reference_bits, reg, name, bits), (name, bits)
+
+
+def test_failed_pull_is_not_memoized(small):
+    # Y -> Z -> X; neither Z nor Y has q, so q misses on the first step
+    small.declare_space("Y")
+    small.declare_generators("Y", ("q", "z"))
+    small.declare_morphism("e", "Y", "Z")
+    small.compose("e", "f", "c")
+    f, c = small.morphisms["f"], small.morphisms["c"]
+    for mor in (f, c, f, c):
+        with pytest.raises(MissingTransport) as err:
+            small.pull_bits(mor, 0b11)
+        assert str(err.value) == "morphism 'f' has no image for generator 'q'"
+        assert small.pull_bits(mor, 0b01) == (1 if mor is f else 0b10)
+    small.declare_generators("Z", ("q",))
+    assert small.pull_bits(f, 0b11) == 0b11
+    assert small.pull_bits(c, 0b11) == 0b11
+
+
+def test_out_of_range_pull_raises_every_time(small):
+    small.declare_space("Y")
+    small.declare_generators("Y", ("z",))
+    small.declare_morphism("e", "Y", "Z")
+    small.compose("e", "f", "c")
+    for _ in range(3):
+        for name, bits, space in (("f", 0b100, "X"), ("f", -1, "X"),
+                                  ("c", 0b100, "X"), ("e", -2, "Z"),
+                                  ("e", 0b10, "Z")):
+            with pytest.raises(RegistryError) as err:
+                small.pull_bits(small.morphisms[name], bits)
+            assert str(err.value) == f"bundle bits {bits} out of range on {space!r}"
+        assert small.pull_bits(small.morphisms["c"], 0b01) == 1
+
+
+def test_pull_bits_stays_correct_past_the_memo_cap():
+    gens = [f"g{i}" for i in range(10)]
+    reg = Registry()
+    reg.declare_space("T")
+    reg.declare_generators("T", gens)
+    reg.declare_space("S")
+    reg.declare_generators("S", gens[::-1])
+    reg.declare_morphism("f", "S", "T", pull_bundles={
+        g: (i * 37 + 5) % 1024 for i, g in enumerate(gens[::3])})
+    mor = reg.morphisms["f"]
+    classes = list(range(1 << len(gens)))
+    assert len(classes) > PULL_MEMO_CAP
+    for bits in classes + classes[::-1]:
+        assert reg.pull_bits(mor, bits) == reference_bits(reg, "f", bits)
 
 
 # -- the twist folded into the pullback pass ------------------------------------

@@ -234,6 +234,17 @@ MUTANTS = [
             "test_twist_refuses_class_on_another_space",)),
     Mutant("pull_bits_index_off_by_one", "registry", "Registry.pull_bits",
            "low.bit_length() - 1", "low.bit_length()", (TWIST,)),
+    Mutant("pull_memo_shared_across_morphisms", "registry", "Registry.pull_bits",
+           "self._pulled.setdefault(mor.name, {})",
+           "self._pulled.setdefault('', {})", ("tests/test_transport.py",)),
+    Mutant("composite_memo_wrong_key", "registry", "Registry.pull_bits",
+           "for step in mor.steps:\n"
+           "    img = self.pull_bits(self.morphisms[step], img)",
+           "for step in mor.steps:\n"
+           "    img = self.pull_bits(self.morphisms[step], img)\n"
+           "memo[img] = img\nreturn img",
+           ("tests/test_transport.py::"
+            "test_memoized_pull_bits_matches_by_name_walk",)),
     Mutant("orientation_expects_bare_p", "dcrit", "check_orientation",
            "BundleClass(space, expected)", "BundleClass(space, p.bits)",
            ("tests/test_dcrit.py::test_orientation_diagnostics_are_pinned",)),
