@@ -16,22 +16,24 @@ cycle is its normalized difference from the ambient fibre class,
 restricted to the critical locus through user-supplied restriction tables;
 both sums go through one routine.  Resolutions are inputs, never computed.
 
-Shared work is built once per call and reused exactly.  ``zeta_function``
-raises ``L - 1`` to each subset size once.  ``expand_series`` memoizes the
-truncated series of every factor tuple it builds: a term's sorted factor
-tuple is often an earlier tuple plus one factor, and the longer tuple's
-series is the prefix's series times that factor, the same products in the
-same order as a fresh build.  The memo is keyed by the factor tuple alone,
-so it is valid for one truncation ``k`` only and never outlives the call.
-
-``expand_series`` groups each term's coefficient once by (monomial, bundle
-bits) and accumulates every degree as group -> {doubled exponent of L:
-integer}, a 1-D convolution on integer keys; the flat keys of the result
-are built once, for the entries that do not cancel.
+Shared work is built once per call.  ``zeta_function`` raises ``L - 1``
+to each subset size once.  ``expand_series`` groups each term's
+coefficient once by (monomial, bundle bits) and sums each group as one
+rational function: the group's terms go over their least common
+denominator, the product of ``1 - L^(-nu) T^N`` to the largest
+multiplicity of each (N, nu) among that group's terms only.  A term adds
+its coefficient times ``L^(-nu) T^N`` for each of its own factors times
+``1 - L^(-nu) T^N`` for each denominator factor it lacks to the numerator,
+truncated at T^k; dividing by one factor is the running sum
+``q[d] += L^(-nu) q[d - N]`` over ascending degrees d, once per
+multiplicity.  Each degree holds group -> {doubled exponent of L:
+integer}, and the flat keys of the result are built once, for the entries
+that do not cancel.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from math import gcd
 from typing import Optional
 
@@ -220,73 +222,58 @@ def zeta_function(r: ResolutionData) -> RationalMotive:
     return RationalMotive(r.space_u0, terms)
 
 
-def _factor_series(factors, k: int, memo: dict) -> dict[int, dict[int, int]]:
-    """The product over ``(N, nu)`` in ``factors`` of
-
-        sum_{j >= 1} L^(-j nu) . T^(j N),
-
-    truncated at T^k: degree -> {doubled exponent of L: coefficient}.
-    Every coefficient is positive, so none cancels.
-
-    ``memo`` holds the series of every factor tuple built so far with this
-    ``k``; a tuple's series continues from its longest memoized prefix, and
-    a stored series is never changed.
-    """
-    built = len(factors)
-    while built and factors[:built] not in memo:
-        built -= 1
-    series = memo[factors[:built]] if built else {0: {0: 1}}
-    for i in range(built, len(factors)):
-        N, nu = factors[i]
-        nxt: dict[int, dict[int, int]] = {}
-        for deg, poly in series.items():
-            j = 1
-            while deg + j * N <= k:
-                acc = nxt.setdefault(deg + j * N, {})
-                shift = -2 * j * nu
-                for e, c in poly.items():
-                    acc[e + shift] = acc.get(e + shift, 0) + c
-                j += 1
-        series = memo[factors[:i + 1]] = nxt
-    return series
-
-
 def expand_series(z: RationalMotive, k: int, reg: Registry) -> list[Motive]:
     """Exact coefficients of T^0 .. T^k.
 
-    Each term's coefficient is grouped once by (monomial, bits); a degree
-    accumulates group -> {doubled L-exponent: integer} by 1-D convolution
-    with the term's series, and its flat keys are built once, for the
-    entries that survive.  Terms share prefix series through one memo per
-    call.
+    Each term's coefficient is checked and grouped once by (monomial,
+    bits).  A group's terms are put over their least common denominator,
+    prod (1 - x_f) with x_f = L^(-nu) T^N; its numerator is truncated at
+    T^k and divided by one factor at a time, as a running sum over the
+    degrees.  The flat keys are built once, for the entries that survive.
     """
     reg.space(z.space)
-    degrees: list[dict[tuple, dict[int, int]]] = [{} for _ in range(k + 1)]
-    memo: dict = {}
+    groups: dict[tuple, list] = {}  # (monomial, bits) -> [(factors, x, coeff)]
     for term in z.terms:
-        series = _factor_series(term.factors, k, memo)
-        if not series:
-            continue
         _check_operand(reg, z.space, term.coeff)
-        groups = [(key, list(coeff.items()))
-                  for key, coeff in _by_term(term.coeff._flat).items()]
-        for deg, poly in series.items():
-            acc = degrees[deg]
-            poly = list(poly.items())
-            for key, coeff in groups:
-                sums = acc.get(key)
-                if sums is None:
-                    sums = acc[key] = {}
-                get = sums.get
+        deg = e = 0  # x = prod_{f in term} x_f = L^(e/2) T^deg
+        for N, nu in term.factors:
+            deg += N
+            e -= 2 * nu
+        if deg > k:
+            continue
+        factors = Counter(term.factors)
+        for key, coeff in _by_term(term.coeff._flat).items():
+            groups.setdefault(key, []).append(
+                (factors, (deg, e), list(coeff.items())))
+    flats: list[dict] = [{} for _ in range(k + 1)]
+    for (mon, bits), terms in groups.items():
+        denom: Counter = Counter()
+        for factors, _, _ in terms:
+            denom |= factors
+        q: list[dict[int, int]] = [{} for _ in range(k + 1)]
+        for factors, x, coeff in terms:
+            num = {x: 1}  # x . prod_{f in denom - term} (1 - x_f)
+            for N, nu in (denom - factors).elements():
+                for (d, e), c in list(num.items()):
+                    if d + N <= k:
+                        key = d + N, e - 2 * nu
+                        num[key] = num.get(key, 0) - c
+            for (d, e), c in num.items():
+                acc = q[d]
                 for e1, c1 in coeff:
-                    for e2, c2 in poly:
-                        e = e1 + e2
-                        sums[e] = get(e, 0) + c1 * c2
-    return [Motive._wrap(reg, z.space,
-                         {(mon, bits, e): c
-                          for (mon, bits), sums in acc.items()
-                          for e, c in sums.items() if c})
-            for acc in degrees]
+                    acc[e + e1] = acc.get(e + e1, 0) + c * c1
+        # q / (1 - x_f), once per multiplicity: q[d] += L^(-nu) q[d - N]
+        for (N, nu), n in denom.items():
+            shift = 2 * nu
+            for _ in range(n):
+                for d in range(N, k + 1):
+                    acc = q[d]
+                    get = acc.get
+                    for e, c in q[d - N].items():
+                        acc[e - shift] = get(e - shift, 0) + c
+        for flat, sums in zip(flats, q):
+            flat.update({(mon, bits, e): c for e, c in sums.items() if c})
+    return [Motive._wrap(reg, z.space, flat) for flat in flats]
 
 
 def nearby_cycle(r: ResolutionData) -> Motive:

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motivic import (BundleClass, Divisor, HalfLaurent, MissingRestriction,
-                     Motive, RationalMotive, ResolutionData, RestrictionTable,
+                     Motive, RationalMotive, RegistryError, ResolutionData,
+                     RestrictionTable,
                      Stratum, ValidationFailed, expand_series, fixtures,
                      generator, inverse_series_constant_term, milnor_fibre_at,
                      nearby_cycle, pullback, symbol_motive, upsilon,
@@ -317,10 +318,11 @@ def test_factor_series_against_enumeration(spec, k):
        st.integers(1, 8), st.booleans())
 def test_shared_prefix_series_against_enumeration(divisors, k, step, down):
     # one term per nonempty subset of one divisor list, repeated (N, nu)
-    # pairs allowed: most sorted factor tuples extend another term's by one
-    # factor, so expand_series reuses prefix series within a call; the
-    # same z expanded at two orders in a row fails if that reuse leaks
-    # across calls
+    # pairs allowed: the terms of one (monomial, bits) group carry many
+    # factor tuples, some with a repeated factor, so the group's common
+    # denominator takes each (N, nu) to its largest multiplicity; the same
+    # z expanded at two orders in a row fails if anything built for one
+    # order leaks into the other
     reg = Registry()
     reg.declare_space("U", dim=1)
     reg.declare_generators("U", ("a",))
@@ -346,6 +348,18 @@ def test_shared_prefix_series_against_enumeration(divisors, k, step, down):
     for t in z.terms:
         want = want + t.coeff.scale((-1) ** len(t.factors))
     assert inverse_series_constant_term(z, reg) == want
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_foreign_coefficient_refused_below_its_lowest_degree(k):
+    # the term's series starts at T^3; its coefficient lives on another
+    # registry, which is refused whatever the order
+    reg = _registry()
+    foreign = _registry()
+    coeff = Motive.coefficient(foreign, "U", HalfLaurent.const(1))
+    z = RationalMotive("U", [RatTerm(coeff, ((3, 1),))])
+    with pytest.raises(RegistryError, match="different registries"):
+        expand_series(z, k, reg)
 
 
 def test_inverse_series_constant_term_is_minus_nearby():

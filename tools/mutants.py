@@ -52,6 +52,8 @@ LOADER = ("tests/test_serialize.py::"
           "test_motive_from_json_matches_halflaurent_reference")
 TWIST = ("tests/test_transport.py::"
          "test_twisted_pullback_matches_reference_twist")
+# a series term's shift x = prod of its factors' L^(-nu) T^N, over %s
+SHIFT_LOOP = "for N, nu in %s:\n    deg += N\n    e -= 2 * nu"
 
 MUTANTS = [
     Mutant("product_or_for_xor", "motive", "_product",
@@ -71,25 +73,31 @@ MUTANTS = [
     Mutant("pullback_drops_exponent", "motive", "_pull_flat",
            "(mon2, bits2 ^ img, k + k2)", "(mon2, bits2 ^ img, k2)",
            (FLAT, "tests/test_transport.py")),
-    Mutant("expand_series_first_0", "zeta", "_factor_series",
-           "j = 1", "j = 0", (ZETA,)),
+    Mutant("expand_series_first_0", "zeta", "expand_series",
+           SHIFT_LOOP % "term.factors", SHIFT_LOOP % "term.factors[1:]",
+           (ZETA,)),
     Mutant("inverse_constant_term_first_1", "zeta",
            "inverse_series_constant_term",
            "{0: (-1) ** len(term.factors)}", "{}", (ZETA,)),
-    Mutant("series_memo_shared_across_calls", "zeta", "expand_series",
-           "memo: dict = {}",
-           "memo = expand_series.__dict__.setdefault('memo', {})", (ZETA,)),
+    Mutant("series_denominator_from_first_term", "zeta", "expand_series",
+           "for factors, _, _ in terms:\n    denom |= factors",
+           "for factors, _, _ in terms[:1]:\n    denom |= factors", (ZETA,)),
     Mutant("series_flatten_keeps_zeros", "zeta", "expand_series",
-           "{(mon, bits, e): c for (mon, bits), sums in acc.items() "
-           "for e, c in sums.items() if c}",
-           "{(mon, bits, e): c for (mon, bits), sums in acc.items() "
-           "for e, c in sums.items()}", (ZETA,)),
+           "{(mon, bits, e): c for e, c in sums.items() if c}",
+           "{(mon, bits, e): c for e, c in sums.items()}", (ZETA,)),
     Mutant("nearby_sign_flipped", "zeta", "_restricted_sum",
            "HalfLaurent({0: 1, 2: -1})", "HalfLaurent({0: -1, 2: 1})", (ZETA,)),
-    Mutant("factor_series_skips_first", "zeta", "_factor_series",
-           "j = 1", "j = 2", (ZETA,)),
-    Mutant("factor_series_strict_bound", "zeta", "_factor_series",
-           "deg + j * N <= k", "deg + j * N < k", (ZETA,)),
+    Mutant("factor_series_skips_first", "zeta", "expand_series",
+           SHIFT_LOOP % "term.factors",
+           SHIFT_LOOP % "term.factors + term.factors[:1]", (ZETA,)),
+    Mutant("factor_series_strict_bound", "zeta", "expand_series",
+           "range(N, k + 1)", "range(N, k)", (ZETA,)),
+    Mutant("series_divides_once_per_factor", "zeta", "expand_series",
+           "range(n)", "range(1)", (ZETA,)),
+    Mutant("series_skips_operand_check", "zeta", "expand_series",
+           "_check_operand(reg, z.space, term.coeff)", "pass",
+           ("tests/test_zeta.py::"
+            "test_foreign_coefficient_refused_below_its_lowest_degree",)),
     Mutant("parse_job_first_error", "jobs", "parse_job",
            "jsonschema.exceptions.best_match(job_validator().iter_errors(data))",
            "next(iter(job_validator().iter_errors(data)), None)",
