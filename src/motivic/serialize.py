@@ -20,7 +20,7 @@ from .bundles import BundleClass
 from .errors import RegistryError, UnsupportedShape, ValidationFailed
 from .halflaurent import HalfLaurent
 from .motive import Motive
-from .registry import Registry
+from .registry import POINT, Registry
 
 if TYPE_CHECKING:
     from .arcs import ArcContext, MonomialFunction
@@ -388,6 +388,7 @@ def atlas_from_json(reg: Registry, data) -> Atlas:
     if data.get("scissor") is not None:
         scissor = []
         repeated: list[str] = []
+        off_point: list[str] = []
         for p in data["scissor"]:
             sp = regions[p["region"]]
             entries = _collect(
@@ -396,8 +397,13 @@ def atlas_from_json(reg: Registry, data) -> Atlas:
                 lambda e: motive_from_json(reg, e["class"]),
                 lambda e: _term_key(reg, sp, e))
             scissor.append(ScissorPiece(p["region"], entries, p.get("sign", 1)))
-        if repeated:
-            raise ValidationFailed(repeated)
+            off_point += [f"region {p['region']!r}: scissor entry for term "
+                          f"({mon}, bits={bits}) lives on {img.space!r}, "
+                          f"not on the point {POINT!r}"
+                          for (mon, bits), img in sorted(entries.items())
+                          if img.space != POINT]
+        if repeated or off_point:
+            raise ValidationFailed(repeated + off_point)
     return Atlas(reg, regions, charts, overlaps, data.get("oriented", True),
                  scissor)
 

@@ -281,6 +281,29 @@ def test_repeated_key_exit_code(tmp_path, capsys, name, path, index, message,
     assert err == f"validation: {message}\n"
 
 
+@pytest.mark.parametrize("name, command, scissor", [
+    ("atlas_z2", "glue", ("scissor",)),
+    ("localize_two_points", "localize", ("direct_atlas", "scissor")),
+])
+def test_scissor_entry_off_the_point_exit_code(tmp_path, capsys, name,
+                                               command, scissor):
+    # a scissor entry must be a class over the point; one over a declared
+    # space of the job is refused at parse time, one line per entry
+    job = fixtures.load_fixture_job(name)
+    pieces = job["payload"]
+    for step in scissor:
+        pieces = pieces[step]
+    space = job["registry"]["spaces"][0]["name"]
+    pieces[-1]["entries"][0]["class"]["space"] = space
+    path = tmp_path / "off_point.json"
+    path.write_text(json.dumps(job), encoding="utf-8")
+    code, out, err = run(capsys, command, "--job", str(path))
+    assert code == 2 and out == ""
+    assert err == (f"validation: region {pieces[-1]['region']!r}: scissor "
+                   f"entry for term ((), bits=0) lives on {space!r}, not on "
+                   "the point 'K'\n")
+
+
 def test_each_repeated_key_is_one_diagnostic(tmp_path, capsys):
     # a divisor list keys by its set, so ["Ey", "Ex"] repeats ["Ex", "Ey"]
     job = fixtures.load_fixture_job("x2y_plane")

@@ -224,6 +224,9 @@ MUTANTS = [
            "lift_b.text(), 'transported chart classes disagree')", "pass",
            ("tests/test_dcrit.py::test_glued_values_agree_on_every_overlap",
             "tests/test_dcrit.py::test_disagreeing_overlap_failure_is_pinned")),
+    Mutant("scissor_entry_space_unchecked", "serialize", "atlas_from_json",
+           "img.space != POINT", "False",
+           ("tests/test_cli.py::test_scissor_entry_off_the_point_exit_code",)),
     Mutant("scissor_stops_at_first_repeated_piece", "serialize",
            "atlas_from_json",
            "scissor.append(ScissorPiece(p['region'], entries, p.get('sign', 1)))",
