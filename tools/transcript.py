@@ -27,9 +27,6 @@ GOLDEN = ROOT / "tests" / "golden" / "cli_transcript.txt"
 COMMANDS = ("zeta", "nearby", "vanishing", "arc-check", "ts", "glue", "localize")
 HEADER = "=== motivic "
 
-if str(ROOT / "src") not in sys.path:
-    sys.path.insert(0, str(ROOT / "src"))
-
 
 def argvs() -> list[list[str]]:
     """Every recorded argv, in transcript order."""
@@ -58,9 +55,8 @@ def record(argv: list[str]) -> str:
 
 def blocks(text: str) -> list[str]:
     """``text`` cut into blocks, one per header line."""
-    starts = [i for i, line in enumerate(text.splitlines(keepends=True))
-              if line.startswith(HEADER)]
     lines = text.splitlines(keepends=True)
+    starts = [i for i, line in enumerate(lines) if line.startswith(HEADER)]
     return ["".join(lines[a:b]) for a, b in zip(starts, starts[1:] + [len(lines)])]
 
 
@@ -94,4 +90,5 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    sys.path.insert(0, str(ROOT / "src"))
     sys.exit(main())
