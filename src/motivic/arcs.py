@@ -28,8 +28,6 @@ at the first order divisible by ``a``, and shares the exponent rule
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bundles import BundleClass
 from .errors import UnsupportedShape
 from .halflaurent import HalfLaurent
@@ -37,18 +35,17 @@ from .motive import Motive, symbol_motive, upsilon
 from .registry import FrozenRecord, Registry, _set
 
 
-@dataclass(frozen=True)
-class MonomialFunction:
+class MonomialFunction(FrozenRecord):
     """x_0^a0 ... x_{k-1}^a{k-1} with the ``unit_vars`` indices on the torus."""
 
-    exponents: tuple[int, ...]
-    unit_vars: frozenset[int] = frozenset()
-
-    def __post_init__(self):
-        if not self.exponents or any(a < 1 for a in self.exponents):
+    def __init__(self, exponents: tuple[int, ...],
+                 unit_vars: frozenset[int] = frozenset()):
+        if not exponents or any(a < 1 for a in exponents):
             raise UnsupportedShape("exponents must be a nonempty positive list")
-        if any(i < 0 or i >= len(self.exponents) for i in self.unit_vars):
+        if any(i < 0 or i >= len(exponents) for i in unit_vars):
             raise UnsupportedShape("unit-variable index out of range")
+        _set(self, "exponents", exponents)
+        _set(self, "unit_vars", unit_vars)
 
     @property
     def affine_vars(self) -> tuple[int, ...]:

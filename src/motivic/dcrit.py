@@ -24,13 +24,12 @@ each restricts to ``mf_a . Y(P_a) . Y(Q_T)``.  Any failure raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .bundles import BundleClass, pull_class_bits
 from .errors import (DescentFailure, MissingScissorTable, OrientationMissing,
                      ValidationFailed)
-from .motive import (Flat, Motive, _add_scaled, _check_operand, _term_table,
+from .motive import (Flat, Motive, _check_operand, _term_table,
                      twisted_pullback)
 from .registry import POINT, FrozenRecord, Record, Registry, _set
 
@@ -64,8 +63,7 @@ class OverlapDatum(FrozenRecord):
         _set(self, "mf_t", mf_t)  # optional shared-chart class for extra checks
 
 
-@dataclass(frozen=True)
-class ScissorPiece:
+class ScissorPiece(FrozenRecord):
     """One piece of a disjointification, with its pushforward table.
 
     ``entries`` maps term keys (monomial, bundle bits) of the region's value,
@@ -73,13 +71,12 @@ class ScissorPiece:
     point; sign allows inclusion-exclusion over a region lattice.
     """
 
-    region: str
-    entries: dict[tuple[tuple[str, ...], int], Motive]
-    sign: int = 1
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", _term_table(
-            self.entries, f"region {self.region!r}"))
+    def __init__(self, region: str,
+                 entries: dict[tuple[tuple[str, ...], int], Motive],
+                 sign: int = 1):
+        _set(self, "region", region)
+        _set(self, "entries", _term_table(entries, f"region {region!r}"))
+        _set(self, "sign", sign)
 
 
 class Atlas(Record):
@@ -252,10 +249,10 @@ def pushforward_to_point(atlas: Atlas, glued: GlobalMotive) -> Motive:
 
     One pass over each piece's region value in flat form: a term
     ``c . L^(k/2) . [mon] . Y(bits)`` adds ``sign . c . L^(k/2)`` times the
-    entry of ``(mon, bits)`` into one accumulator, and a sum that cancels
-    drops its key.  Pieces are read in order.  Before a piece adds
-    anything, its distinct ``(mon, bits)`` keys are checked in sorted
-    order, so the first key with no entry raises
+    entry of ``(mon, bits)`` into one accumulator, and the keys whose sums
+    cancel are swept once, at the end of the call.  Pieces are read in
+    order.  Before a piece adds anything, its distinct ``(mon, bits)`` keys
+    are checked in sorted order, so the first key with no entry raises
     :class:`MissingScissorTable`, and an entry from another registry or
     space raises as a summand would.
     """
@@ -263,6 +260,7 @@ def pushforward_to_point(atlas: Atlas, glued: GlobalMotive) -> Motive:
     if atlas.scissor is None:
         raise MissingScissorTable("atlas declares no scissor table")
     acc: Flat = {}
+    get = acc.get
     for piece in atlas.scissor:
         if piece.region not in glued.values:
             raise MissingScissorTable(
@@ -276,6 +274,12 @@ def pushforward_to_point(atlas: Atlas, glued: GlobalMotive) -> Motive:
                     f"region {piece.region!r}: no scissor entry for term "
                     f"({mon}, bits={bits})")
             _check_operand(reg, POINT, entry)
+        sign = piece.sign
         for (mon, bits, k), c in flat.items():
-            _add_scaled(acc, entries[mon, bits]._flat, ((k, piece.sign * c),))
+            c *= sign
+            for (emon, ebits, ek), e in entries[mon, bits]._flat.items():
+                key = (emon, ebits, ek + k)
+                acc[key] = get(key, 0) + c * e
+    for key in [key for key, v in acc.items() if not v]:
+        del acc[key]
     return Motive._wrap(reg, POINT, acc)

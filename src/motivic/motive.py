@@ -433,6 +433,7 @@ def _pull_flat(reg: Registry, mor: Morphism, flat: Flat, twist: int) -> Flat:
         return _pull_flat(reg, reg.morphisms[mor.steps[-1]], flat, twist)
     mons: dict[tuple[str, ...], Flat] = {}
     images: dict[int, int] = {}
+    pull_bits = reg.pull_bits
     acc: Flat = {}
     get = acc.get
     for (mon, bits, k), c in flat.items():
@@ -442,7 +443,7 @@ def _pull_flat(reg: Registry, mor: Morphism, flat: Flat, twist: int) -> Flat:
                 mon_img = mons[mon] = _pull_monomial(reg, mor, mon)
         img = images.get(bits)
         if img is None:
-            img = images[bits] = reg.pull_bits(mor, bits) ^ twist
+            img = images[bits] = pull_bits(mor, bits) ^ twist
         if not mon:
             key = ((), img, k)
             acc[key] = get(key, 0) + c

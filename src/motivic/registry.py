@@ -307,12 +307,16 @@ class Registry:
         composite transports along its steps in order.
 
         Each image is memoized per morphism (at most ``PULL_MEMO_CAP`` of
-        them), so a class pulled again costs one lookup.  No declaration
-        can make a stored image stale: generators are only appended, a
-        morphism's table is fixed when it is declared and its name cannot
-        be declared again, and a pull that raises stores nothing.
+        them), in a table made on the first pull along that morphism, so a
+        class pulled again costs two lookups and allocates nothing.  No
+        declaration can make a stored image stale: generators are only
+        appended, a morphism's table is fixed when it is declared and its
+        name cannot be declared again, and a pull that raises stores no
+        image.
         """
-        memo = self._pulled.setdefault(mor.name, {})
+        memo = self._pulled.get(mor.name)
+        if memo is None:
+            memo = self._pulled[mor.name] = {}
         img = memo.get(bits)
         if img is not None:
             return img

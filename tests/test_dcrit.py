@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motivic import (Atlas, BundleClass, CriticalChart, DescentFailure,
-                     GlobalMotive, HalfLaurent, MissingScissorTable, Motive,
-                     MotivicError, OrientationMissing, OverlapDatum, Registry,
-                     RegistryError, ScissorPiece, bundle_pullback,
-                     check_orientation, fixtures, generator, glue, pullback,
-                     pushforward_to_point, upsilon)
+                     EmbeddingDatum, GlobalMotive, HalfLaurent,
+                     MissingScissorTable, Motive, MotivicError,
+                     OrientationMissing, OverlapDatum, Registry, RegistryError,
+                     ScissorPiece, bundle_pullback, check_orientation,
+                     compose_embeddings, fixtures, generator, glue, pullback,
+                     pushforward_to_point, stabilize_pullback, upsilon)
 from motivic.motive import mot_sum
 from motivic.registry import POINT
 
@@ -461,6 +462,78 @@ def test_glued_values_agree_on_every_overlap(drawn):
         if o.restrict_b is not None:
             vb = pullback(reg, o.restrict_b, vb)
         assert va == vb
+
+
+# -- a redundant stabilized chart (the glued class is chart-independent) ------------
+
+
+@st.composite
+def stabilized_atlases(draw):
+    """A two-chart atlas that glues, with a scissor table over its glued
+    values, and the same atlas with one redundant chart added: one chart's
+    class ``mf`` stabilized along a composite of two embeddings, with
+    torsor class P, on the same region, oriented by ``q + P`` (``q`` that
+    chart's orientation).  The overlap joining the two has ``P_a = P``,
+    ``P_b = 0``, ``Q_T = q + P`` and the new class as the shared chart's.
+    ``change`` perturbs only the P the class is stabilized by (``"P"``),
+    only the q in the new orientation and in ``Q_T`` (``"q"``), only the P
+    of the shared chart's class (``"mf_t"``), or nothing (None).  Returns
+    both atlases, ``change`` and the two steps with the class they
+    stabilize."""
+    reg, atlas, dim = random_consistent_atlas(
+        draw(st.randoms(use_true_random=False)))
+    glued = glue(atlas)
+    scissor = [ScissorPiece(region, {
+        key: Motive.coefficient(reg, POINT, HalfLaurent({i: 1, -1: i + 2}))
+        for i, (key, _) in enumerate(value.terms())})
+        for region, value in glued.values.items()]
+    base = Atlas(reg, atlas.regions, atlas.charts, atlas.overlaps, True,
+                 scissor)
+    chart = draw(st.sampled_from(base.charts))
+    bits, rank = st.integers(0, (1 << dim) - 1), st.integers(0, 2)
+    new_id = draw(st.sampled_from(("c0", "cS")))  # glued before or after
+    mid = chart.dim_u + draw(rank)
+    steps = (EmbeddingDatum(chart.id, "mid", chart.dim_u, mid,
+                            BundleClass("S", draw(bits))),
+             EmbeddingDatum("mid", new_id, mid, mid + draw(rank),
+                            BundleClass("S", draw(bits))))
+    change = draw(st.sampled_from((None, "P", "q", "mf_t")))
+    delta = BundleClass("S", draw(st.integers(1, (1 << dim) - 1)))
+    e = compose_embeddings(reg, *steps)
+    p = e.p_phi
+    if change == "P":
+        e = EmbeddingDatum(chart.id, new_id, e.dim_source, e.dim_target,
+                           p.tensor(delta))
+    q = chart.q.tensor(delta) if change == "q" else chart.q
+    mf = stabilize_pullback(chart.mf, e)
+    mf_t = (chart.mf.odot(upsilon(reg, p.tensor(delta))) if change == "mf_t"
+            else mf)
+    stable = CriticalChart(new_id, chart.region, e.dim_target, mf, q.tensor(p))
+    overlap = OverlapDatum(chart.id, new_id, chart.region, p,
+                           BundleClass("S", 0), q.tensor(p), mf_t=mf_t)
+    stabilized = Atlas(reg, base.regions, base.charts + [stable],
+                       base.overlaps + [overlap], True, scissor)
+    return base, stabilized, change, (chart.mf, *steps)
+
+
+@settings(max_examples=120, deadline=None)
+@given(stabilized_atlases())
+def test_a_redundant_stabilized_chart_changes_nothing(drawn):
+    # the class of a critical chart stabilized by P is mf . Y(P) (result
+    # (b)); oriented by q + P its candidate is mf . Y(q) again, so gluing
+    # accepts it and no region value or the pushforward moves
+    base, stabilized, change, (mf, first, second) = drawn
+    if change is not None:
+        with pytest.raises(DescentFailure):
+            glue(stabilized)
+        return
+    # the composite embedding stabilizes as its two steps do
+    assert stabilized.charts[-1].mf == stabilize_pullback(
+        stabilize_pullback(mf, first), second)
+    before, after = glue(base), glue(stabilized)
+    assert after.values == before.values
+    assert (pushforward_to_point(stabilized, after)
+            == pushforward_to_point(base, before))
 
 
 # -- pinned diagnostics of the cocycle check and of descent ----------------------

@@ -8,13 +8,15 @@ records share a container.
 
 import pytest
 
-from motivic.arcs import ArcContext
+from motivic.arcs import ArcContext, MonomialFunction
 from motivic.bundles import BundleClass
-from motivic.dcrit import Atlas, CriticalChart, GlobalMotive, OverlapDatum
+from motivic.dcrit import (Atlas, CriticalChart, GlobalMotive, OverlapDatum,
+                           ScissorPiece)
 from motivic.jobs import Job
 from motivic.localize import FixedComponentDatum
 from motivic.motive import Motive
-from motivic.registry import Morphism, Product, Registry, Space, Symbol
+from motivic.registry import (POINT, Morphism, Product, Registry, Space,
+                              Symbol)
 from motivic.zeta import (Divisor, PointTable, RatTerm, ResolutionData,
                           RestrictionTable, Stratum)
 
@@ -32,6 +34,7 @@ def _registry() -> Registry:
 
 REG = _registry()
 ONE = Motive.one(REG, "A")
+ONE_K = Motive.one(REG, POINT)
 E1 = Divisor("E1", 2, 1)
 Q = BundleClass("A", 1)
 
@@ -85,6 +88,15 @@ CASES = {
     "ArcContext_default": (ArcContext(REG, "A"), [
         ("registry", REG), ("base_space", "A"), ("unit_generators", ()),
         ("cover_symbols", {})]),
+    "MonomialFunction": (MonomialFunction((2, 1), frozenset({1})), [
+        ("exponents", (2, 1)), ("unit_vars", frozenset({1}))]),
+    "MonomialFunction_default": (MonomialFunction((2,)), [
+        ("exponents", (2,)), ("unit_vars", frozenset())]),
+    "ScissorPiece": (ScissorPiece("R", {(("sB", "sA"), 1): ONE_K}, -1), [
+        ("region", "R"), ("entries", {(("sA", "sB"), 1): ONE_K}),
+        ("sign", -1)]),
+    "ScissorPiece_default": (ScissorPiece("R", {}), [
+        ("region", "R"), ("entries", {}), ("sign", 1)]),
     "CriticalChart": (CriticalChart("c", "R", 2, ONE, Q), [
         ("id", "c"), ("region", "R"), ("dim_u", 2), ("mf", ONE), ("q", Q)]),
     "OverlapDatum": (OverlapDatum("a", "b", "R", Q, Q, Q, "f", None), [

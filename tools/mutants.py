@@ -208,7 +208,7 @@ MUTANTS = [
            "(RegistryError, SpaceMismatch)", "RegistryError",
            ("tests/test_cli.py::test_unknown_space_or_symbol_exit_code",)),
     Mutant("pushforward_drops_piece_sign", "dcrit", "pushforward_to_point",
-           "piece.sign * c", "c",
+           "c *= sign", "pass",
            ("tests/test_dcrit.py::test_pushforward_matches_the_regrouped_sum",)),
     Mutant("constructor_skips_integer_check", "motive", "Motive.__init__",
            "if plain and (type(k2) is not int or type(c) is not int):\n"
@@ -224,6 +224,10 @@ MUTANTS = [
            "lift_b.text(), 'transported chart classes disagree')", "pass",
            ("tests/test_dcrit.py::test_glued_values_agree_on_every_overlap",
             "tests/test_dcrit.py::test_disagreeing_overlap_failure_is_pinned")),
+    Mutant("glue_skips_shared_chart_check", "dcrit", "glue",
+           "o.mf_t is not None and lift_a != o.mf_t", "False",
+           ("tests/test_dcrit.py::"
+            "test_a_redundant_stabilized_chart_changes_nothing",)),
     Mutant("scissor_entry_space_unchecked", "serialize", "atlas_from_json",
            "img.space != POINT", "False",
            ("tests/test_cli.py::test_scissor_entry_off_the_point_exit_code",)),
@@ -234,7 +238,7 @@ MUTANTS = [
            "scissor.append(ScissorPiece(p['region'], entries, p.get('sign', 1)))",
            ("tests/test_cli.py::test_every_scissor_piece_reports_its_repeats",)),
     Mutant("twist_dropped_from_flat_loop", "motive", "_pull_flat",
-           "reg.pull_bits(mor, bits) ^ twist", "reg.pull_bits(mor, bits)",
+           "pull_bits(mor, bits) ^ twist", "pull_bits(mor, bits)",
            (TWIST,)),
     Mutant("twist_dropped_after_composite_steps", "motive", "_pull_flat",
            "_pull_flat(reg, reg.morphisms[mor.steps[-1]], flat, twist)",
@@ -246,8 +250,9 @@ MUTANTS = [
     Mutant("pull_bits_index_off_by_one", "registry", "Registry.pull_bits",
            "low.bit_length() - 1", "low.bit_length()", (TWIST,)),
     Mutant("pull_memo_shared_across_morphisms", "registry", "Registry.pull_bits",
-           "self._pulled.setdefault(mor.name, {})",
-           "self._pulled.setdefault('', {})", ("tests/test_transport.py",)),
+           "if memo is None:\n    memo = self._pulled[mor.name] = {}",
+           "if memo is None:\n    memo = self._pulled.setdefault('', {})",
+           ("tests/test_transport.py",)),
     Mutant("composite_memo_wrong_key", "registry", "Registry.pull_bits",
            "for step in mor.steps:\n"
            "    img = self.pull_bits(self.morphisms[step], img)",
