@@ -5,8 +5,8 @@ Subcommands: ``zeta | nearby | vanishing | arc-check | ts | glue | localize
 Output is deterministic text on stdout (or a JSON document with
 ``--machine-readable``); diagnostics go to stderr.
 
-Exit codes are part of the contract: 0 success, 2 validation diagnostics,
-3 missing restriction, 4 unsupported shape, 5 descent failure.
+Exit codes are part of the contract: a refusal exits with the ``exit_code``
+of its error class (README, "Exit codes") and prints its ``report()``.
 
 Every job command runs through :func:`run`: its ``cmd_*`` takes the
 parsed job and returns ``(text, machine, exit code)``, and imports the
@@ -19,16 +19,11 @@ import argparse
 import json
 import sys
 
-from .errors import (DescentFailure, MissingRestriction, MotivicError,
-                     UnsupportedShape, ValidationFailed)
+from .errors import MotivicError, ValidationFailed
 from .jobs import FIXTURE_NAMES, Job, load_fixture_job, parse_job, require_kind
 from .serialize import RESULT_SCHEMA, motive_to_json
 
 EXIT_OK = 0
-EXIT_VALIDATION = 2
-EXIT_MISSING_RESTRICTION = 3
-EXIT_UNSUPPORTED_SHAPE = 4
-EXIT_DESCENT = 5
 
 # what a job command returns: text, machine-readable fields, exit code
 Outcome = tuple[str, dict, int]
@@ -227,26 +222,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except ValidationFailed as exc:
-        for d in exc.diagnostics:
-            print(f"validation: {d}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except MissingRestriction as exc:
-        print(f"missing restriction: {exc}", file=sys.stderr)
-        return EXIT_MISSING_RESTRICTION
-    except UnsupportedShape as exc:
-        print(f"unsupported shape: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED_SHAPE
-    except DescentFailure as exc:
-        print("descent failure:", file=sys.stderr)
-        print(f"  left : {exc.left}", file=sys.stderr)
-        print(f"  right: {exc.right}", file=sys.stderr)
-        if exc.detail:
-            print(f"  ({exc.detail})", file=sys.stderr)
-        return EXIT_DESCENT
     except MotivicError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        sys.stderr.writelines(f"{line}\n" for line in exc.report())
+        return exc.exit_code
 
 
 if __name__ == "__main__":  # pragma: no cover

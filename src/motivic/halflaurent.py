@@ -25,7 +25,7 @@ class HalfLaurent:
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         acc: dict[int, int] = {}
         for k, c in items:
-            if not isinstance(k, int) or not isinstance(c, int):
+            if type(k) is not int or type(c) is not int:
                 raise TypeError("HalfLaurent wants integer exponent keys and coefficients")
             if c:
                 acc[k] = acc.get(k, 0) + c

@@ -377,13 +377,13 @@ def atlas_from_json(reg: Registry, data) -> Atlas:
     overlaps = []
     for o in data.get("overlaps", ()):
         sp = regions[o["region"]]
+        # resolve restriction names now, so a dangling one fails the parse
+        restrict = [None if o.get(k) is None else reg.morphism(o[k]).name
+                    for k in ("restrict_a", "restrict_b")]
         overlaps.append(OverlapDatum(
             o["chart_a"], o["chart_b"], o["region"],
-            BundleClass(sp, reg.bits_of(sp, o["p_a"])),
-            BundleClass(sp, reg.bits_of(sp, o["p_b"])),
-            BundleClass(sp, reg.bits_of(sp, o["q_t"])),
-            o.get("restrict_a"), o.get("restrict_b"),
-            _opt_motive_from_json(reg, o.get("mf_t"))))
+            *(BundleClass(sp, reg.bits_of(sp, o[k])) for k in ("p_a", "p_b", "q_t")),
+            *restrict, _opt_motive_from_json(reg, o.get("mf_t"))))
     scissor = None
     if data.get("scissor") is not None:
         scissor = []

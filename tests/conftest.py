@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import random
 
 import pytest
@@ -71,3 +72,21 @@ def random_consistent_atlas(rng: random.Random):
     overlaps = [OverlapDatum("cA", "cB", "RA", p_a=p_a, p_b=p_b, q_t=q_t)]
     atlas = Atlas(reg, {"RA": "S", "RB": "S"}, charts, overlaps, True)
     return reg, atlas, dim
+
+
+def ts_with_opaque_factors() -> dict:
+    """A ``ts`` job of two factors that are each the class of an order-2
+    symbol ``m`` not declared as a Z2-cover: their product leaves the
+    decidable fragment."""
+    from motivic.jobs import load_fixture_job
+
+    job = load_fixture_job("ts_z2_10")
+    reg = job["registry"]
+    reg["products"] = reg["products"][:1]
+    reg["symbols"] = [{"name": "m", "space": "X0", "order": 2, "cover": None,
+                       "underlying": {"space": "X0", "terms": [
+                           {"monomial": [], "bundle": [], "coeff": [[0, 2]]}]}}]
+    factor = {"space": "X0", "terms": [
+        {"monomial": ["m"], "bundle": [], "coeff": [[0, 1]]}]}
+    job["payload"]["factors"] = [factor, copy.deepcopy(factor)]
+    return job

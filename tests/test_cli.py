@@ -3,14 +3,17 @@
 import copy
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import ts_with_opaque_factors
 from motivic import fixtures
 from motivic.cli import main
+from motivic.errors import MotivicError
 from motivic.serialize import motive_from_json, registry_from_json
 
 
@@ -202,6 +205,18 @@ def _ts_with_stratum_symbol():
     return job
 
 
+def _localize_with_restriction(side, name):
+    """localize_two_points whose direct atlas gains a self-overlap of chart
+    ``c1`` restricted along the morphism ``name`` on ``side``."""
+    job = fixtures.load_fixture_job("localize_two_points")
+    overlap = {"chart_a": "c1", "chart_b": "c1", "region": "P1", "p_a": [],
+               "p_b": [], "q_t": [], "restrict_a": None, "restrict_b": None,
+               "mf_t": None}
+    overlap[side] = name
+    job["payload"]["direct_atlas"]["overlaps"] = [overlap]
+    return job
+
+
 @pytest.mark.parametrize("command,job,message", [
     ("nearby", _with_stratum("z2", space="NOWHERE"), "unknown space 'NOWHERE'"),
     ("nearby", _with_stratum("x2y", space="NOWHERE"),
@@ -228,10 +243,16 @@ def _ts_with_stratum_symbol():
      "cover_symbols key 'three' is not an integer order"),
     ("nearby", _x2y_with_misplaced_symbol(),
      "symbol 'Pfib' lives on 'Gm', not on 'GmW'"),
+    ("glue",
+     _fixture_with("atlas_cylinder", "overlaps", 0, "restrict_a", "nosuch"),
+     "unknown morphism 'nosuch'"),
+    ("localize", _localize_with_restriction("restrict_b", "nosuch"),
+     "unknown morphism 'nosuch'"),
 ], ids=["space", "space_with_bundle", "symbol", "critical_value_space",
         "base_space", "unit_generator", "cover_symbol", "product",
         "default_cover_symbol", "stratum_symbol_in_product", "cover_symbol_key",
-        "symbol_on_another_space"])
+        "symbol_on_another_space", "overlap_restriction",
+        "direct_atlas_restriction"])
 def test_unknown_space_or_symbol_exit_code(tmp_path, capsys, command, job,
                                            message):
     path = tmp_path / "dangling.json"
@@ -579,6 +600,59 @@ def test_unsupported_shape_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "arc-check", "--job", str(path))
     assert code == 4
     assert "unsupported shape" in err
+
+
+@pytest.mark.parametrize("command,job,code,stderr", [
+    ("vanishing",
+     _fixture_with("z2", "critical_values",
+                   [{"value": "0", "space": None, "ambient": None,
+                     "classes": []}]),
+     3, "missing restriction: no restriction table for critical value '0'\n"),
+    ("arc-check", _fixture_with("arc_x2y", "monomial", "exponents", [3, 1]),
+     4, "unsupported shape: order-3 cover with nontrivial unit twisting is "
+        "outside the oracle fragment\n"),
+    ("glue", _fixture_with("atlas_cylinder", "charts", 0, "Q", ["p1"]),
+     5, "descent failure:\n"
+        "  left : overlap cA|cB@R: Q_T != P + Q for chart cA "
+        "(got Y(p1), expected Y(0))\n"
+        "  right: \n"
+        "  (cocycle identity broken)\n"),
+    ("glue", _fixture_with("atlas_cylinder", "charts", 1, "mf", "terms", 0,
+                           "coeff", [[-1, 2]]),
+     5, "descent failure:\n"
+        "  left : L^(-1/2)\n"
+        "  right: 2*L^(-1/2)\n"
+        "  (two charts disagree on one region)\n"),
+    ("ts", ts_with_opaque_factors(),
+     4, "unsupported shape: external product of opaque monomials ('T2.m',) "
+        "and ('T2.1.m',)\n"),
+    ("glue", _fixture_with("atlas_cylinder", "oriented", False),
+     2, "validation: atlas carries no orientation\n"),
+], ids=["missing_restriction", "unsupported_shape", "descent_cocycle",
+        "descent_disagreeing_charts", "opaque_product", "unoriented_atlas"])
+def test_refusal_stderr_is_pinned(tmp_path, capsys, command, job, code,
+                                  stderr):
+    # the exact stderr lines and exit code of each refusal, through main
+    path = tmp_path / "refused.json"
+    path.write_text(json.dumps(job), encoding="utf-8")
+    for machine in ([], ["--machine-readable"]):
+        assert run(capsys, command, "--job", str(path), *machine) == (
+            code, "", stderr)
+
+
+def _error_classes(cls=MotivicError):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _error_classes(sub)
+
+
+def test_readme_exit_code_table_names_every_error_class():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    rows = {name: (int(code), prefix) for name, code, prefix in re.findall(
+        r"^\| `(\w+)` \| (\d+) \| `([^`]*)` \|$", readme, re.M)}
+    assert rows == {cls.__name__: (cls.exit_code, f"{cls.prefix}:")
+                    for cls in _error_classes()}
 
 
 def test_selftest_green(capsys):

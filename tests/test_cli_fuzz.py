@@ -11,9 +11,10 @@ import re
 
 import pytest
 
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import ts_with_opaque_factors
 from motivic.cli import build_parser, main
 from motivic.jobs import FIXTURE_NAMES, job_validator, load_fixture_job
 
@@ -105,12 +106,23 @@ def _fails_its_check(command, out, machine):
     return json.loads(out)[key] is False if machine else bool(line.search(out))
 
 
+# schema-valid jobs that once ended in ``error:``, exit 1
+DANGLING_RESTRICTION = load_fixture_job("atlas_cylinder")
+DANGLING_RESTRICTION["payload"]["overlaps"][0]["restrict_a"] = "nosuch"
+UNORIENTED_ATLAS = load_fixture_job("atlas_cylinder")
+UNORIENTED_ATLAS["payload"]["oriented"] = False
+
+
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.filter_too_much,
                                  HealthCheck.too_slow])
 @given(job=mutated_jobs(), machine=st.booleans())
+@example(job=DANGLING_RESTRICTION, machine=False)
+@example(job=UNORIENTED_ATLAS, machine=False)
+@example(job=ts_with_opaque_factors(), machine=True)
 def test_valid_jobs_end_in_a_documented_exit_code(tmp_path_factory, job,
                                                   machine):
+    assert job_validator().is_valid(job)
     path = tmp_path_factory.mktemp("fuzz") / "job.json"
     path.write_text(json.dumps(job), encoding="utf-8")
     for command in COMMANDS:

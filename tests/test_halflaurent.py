@@ -58,3 +58,7 @@ def test_rejects_non_integers():
         HalfLaurent({0.5: 1})
     with pytest.raises(TypeError):
         HalfLaurent({0: 1.5})
+    with pytest.raises(TypeError):
+        HalfLaurent({True: 1})
+    with pytest.raises(TypeError):
+        HalfLaurent({0: False})

@@ -6,9 +6,10 @@ selection that must catch it.  An edit replaces the one node whose source
 (as ``ast.unparse`` prints it) equals ``find`` with the node(s) parsed from
 ``replace``; an edit that matches no node, or more than one, is an error.
 
-For each mutant the repository's ``src``, ``tests``, ``docs`` and
-``pyproject.toml`` are copied to a temporary directory (the drift tests read
-``docs/schemas``), the mutated module is written there, and the selection
+For each mutant the repository's ``src``, ``tests``, ``docs``,
+``pyproject.toml`` and ``README.md`` are copied to a temporary directory
+(the drift tests read ``docs/schemas``, the exit-code table test reads
+``README.md``), the mutated module is written there, and the selection
 runs in a fresh interpreter.  The mutant is killed when pytest reports a
 failing test (exit status 1).  The script first runs every selection on the
 unmutated copy, which must pass.
@@ -52,6 +53,7 @@ LOADER = ("tests/test_serialize.py::"
           "test_motive_from_json_matches_halflaurent_reference")
 TWIST = ("tests/test_transport.py::"
          "test_twisted_pullback_matches_reference_twist")
+STDERR = "tests/test_cli.py::test_refusal_stderr_is_pinned"
 # a series term's shift x = prod of its factors' L^(-nu) T^N, over %s
 SHIFT_LOOP = "for N, nu in %s:\n    deg += N\n    e -= 2 * nu"
 
@@ -264,6 +266,10 @@ MUTANTS = [
     Mutant("orientation_expects_bare_p", "dcrit", "check_orientation",
            "BundleClass(space, expected)", "BundleClass(space, p.bits)",
            ("tests/test_dcrit.py::test_orientation_diagnostics_are_pinned",)),
+    Mutant("descent_report_drops_detail", "errors", "DescentFailure.report",
+           "[f'  ({self.detail})'] if self.detail else []", "[]", (STDERR,)),
+    Mutant("main_exits_1_on_every_refusal", "cli", "main",
+           "exc.exit_code", "1", (STDERR,)),
 ]
 
 
@@ -336,7 +342,8 @@ def _copy(dest: Path) -> None:
     ignore = shutil.ignore_patterns("__pycache__", "*.egg-info", ".hypothesis")
     for name in ("src", "tests", "docs"):
         shutil.copytree(ROOT / name, dest / name, ignore=ignore)
-    shutil.copy(ROOT / "pyproject.toml", dest / "pyproject.toml")
+    for name in ("pyproject.toml", "README.md"):
+        shutil.copy(ROOT / name, dest / name)
 
 
 def _pytest(root: Path, tests) -> int:
