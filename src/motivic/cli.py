@@ -15,9 +15,17 @@ modules it computes with, so a call loads only what its command runs.
 
 from __future__ import annotations
 
+import gc
+
+# ``python -m motivic.cli``: the collector is off for the imports too
+# (see process_main)
+if __name__ == "__main__":
+    gc.disable()
+
 import argparse
 import json
 import sys
+from typing import NoReturn
 
 from .errors import MotivicError, ValidationFailed
 from .jobs import FIXTURE_NAMES, Job, load_fixture_job, parse_job, require_kind
@@ -227,5 +235,25 @@ def main(argv=None) -> int:
         return exc.exit_code
 
 
+def process_main() -> NoReturn:
+    """The entry point of a ``motivic`` process (the console script and
+    ``python -m motivic.cli``): :func:`main` with no cyclic garbage
+    collection, then ``sys.exit``.
+
+    A call is one short process, so the collector is switched off, and
+    before the exit every object left is frozen, out of the reach of the
+    full collections that interpreter finalization runs.  Exit still flushes
+    stdout and stderr and runs atexit handlers; garbage cycles are left to
+    the operating system.  ``import motivic.cli`` and :func:`main` leave the
+    collector as they found it.
+    """
+    gc.disable()
+    try:
+        code = main()
+    finally:  # also on argparse's SystemExit
+        gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    process_main()

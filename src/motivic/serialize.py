@@ -40,8 +40,18 @@ def coeff_to_json(c: HalfLaurent) -> list[list[int]]:
     return [[k, v] for k, v in c.items()]
 
 
+def _integer(x) -> int:
+    """``x`` as a JSON-schema (draft-07) integer: an int that is not a
+    bool, or a float with no fractional part."""
+    if type(x) is int:
+        return x
+    if type(x) is float and x.is_integer():
+        return int(x)
+    raise ValidationFailed([f"coefficient entry {x!r} is not an integer"])
+
+
 def coeff_from_json(data) -> list[tuple[int, int]]:
-    return [(int(k), int(v)) for k, v in data]
+    return [(_integer(k), _integer(v)) for k, v in data]
 
 
 def motive_to_json(m: Motive) -> dict[str, Any]:
@@ -362,6 +372,35 @@ def _undeclared_regions(data, regions: dict[str, str]) -> list[str]:
     return diags
 
 
+def _restriction_diagnostics(reg: Registry, o, space: str,
+                             chart_spaces: dict[str, str]) -> list[str]:
+    """One diagnostic per restriction name of overlap ``o`` (on region space
+    ``space``) that names no morphism, or a morphism whose source is not
+    ``space`` or whose target is not the region space of the chart it
+    restricts.  A side on an unknown chart id has no target to check; the
+    unknown id is ``dcrit.check_orientation``'s to report."""
+    diags = []
+    for side in "ab":
+        name, chart = o.get(f"restrict_{side}"), o[f"chart_{side}"]
+        if name is None:
+            continue
+        try:
+            mor = reg.morphism(name)
+        except RegistryError as err:
+            diags.append(str(err))
+            continue
+        label = (f"overlap {o['chart_a']}|{o['chart_b']}@{o['region']}: "
+                 f"restrict_{side} {name!r}")
+        if mor.source != space:
+            diags.append(f"{label} has source {mor.source!r}, not the "
+                         f"overlap's region space {space!r}")
+        target = chart_spaces.get(chart)
+        if target is not None and mor.target != target:
+            diags.append(f"{label} has target {mor.target!r}, not the region "
+                         f"space {target!r} of chart {chart!r}")
+    return diags
+
+
 def atlas_from_json(reg: Registry, data) -> Atlas:
     from .dcrit import Atlas, CriticalChart, OverlapDatum, ScissorPiece
 
@@ -374,21 +413,22 @@ def atlas_from_json(reg: Registry, data) -> Atlas:
         BundleClass(regions[c["region"]],
                     reg.bits_of(regions[c["region"]], c["Q"])))
         for c in data["charts"]]
+    chart_spaces = {c.id: regions[c.region] for c in charts}
     overlaps = []
+    restrictions: list[str] = []
     for o in data.get("overlaps", ()):
         sp = regions[o["region"]]
-        # resolve restriction names now, so a dangling one fails the parse
-        restrict = [None if o.get(k) is None else reg.morphism(o[k]).name
-                    for k in ("restrict_a", "restrict_b")]
+        restrictions += _restriction_diagnostics(reg, o, sp, chart_spaces)
         overlaps.append(OverlapDatum(
             o["chart_a"], o["chart_b"], o["region"],
             *(BundleClass(sp, reg.bits_of(sp, o[k])) for k in ("p_a", "p_b", "q_t")),
-            *restrict, _opt_motive_from_json(reg, o.get("mf_t"))))
+            o.get("restrict_a"), o.get("restrict_b"),
+            _opt_motive_from_json(reg, o.get("mf_t"))))
     scissor = None
+    repeated: list[str] = []
+    off_point: list[str] = []
     if data.get("scissor") is not None:
         scissor = []
-        repeated: list[str] = []
-        off_point: list[str] = []
         for p in data["scissor"]:
             sp = regions[p["region"]]
             entries = _collect(
@@ -402,8 +442,8 @@ def atlas_from_json(reg: Registry, data) -> Atlas:
                           f"not on the point {POINT!r}"
                           for (mon, bits), img in sorted(entries.items())
                           if img.space != POINT]
-        if repeated or off_point:
-            raise ValidationFailed(repeated + off_point)
+    if restrictions or repeated or off_point:
+        raise ValidationFailed(restrictions + repeated + off_point)
     return Atlas(reg, regions, charts, overlaps, data.get("oriented", True),
                  scissor)
 

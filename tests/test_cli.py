@@ -262,6 +262,63 @@ def test_unknown_space_or_symbol_exit_code(tmp_path, capsys, command, job,
     assert err == f"validation: {message}\n"
 
 
+def _with_morphism(job, name, source, target):
+    """``job`` with a morphism ``name: source -> target`` declared."""
+    job["registry"]["morphisms"].append(
+        {"name": name, "source": source, "target": target, "kind": "general",
+         "pull_symbols": [], "pull_bundles": [], "push_classes": []})
+    return job
+
+
+def _cylinder_restricted(*overlaps):
+    """atlas_cylinder with ``up: Gm -> GmW`` declared besides its
+    ``sq: GmW -> Gm``, and one copy of its overlap per ``(chart_b,
+    restrict_a, restrict_b)``."""
+    job = _with_morphism(fixtures.load_fixture_job("atlas_cylinder"), "up",
+                         "Gm", "GmW")
+    template = job["payload"]["overlaps"][0]
+    job["payload"]["overlaps"] = [
+        {**template, "chart_b": chart_b, "restrict_a": a, "restrict_b": b}
+        for chart_b, a, b in overlaps]
+    return job
+
+
+SQ_SOURCE = ("validation: overlap cA|cB@R: restrict_a 'sq' has source 'GmW', "
+             "not the overlap's region space 'Gm'\n")
+
+
+@pytest.mark.parametrize("command,job,stderr", [
+    ("glue", _fixture_with("atlas_cylinder", "overlaps", 0, "restrict_a",
+                           "sq"), SQ_SOURCE),
+    ("glue", _cylinder_restricted(("cB", None, "up")),
+     "validation: overlap cA|cB@R: restrict_b 'up' has target 'GmW', not the "
+     "region space 'Gm' of chart 'cB'\n"),
+    ("glue", _cylinder_restricted(("cB", "sq", "sq"), ("cB", "nosuch", None),
+                                  ("cB", None, "up")),
+     SQ_SOURCE + SQ_SOURCE.replace("restrict_a", "restrict_b")
+     + "validation: unknown morphism 'nosuch'\n"
+     "validation: overlap cA|cB@R: restrict_b 'up' has target 'GmW', not the "
+     "region space 'Gm' of chart 'cB'\n"),
+    # the target of a side on an unknown chart is not checked; the unknown
+    # chart is reported when the atlas is glued
+    ("glue", _cylinder_restricted(("nochart", None, "sq")),
+     "validation: overlap cA|nochart@R: restrict_b 'sq' has source 'GmW', "
+     "not the overlap's region space 'Gm'\n"),
+    ("glue", _cylinder_restricted(("nochart", None, "up")),
+     "validation: overlap references unknown chart 'nochart'\n"),
+    ("localize", _with_morphism(
+        _localize_with_restriction("restrict_a", "m12"), "m12", "pt1", "pt2"),
+     "validation: overlap c1|c1@P1: restrict_a 'm12' has target 'pt2', not "
+     "the region space 'pt1' of chart 'c1'\n"),
+], ids=["source", "target", "every_mismatch_in_order", "unknown_chart_source",
+        "unknown_chart_target", "direct_atlas_target"])
+def test_overlap_restriction_spaces_checked_at_parse(tmp_path, capsys,
+                                                     command, job, stderr):
+    path = tmp_path / "restricted.json"
+    path.write_text(json.dumps(job), encoding="utf-8")
+    assert run(capsys, command, "--job", str(path)) == (2, "", stderr)
+
+
 def _with_repeat(name, path, index, first):
     """The fixture job with entry ``index`` of the list at ``payload[path]``
     repeated at the front or the end; a repeated class is scaled by 7, so

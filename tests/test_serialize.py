@@ -124,6 +124,31 @@ def test_motive_refuses_non_integer_pairs(pairs):
         Motive(reg, "S", [((("A",), 0), pairs)])
 
 
+@pytest.mark.parametrize("entry,shown", [
+    ([0, 1.5], "1.5"), ([0.5, 1], "0.5"), ([0, True], "True"),
+    ([False, 1], "False"), ([0, "2"], "'2'"), ([0, None], "None"),
+    ([0, float("inf")], "inf")],
+    ids=["float_coeff", "float_exponent", "bool_coeff", "bool_exponent",
+         "string", "null", "infinite"])
+def test_motive_from_json_refuses_non_integer_entries(entry, shown):
+    # exactly what a draft-07 "integer" accepts, and no int() coercion
+    doc = {"space": "S", "terms": [
+        {"monomial": ["A"], "bundle": [], "coeff": [[0, 1], entry]}]}
+    with pytest.raises(ValidationFailed) as exc:
+        motive_from_json(_loader_registry(), doc)
+    assert exc.value.diagnostics == [
+        f"coefficient entry {shown} is not an integer"]
+
+
+def test_motive_from_json_reads_integral_floats_as_ints():
+    doc = {"space": "S", "terms": [
+        {"monomial": ["A"], "bundle": [], "coeff": [[2.0, -3.0], [1, 5]]}]}
+    flat = motive_from_json(_loader_registry(), doc)._flat
+    assert flat == {(("A",), 0, 2): -3, (("A",), 0, 1): 5}
+    assert all(type(k) is int and type(c) is int
+               for (_, _, k), c in flat.items())
+
+
 def test_motive_takes_a_dict_of_integers_as_coefficient():
     reg = _loader_registry()
     assert Motive(reg, "S", [((("A",), 0), {0: 2, 3: -1})]) \

@@ -6,13 +6,14 @@ selection that must catch it.  An edit replaces the one node whose source
 (as ``ast.unparse`` prints it) equals ``find`` with the node(s) parsed from
 ``replace``; an edit that matches no node, or more than one, is an error.
 
-For each mutant the repository's ``src``, ``tests``, ``docs``,
+For each mutant the repository's ``src``, ``tests``, ``docs``, ``tools``,
 ``pyproject.toml`` and ``README.md`` are copied to a temporary directory
 (the drift tests read ``docs/schemas``, the exit-code table test reads
-``README.md``), the mutated module is written there, and the selection
-runs in a fresh interpreter.  The mutant is killed when pytest reports a
-failing test (exit status 1).  The script first runs every selection on the
-unmutated copy, which must pass.
+``README.md``, the process tests load ``tools/transcript.py``), the
+mutated module is written there, and the selection runs in a fresh
+interpreter.  The mutant is killed when pytest reports a failing test (exit
+status 1).  The script first runs every selection on the unmutated copy,
+which must pass.
 
     python tools/mutants.py            # all mutants; exit 1 if any survives
     python tools/mutants.py --list     # print the list and check the edits
@@ -163,8 +164,14 @@ MUTANTS = [
            ("tests/test_transport.py::"
             "test_pullback_along_composite_is_pullback_of_pullback",)),
     Mutant("loader_keeps_last_exponent", "serialize", "coeff_from_json",
+           "[(_integer(k), _integer(v)) for k, v in data]",
+           "list({_integer(k): _integer(v) for k, v in data}.items())",
+           (LOADER,)),
+    Mutant("loader_coerces_with_int", "serialize", "coeff_from_json",
+           "[(_integer(k), _integer(v)) for k, v in data]",
            "[(int(k), int(v)) for k, v in data]",
-           "list({int(k): int(v) for k, v in data}.items())", (LOADER,)),
+           ("tests/test_serialize.py::"
+            "test_motive_from_json_refuses_non_integer_entries",)),
     Mutant("constructor_overwrites_repeats", "motive", "Motive.__init__",
            "flat.get(key, 0) + c", "c", (LOADER,)),
     Mutant("constructor_keeps_monomial_order", "motive", "Motive.__init__",
@@ -230,6 +237,11 @@ MUTANTS = [
            "o.mf_t is not None and lift_a != o.mf_t", "False",
            ("tests/test_dcrit.py::"
             "test_a_redundant_stabilized_chart_changes_nothing",)),
+    Mutant("restriction_spaces_unchecked", "serialize", "atlas_from_json",
+           "restrictions += _restriction_diagnostics(reg, o, sp, chart_spaces)",
+           "pass",
+           ("tests/test_cli.py::"
+            "test_overlap_restriction_spaces_checked_at_parse",)),
     Mutant("scissor_entry_space_unchecked", "serialize", "atlas_from_json",
            "img.space != POINT", "False",
            ("tests/test_cli.py::test_scissor_entry_off_the_point_exit_code",)),
@@ -270,6 +282,9 @@ MUTANTS = [
            "[f'  ({self.detail})'] if self.detail else []", "[]", (STDERR,)),
     Mutant("main_exits_1_on_every_refusal", "cli", "main",
            "exc.exit_code", "1", (STDERR,)),
+    Mutant("process_main_skips_freeze", "cli", "process_main",
+           "gc.freeze()", "pass",
+           ("tests/test_process.py::test_argparse_exit_is_frozen_too",)),
 ]
 
 
@@ -340,7 +355,7 @@ def module_path(root: Path, mutant: Mutant) -> Path:
 
 def _copy(dest: Path) -> None:
     ignore = shutil.ignore_patterns("__pycache__", "*.egg-info", ".hypothesis")
-    for name in ("src", "tests", "docs"):
+    for name in ("src", "tests", "docs", "tools"):
         shutil.copytree(ROOT / name, dest / name, ignore=ignore)
     for name in ("pyproject.toml", "README.md"):
         shutil.copy(ROOT / name, dest / name)

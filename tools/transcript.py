@@ -10,7 +10,9 @@ line with its argv, then its exit code, stdout and stderr.
     python tools/transcript.py --write   # rewrite tests/golden/cli_transcript.txt
     python tools/transcript.py           # exit 1 and name the first run that differs
 
-``tests/test_transcript.py`` makes the same comparison in tier-1.
+``tests/test_transcript.py`` makes the same comparison in tier-1;
+``tests/test_process.py`` compares a sample of the runs, each made in a
+fresh ``python -m motivic.cli`` process (``record_process``).
 Standard library only, besides the package itself.
 """
 
@@ -19,6 +21,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -49,8 +53,21 @@ def record(argv: list[str]) -> str:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
+    return _block(argv, code, out.getvalue(), err.getvalue())
+
+
+def record_process(argv: list[str]) -> str:
+    """The block of one run in a fresh ``python -m motivic.cli`` process."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-m", "motivic.cli", *argv],
+                          cwd=ROOT, env=env, capture_output=True)
+    return _block(argv, proc.returncode, proc.stdout.decode("utf-8"),
+                  proc.stderr.decode("utf-8"))
+
+
+def _block(argv: list[str], code: int, out: str, err: str) -> str:
     return (f"{HEADER}{' '.join(argv)}\nexit: {code}\n"
-            f"--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}")
+            f"--- stdout\n{out}--- stderr\n{err}")
 
 
 def blocks(text: str) -> list[str]:
