@@ -183,21 +183,35 @@ def validate_atlas(atlas: Atlas) -> list[str]:
 
 
 def check_orientation(atlas: Atlas) -> list[str]:
-    """F2 cocycle check on every overlap; empty iff all identities hold."""
+    """F2 cocycle check on every overlap; empty iff all identities hold.
+
+    A chart's Q is restricted to the overlap by reading the restriction's
+    memo table (``Registry.pull_tables``), one dict lookup on a hit.  When
+    the restriction names no morphism, or one whose target is not Q's
+    space, ``bundles.pull_class_bits`` runs instead and raises what it
+    raises.
+    """
     if not atlas.oriented:
         raise OrientationMissing("atlas carries no orientation")
     structural = _structural_diagnostics(atlas)
     if structural:
         raise ValidationFailed(structural)
     reg = atlas.registry
+    tables = reg.pull_tables
     charts = atlas.chart_index()
     diags: list[str] = []
     for o in atlas.overlaps:
         for cid, p, mor in ((o.chart_a, o.p_a, o.restrict_a),
                             (o.chart_b, o.p_b, o.restrict_b)):
             q = charts[cid].q
-            space, bits = ((q.space, q.bits) if mor is None
-                           else pull_class_bits(reg, mor, q))
+            if mor is None:
+                space, bits = q.space, q.bits
+            else:
+                table = tables.get(mor)
+                if table is not None and table.mor.target == q.space:
+                    space, bits = table.mor.source, table[q.bits]
+                else:  # an unknown morphism or a misplaced Q: it refuses
+                    space, bits = pull_class_bits(reg, mor, q)
             expected = p.bits ^ bits
             if space != o.q_t.space or p.space != o.q_t.space:
                 diags.append(f"overlap {_label(o)}: classes on mismatched spaces")
@@ -247,14 +261,16 @@ def glue(atlas: Atlas) -> GlobalMotive:
 def pushforward_to_point(atlas: Atlas, glued: GlobalMotive) -> Motive:
     """Absolute class: sum the disjointified pieces through scissor tables.
 
-    One pass over each piece's region value in flat form: a term
-    ``c . L^(k/2) . [mon] . Y(bits)`` adds ``sign . c . L^(k/2)`` times the
-    entry of ``(mon, bits)`` into one accumulator, and the keys whose sums
-    cancel are swept once, at the end of the call.  Pieces are read in
-    order.  Before a piece adds anything, its distinct ``(mon, bits)`` keys
-    are checked in sorted order, so the first key with no entry raises
-    :class:`MissingScissorTable`, and an entry from another registry or
-    space raises as a summand would.
+    One pass over each piece's region value in flat form, in its stored
+    order: a term ``c . L^(k/2) . [mon] . Y(bits)`` looks up the entry of
+    ``(mon, bits)``, checks that it exists, is from this registry and lies
+    over the point, and adds ``sign . c . L^(k/2)`` times it into one
+    accumulator.  The keys whose sums cancel are swept once, at the end of
+    the call.  Pieces are read in order.  When a term's entry fails its
+    check, the piece's distinct keys are walked again in sorted order
+    (:func:`_refuse_piece`), so the first key with no entry raises
+    :class:`MissingScissorTable` and an entry from another registry or
+    space raises as a summand would, whichever comes first in that order.
     """
     reg = atlas.registry
     if atlas.scissor is None:
@@ -267,19 +283,28 @@ def pushforward_to_point(atlas: Atlas, glued: GlobalMotive) -> Motive:
                 f"scissor piece over unglued region {piece.region!r}")
         flat = glued.values[piece.region]._flat
         entries = piece.entries
-        for mon, bits in sorted({(mon, bits) for mon, bits, _ in flat}):
-            entry = entries.get((mon, bits))
-            if entry is None:
-                raise MissingScissorTable(
-                    f"region {piece.region!r}: no scissor entry for term "
-                    f"({mon}, bits={bits})")
-            _check_operand(reg, POINT, entry)
         sign = piece.sign
         for (mon, bits, k), c in flat.items():
+            entry = entries.get((mon, bits))
+            if entry is None or entry.reg is not reg or entry.space != POINT:
+                _refuse_piece(reg, piece, flat)
             c *= sign
-            for (emon, ebits, ek), e in entries[mon, bits]._flat.items():
+            for (emon, ebits, ek), e in entry._flat.items():
                 key = (emon, ebits, ek + k)
                 acc[key] = get(key, 0) + c * e
     for key in [key for key, v in acc.items() if not v]:
         del acc[key]
     return Motive._wrap(reg, POINT, acc)
+
+
+def _refuse_piece(reg: Registry, piece: ScissorPiece, flat: Flat) -> None:
+    """Raise for the first of ``flat``'s distinct ``(mon, bits)`` keys, in
+    sorted order, whose scissor entry is missing or is not a class of
+    ``reg`` over the point."""
+    for mon, bits in sorted({(mon, bits) for mon, bits, _ in flat}):
+        entry = piece.entries.get((mon, bits))
+        if entry is None:
+            raise MissingScissorTable(
+                f"region {piece.region!r}: no scissor entry for term "
+                f"({mon}, bits={bits})")
+        _check_operand(reg, POINT, entry)

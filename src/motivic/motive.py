@@ -30,11 +30,13 @@ is nonzero, so no keys collide, nothing accumulates and no zero is left to
 sweep.
 
 A pullback is one pass over the flat form that transports each distinct
-monomial and each distinct bundle class once.  A twist by ``Y(P)`` after a
-pullback, as in ``Phi^*(MF) = MF . Y(P_Phi)``, is part of that pass:
-:func:`pullback` given ``P`` XORs P's bits into each transported bundle
-image, so no second pass relabels the terms.  :func:`twisted_pullback`
-takes the morphism as optional; with none it is the product with ``Y(P)``.
+monomial once and reads each bundle class's image from the morphism's memo
+table.  A twist by ``Y(P)`` after a pullback, as in
+``Phi^*(MF) = MF . Y(P_Phi)``, is part of that pass: :func:`pullback` given
+``P`` XORs P's bits into each transported bundle image, so no second pass
+relabels the terms.  :func:`twisted_pullback` takes the morphism as
+optional; with none it is the product with ``Y(P)``, made as the
+relabelling above with no unit built.
 
 The product of two terms that both carry opaque monodromy of order >= 2 is
 outside the fragment and raises :class:`OdotUndecidable` instead of
@@ -411,29 +413,43 @@ def pullback(reg: Registry, morphism: str, m: Motive,
 def twisted_pullback(reg: Registry, morphism: str | None, m: Motive,
                      p: BundleClass) -> Motive:
     """``pullback(reg, morphism, m).odot(upsilon(reg, p))``, with the twist
-    inside the pullback pass; ``morphism`` None is the identity, giving
-    ``m.odot(upsilon(reg, p))``."""
-    if morphism is None:
-        return m.odot(upsilon(reg, p))
-    return pullback(reg, morphism, m, p)
+    inside the pullback pass.
+
+    ``morphism`` None is the identity, giving ``m.odot(upsilon(reg, p))``
+    as a relabelling of ``m``'s keys, ``(mon, bits ^ p.bits, k2)``, with no
+    unit built and no product run.  It refuses what that product refuses,
+    in the same order: P's range and space (``reg.check_bits``), then ``m``
+    from another registry (:class:`RegistryError`), then ``m`` and P on two
+    spaces (:class:`SpaceMismatch`).  The last two are left to the product
+    itself, which only runs when one of them fails.
+    """
+    if morphism is not None:
+        return pullback(reg, morphism, m, p)
+    if m.reg is not reg or m.space != p.space:
+        return m.odot(upsilon(reg, p))  # refuses as the two-step form does
+    twist = p.bits
+    reg.check_bits(p.space, twist)
+    return Motive._wrap(reg, p.space, {(mon, bits ^ twist, k): c
+                                       for (mon, bits, k), c in m._flat.items()})
 
 
 def _pull_flat(reg: Registry, mor: Morphism, flat: Flat, twist: int) -> Flat:
     """The flat form of ``flat`` pulled along ``mor``, times ``Y(twist)``.
 
-    Each distinct monomial and each distinct bundle class is transported
-    once; a class's image carries the twist, XORed in once.  A term with the
-    empty monomial lands at ``((), image of bits, k2)``; any other term
-    lands as its coefficient times the product of the two images.  A
-    composite pulls back along its steps in order and twists in the last.
+    Each distinct monomial is transported once; each bundle class is read
+    from the morphism's memo table (:class:`~motivic.registry.PullTable`),
+    one dict lookup, and ``Registry.pull_bits`` runs only on a miss.  The
+    image carries the twist, XORed in.  A term with the empty monomial
+    lands at ``((), image of bits, k2)``; any other term lands as its
+    coefficient times the product of the two images.  A composite pulls
+    back along its steps in order and twists in the last.
     """
     if mor.steps:
         for step in mor.steps[:-1]:
             flat = _pull_flat(reg, reg.morphisms[step], flat, 0)
         return _pull_flat(reg, reg.morphisms[mor.steps[-1]], flat, twist)
     mons: dict[tuple[str, ...], Flat] = {}
-    images: dict[int, int] = {}
-    pull_bits = reg.pull_bits
+    table = reg.pull_tables[mor.name]
     acc: Flat = {}
     get = acc.get
     for (mon, bits, k), c in flat.items():
@@ -441,9 +457,7 @@ def _pull_flat(reg: Registry, mor: Morphism, flat: Flat, twist: int) -> Flat:
             mon_img = mons.get(mon)
             if mon_img is None:
                 mon_img = mons[mon] = _pull_monomial(reg, mor, mon)
-        img = images.get(bits)
-        if img is None:
-            img = images[bits] = pull_bits(mor, bits) ^ twist
+        img = table[bits] ^ twist
         if not mon:
             key = ((), img, k)
             acc[key] = get(key, 0) + c

@@ -17,12 +17,12 @@ frozen (:meth:`Registry.freeze`).  It records:
   symbol images are all stored as motives over the source;
   :meth:`Registry.pull_bits` is the one routine that transports bundle
   generators along a morphism, and the one home of its same-name fallback
-  rule.  It memoizes each (morphism, bits) image it computes, since the
-  atlas loops pull the same classes along the same restrictions again and
-  again; nothing needs invalidating, as no declaration changes an image
-  already computed.  A composite (:meth:`Registry.compose`) holds no
-  tables: it is its steps, pulled along in order, so it refuses exactly
-  what they refuse;
+  rule.  It memoizes each (morphism, bits) image it computes in that
+  morphism's :class:`PullTable`, since the atlas loops pull the same
+  classes along the same restrictions again and again; nothing needs
+  invalidating, as no declaration changes an image already computed.  A
+  composite (:meth:`Registry.compose`) holds no tables: it is its steps,
+  pulled along in order, so it refuses exactly what they refuse;
 * product spaces with symbol/generator images for external products; the
   product's generators are the left factor's, then the right's;
 * square-root data: the bookkept correspondence between (line bundle,
@@ -142,6 +142,25 @@ class Product(FrozenRecord):
         _set(self, "bundle_images", {} if bundle_images is None else bundle_images)
 
 
+class PullTable(dict):
+    """The memo of :meth:`Registry.pull_bits` along one morphism: bundle bits
+    on ``mor.target`` -> their image on ``mor.source``.
+
+    Reading ``table[bits]`` is one dict lookup on a hit; a miss calls
+    ``pull_bits``, which computes the image, stores it while the table holds
+    fewer than ``PULL_MEMO_CAP`` of them, and raises (storing nothing) where
+    the pull fails."""
+
+    __slots__ = ("reg", "mor")
+
+    def __init__(self, reg: "Registry", mor: "Morphism"):
+        super().__init__()
+        self.reg, self.mor = reg, mor
+
+    def __missing__(self, bits: int) -> int:
+        return self.reg.pull_bits(self.mor, bits)
+
+
 def _get(table: dict, name: str, what: str):
     try:
         return table[name]
@@ -160,7 +179,7 @@ class Registry:
         self.morphisms: dict[str, Morphism] = {}
         self.products: dict[str, Product] = {}
         self.square_roots: dict[tuple[str, str, str], int] = {}
-        self._pulled: dict[str, dict[int, int]] = {}  # morphism -> bits -> image
+        self.pull_tables: dict[str, PullTable] = {}  # morphism name -> its memo
         self._frozen = False
         self.declare_space(POINT, dim=0)
 
@@ -290,11 +309,14 @@ class Registry:
                 raise RegistryError(f"morphism {name!r}: image of {sym_name!r} "
                                     f"is not a motive over {source!r}")
             images[sym_name] = image
-        mor = Morphism(name, source, target, kind, images,
-                       dict(pull_bundles or {}),
-                       _term_table(push_classes or {}, f"morphism {name!r}"))
-        return self._add(self.morphisms, name, mor,
-                         "morphism {!r} already declared")
+        return self._add_morphism(Morphism(
+            name, source, target, kind, images, dict(pull_bundles or {}),
+            _term_table(push_classes or {}, f"morphism {name!r}")))
+
+    def _add_morphism(self, mor: Morphism) -> Morphism:
+        self._add(self.morphisms, mor.name, mor, "morphism {!r} already declared")
+        self.pull_tables[mor.name] = PullTable(self, mor)
+        return mor
 
     def morphism(self, name: str) -> Morphism:
         return _get(self.morphisms, name, "morphism")
@@ -306,17 +328,17 @@ class Registry:
         name on the source; with neither, :class:`MissingTransport`.  A
         composite transports along its steps in order.
 
-        Each image is memoized per morphism (at most ``PULL_MEMO_CAP`` of
-        them), in a table made on the first pull along that morphism, so a
-        class pulled again costs two lookups and allocates nothing.  No
+        Each image is memoized in the morphism's :class:`PullTable` (at
+        most ``PULL_MEMO_CAP`` of them), made when the morphism is declared.
+        This is the one routine that computes and stores an image: the atlas
+        loops read ``reg.pull_tables[name][bits]``, so a class pulled again
+        costs one dict lookup and no call, and only a miss comes here.  No
         declaration can make a stored image stale: generators are only
         appended, a morphism's table is fixed when it is declared and its
         name cannot be declared again, and a pull that raises stores no
         image.
         """
-        memo = self._pulled.get(mor.name)
-        if memo is None:
-            memo = self._pulled[mor.name] = {}
+        memo = self.pull_tables[mor.name]
         img = memo.get(bits)
         if img is not None:
             return img
@@ -461,6 +483,5 @@ class Registry:
         for image in g.pull_symbols.values():
             pullback(self, inner, image)
         kind = g.kind if g.kind == f.kind else "general"
-        return self._add(self.morphisms, name, Morphism(
-            name, f.source, g.target, kind, steps=(outer, inner)),
-            "morphism {!r} already declared")
+        return self._add_morphism(Morphism(
+            name, f.source, g.target, kind, steps=(outer, inner)))

@@ -377,24 +377,30 @@ def _restriction_diagnostics(reg: Registry, o, space: str,
     """One diagnostic per restriction name of overlap ``o`` (on region space
     ``space``) that names no morphism, or a morphism whose source is not
     ``space`` or whose target is not the region space of the chart it
-    restricts.  A side on an unknown chart id has no target to check; the
-    unknown id is ``dcrit.check_orientation``'s to report."""
+    restricts.  A null side means the overlap region is the chart's own
+    region, so ``space`` must be that chart's region space.  A side on an
+    unknown chart id has no target to check; the unknown id is
+    ``dcrit.check_orientation``'s to report."""
     diags = []
     for side in "ab":
         name, chart = o.get(f"restrict_{side}"), o[f"chart_{side}"]
+        label = f"overlap {o['chart_a']}|{o['chart_b']}@{o['region']}: "
+        target = chart_spaces.get(chart)
         if name is None:
+            if target is not None and space != target:
+                diags.append(f"{label}null restrict_{side}, but the overlap's "
+                             f"region space {space!r} is not the region space "
+                             f"{target!r} of chart {chart!r}")
             continue
         try:
             mor = reg.morphism(name)
         except RegistryError as err:
             diags.append(str(err))
             continue
-        label = (f"overlap {o['chart_a']}|{o['chart_b']}@{o['region']}: "
-                 f"restrict_{side} {name!r}")
+        label += f"restrict_{side} {name!r}"
         if mor.source != space:
             diags.append(f"{label} has source {mor.source!r}, not the "
                          f"overlap's region space {space!r}")
-        target = chart_spaces.get(chart)
         if target is not None and mor.target != target:
             diags.append(f"{label} has target {mor.target!r}, not the region "
                          f"space {target!r} of chart {chart!r}")

@@ -283,6 +283,22 @@ def _cylinder_restricted(*overlaps):
     return job
 
 
+def _cylinder_on_rw(restrict_b=None):
+    """atlas_cylinder with a region ``RW`` on ``GmW`` that its overlap moves
+    to, with ``p_a``, ``p_b`` and ``q_t`` empty and ``restrict_a`` null."""
+    job = fixtures.load_fixture_job("atlas_cylinder")
+    job["payload"]["regions"].append({"name": "RW", "space": "GmW"})
+    job["payload"]["overlaps"][0].update(region="RW", p_a=[], p_b=[], q_t=[],
+                                         restrict_b=restrict_b)
+    return job
+
+
+def _null_side(side, chart):
+    return (f"validation: overlap cA|cB@RW: null restrict_{side}, but the "
+            f"overlap's region space 'GmW' is not the region space 'Gm' of "
+            f"chart {chart!r}\n")
+
+
 SQ_SOURCE = ("validation: overlap cA|cB@R: restrict_a 'sq' has source 'GmW', "
              "not the overlap's region space 'Gm'\n")
 
@@ -310,8 +326,12 @@ SQ_SOURCE = ("validation: overlap cA|cB@R: restrict_a 'sq' has source 'GmW', "
         _localize_with_restriction("restrict_a", "m12"), "m12", "pt1", "pt2"),
      "validation: overlap c1|c1@P1: restrict_a 'm12' has target 'pt2', not "
      "the region space 'pt1' of chart 'c1'\n"),
+    # a null side means the chart's own region; this job ended in exit 5
+    ("glue", _cylinder_on_rw(), _null_side("a", "cA") + _null_side("b", "cB")),
+    ("glue", _cylinder_on_rw("sq"), _null_side("a", "cA")),
 ], ids=["source", "target", "every_mismatch_in_order", "unknown_chart_source",
-        "unknown_chart_target", "direct_atlas_target"])
+        "unknown_chart_target", "direct_atlas_target", "null_sides_off_region",
+        "null_side_beside_a_restriction"])
 def test_overlap_restriction_spaces_checked_at_parse(tmp_path, capsys,
                                                      command, job, stderr):
     path = tmp_path / "restricted.json"

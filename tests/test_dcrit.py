@@ -11,9 +11,11 @@ from motivic import (Atlas, BundleClass, CriticalChart, DescentFailure,
                      EmbeddingDatum, GlobalMotive, HalfLaurent,
                      MissingScissorTable, Motive, MotivicError,
                      OrientationMissing, OverlapDatum, Registry, RegistryError,
-                     ScissorPiece, bundle_pullback, check_orientation,
-                     compose_embeddings, fixtures, generator, glue, pullback,
-                     pushforward_to_point, stabilize_pullback, upsilon)
+                     ScissorPiece, SpaceMismatch, bundle_pullback,
+                     check_orientation, compose_embeddings, fixtures,
+                     generator, glue, pullback, pushforward_to_point,
+                     stabilize_pullback, upsilon)
+from motivic.bundles import pull_class_bits
 from motivic.motive import mot_sum
 from motivic.registry import POINT
 
@@ -216,9 +218,11 @@ def _regrouped_pushforward(atlas: Atlas, glued: GlobalMotive) -> Motive:
 def scissor_sums(draw):
     """Glued values on regions ``A`` (over ``U``) and ``B`` (over ``V``) and
     scissor pieces with signs +-1 over them.  A piece may be repeated with
-    the opposite sign, so that the sum cancels; it may lack the entry of
-    some key, carry an entry over another space or from another registry,
-    or lie over the unglued region ``Z``."""
+    the opposite sign, so that the sum cancels; it may lie over the unglued
+    region ``Z``.  A piece carries up to two faults, at different keys: it
+    may lack the entry of one key, and carry an entry over another space or
+    from another registry at another, so the sorted key order decides which
+    of them is raised."""
     reg = Registry()
     keys = {}
     for space in ("U", "V"):
@@ -242,10 +246,10 @@ def scissor_sums(draw):
         entries = {key: Motive(reg, POINT, {((), 0): draw(coeffs)})
                    for key in keys[regions.get(region, "U")]}
         used = sorted(key for key, _ in values.get(region, values["A"]).terms())
-        fault = draw(st.sampled_from([None] * 7 + ["missing", "space",
-                                                   "registry"]))
-        if fault and used:
-            key = draw(st.sampled_from(used))
+        faults = draw(st.sampled_from(
+            [()] * 7 + [("missing",), ("space",), ("registry",),
+                        ("missing", "space"), ("missing", "registry")]))
+        for fault, key in zip(faults, draw(st.permutations(used))):
             if fault == "missing":
                 del entries[key]
             else:
@@ -308,6 +312,41 @@ def test_scissor_entry_monomial_is_sorted():
     with pytest.raises(RegistryError, match=re.escape(
             "region 'R': two entries for term (('a', 'b'), bits=0)")):
         ScissorPiece("R", {(("b", "a"), 0): img, (("a", "b"), 0): img})
+
+
+@pytest.mark.parametrize("restrict,error", [
+    ("nosuch", (RegistryError, "unknown morphism 'nosuch'")),
+    ("r2w", (SpaceMismatch,
+             "class on 'R1' cannot be pulled along 'r2w' with target 'R2'")),
+], ids=["unknown_morphism", "target_not_the_chart_space"])
+def test_orientation_refuses_a_restriction_as_pull_class_bits_does(restrict,
+                                                                   error):
+    # chart cA lies on R1; its restriction names no morphism, or r2w: W -> R2
+    reg = Registry()
+    for space in ("R1", "R2", "W"):
+        reg.declare_space(space, dim=1)
+        reg.declare_generators(space, ("p",))
+    reg.declare_morphism("r1w", "W", "R1", pull_bundles={"p": 1})
+    reg.declare_morphism("r2w", "W", "R2", pull_bundles={"p": 1})
+    q = BundleClass("R1", 1)
+    charts = [CriticalChart("cA", "RA", 1, Motive.one(reg, "R1"), q),
+              CriticalChart("cB", "RB", 1, Motive.one(reg, "R2"),
+                            BundleClass("R2", 1))]
+    w = BundleClass("W", 0)
+    atlas = Atlas(reg, {"RA": "R1", "RB": "R2", "OV": "W"}, charts,
+                  [OverlapDatum("cA", "cB", "OV", w, w, w, restrict, "r2w")],
+                  True)
+    assert check_orientation(Atlas(
+        reg, atlas.regions, charts,
+        [OverlapDatum("cA", "cB", "OV", w, w, BundleClass("W", 1), "r1w",
+                      "r2w")], True)) == []
+    for _ in range(2):  # the second pass reads the memo tables
+        with pytest.raises(MotivicError) as err:
+            check_orientation(atlas)
+        assert (type(err.value), str(err.value)) == error
+        with pytest.raises(MotivicError) as err:
+            pull_class_bits(reg, restrict, q)
+        assert (type(err.value), str(err.value)) == error
 
 
 def test_overlap_with_restriction_morphisms():

@@ -251,9 +251,9 @@ MUTANTS = [
            "if repeated:\n    raise ValidationFailed(repeated)\n"
            "scissor.append(ScissorPiece(p['region'], entries, p.get('sign', 1)))",
            ("tests/test_cli.py::test_every_scissor_piece_reports_its_repeats",)),
+    # the table read ignores the twist
     Mutant("twist_dropped_from_flat_loop", "motive", "_pull_flat",
-           "pull_bits(mor, bits) ^ twist", "pull_bits(mor, bits)",
-           (TWIST,)),
+           "table[bits] ^ twist", "table[bits]", (TWIST,)),
     Mutant("twist_dropped_after_composite_steps", "motive", "_pull_flat",
            "_pull_flat(reg, reg.morphisms[mor.steps[-1]], flat, twist)",
            "_pull_flat(reg, reg.morphisms[mor.steps[-1]], flat, 0)", (TWIST,)),
@@ -264,8 +264,8 @@ MUTANTS = [
     Mutant("pull_bits_index_off_by_one", "registry", "Registry.pull_bits",
            "low.bit_length() - 1", "low.bit_length()", (TWIST,)),
     Mutant("pull_memo_shared_across_morphisms", "registry", "Registry.pull_bits",
-           "if memo is None:\n    memo = self._pulled[mor.name] = {}",
-           "if memo is None:\n    memo = self._pulled.setdefault('', {})",
+           "memo = self.pull_tables[mor.name]",
+           "memo = self.pull_tables.setdefault('', {})",
            ("tests/test_transport.py",)),
     Mutant("composite_memo_wrong_key", "registry", "Registry.pull_bits",
            "for step in mor.steps:\n"
@@ -275,6 +275,22 @@ MUTANTS = [
            "memo[img] = img\nreturn img",
            ("tests/test_transport.py::"
             "test_memoized_pull_bits_matches_by_name_walk",)),
+    Mutant("relabel_drops_twist", "motive", "twisted_pullback",
+           "bits ^ twist", "bits", (TWIST,)),
+    Mutant("relabel_skips_registry_check", "motive", "twisted_pullback",
+           "m.reg is not reg or m.space != p.space", "m.space != p.space",
+           ("tests/test_transport.py::"
+            "test_twisted_pullback_fails_as_the_two_step_form",)),
+    Mutant("scissor_pass_skips_operand_test", "dcrit", "pushforward_to_point",
+           "entry is None or entry.reg is not reg or entry.space != POINT",
+           "entry is None",
+           ("tests/test_dcrit.py::test_pushforward_matches_the_regrouped_sum",)),
+    Mutant("orientation_table_skips_target_check", "dcrit",
+           "check_orientation",
+           "table is not None and table.mor.target == q.space",
+           "table is not None",
+           ("tests/test_dcrit.py::"
+            "test_orientation_refuses_a_restriction_as_pull_class_bits_does",)),
     Mutant("orientation_expects_bare_p", "dcrit", "check_orientation",
            "BundleClass(space, expected)", "BundleClass(space, p.bits)",
            ("tests/test_dcrit.py::test_orientation_diagnostics_are_pinned",)),
