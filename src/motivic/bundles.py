@@ -72,10 +72,14 @@ def bundle_pullback(reg: Registry, morphism: str, cls: BundleClass) -> BundleCla
 def pull_class_bits(reg: Registry, morphism: str,
                     cls: BundleClass) -> tuple[str, int]:
     """The space and bits of ``bundle_pullback(reg, morphism, cls)``, with
-    its checks and errors but no class built."""
+    its checks and errors but no class built.
+
+    The image is read from the morphism's memo table
+    (``Registry.pull_tables``), one dict lookup once the class has been
+    pulled; ``Registry.pull_bits`` runs only on a miss."""
     mor = reg.morphism(morphism)
     if cls.space != mor.target:
         raise SpaceMismatch(
             f"class on {cls.space!r} cannot be pulled along {morphism!r} "
             f"with target {mor.target!r}")
-    return mor.source, reg.pull_bits(mor, cls.bits)
+    return mor.source, reg.pull_tables[morphism][cls.bits]

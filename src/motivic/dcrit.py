@@ -183,35 +183,21 @@ def validate_atlas(atlas: Atlas) -> list[str]:
 
 
 def check_orientation(atlas: Atlas) -> list[str]:
-    """F2 cocycle check on every overlap; empty iff all identities hold.
-
-    A chart's Q is restricted to the overlap by reading the restriction's
-    memo table (``Registry.pull_tables``), one dict lookup on a hit.  When
-    the restriction names no morphism, or one whose target is not Q's
-    space, ``bundles.pull_class_bits`` runs instead and raises what it
-    raises.
-    """
+    """F2 cocycle check on every overlap; empty iff all identities hold."""
     if not atlas.oriented:
         raise OrientationMissing("atlas carries no orientation")
     structural = _structural_diagnostics(atlas)
     if structural:
         raise ValidationFailed(structural)
     reg = atlas.registry
-    tables = reg.pull_tables
     charts = atlas.chart_index()
     diags: list[str] = []
     for o in atlas.overlaps:
         for cid, p, mor in ((o.chart_a, o.p_a, o.restrict_a),
                             (o.chart_b, o.p_b, o.restrict_b)):
             q = charts[cid].q
-            if mor is None:
-                space, bits = q.space, q.bits
-            else:
-                table = tables.get(mor)
-                if table is not None and table.mor.target == q.space:
-                    space, bits = table.mor.source, table[q.bits]
-                else:  # an unknown morphism or a misplaced Q: it refuses
-                    space, bits = pull_class_bits(reg, mor, q)
+            space, bits = ((q.space, q.bits) if mor is None
+                           else pull_class_bits(reg, mor, q))
             expected = p.bits ^ bits
             if space != o.q_t.space or p.space != o.q_t.space:
                 diags.append(f"overlap {_label(o)}: classes on mismatched spaces")

@@ -21,8 +21,10 @@ frozen (:meth:`Registry.freeze`).  It records:
   morphism's :class:`PullTable`, since the atlas loops pull the same
   classes along the same restrictions again and again; nothing needs
   invalidating, as no declaration changes an image already computed.  A
-  composite (:meth:`Registry.compose`) holds no tables: it is its steps,
-  pulled along in order, so it refuses exactly what they refuse;
+  composite (:meth:`Registry.compose`) has no ``pull_bundles`` or
+  ``pull_symbols`` table of its own: it is its steps, pulled along in
+  order, so it refuses exactly what they refuse.  It does have a
+  :class:`PullTable`, which memoizes the images along the whole chain;
 * product spaces with symbol/generator images for external products; the
   product's generators are the left factor's, then the right's;
 * square-root data: the bookkept correspondence between (line bundle,
@@ -149,7 +151,8 @@ class PullTable(dict):
     Reading ``table[bits]`` is one dict lookup on a hit; a miss calls
     ``pull_bits``, which computes the image, stores it while the table holds
     fewer than ``PULL_MEMO_CAP`` of them, and raises (storing nothing) where
-    the pull fails."""
+    the pull fails.  A pass that may meet more classes than that reads
+    through a :class:`PassMemo` over the table."""
 
     __slots__ = ("reg", "mor")
 
@@ -159,6 +162,23 @@ class PullTable(dict):
 
     def __missing__(self, bits: int) -> int:
         return self.reg.pull_bits(self.mor, bits)
+
+
+class PassMemo(dict):
+    """Images read through ``table`` during one pass over a flat form that
+    may carry more classes than the table can hold: each class the table
+    has no room for is still transported once per pass, not once per term.
+    A pull that raises stores nothing here either."""
+
+    __slots__ = ("table",)
+
+    def __init__(self, table: PullTable):
+        super().__init__()
+        self.table = table
+
+    def __missing__(self, bits: int) -> int:
+        img = self[bits] = self.table[bits]
+        return img
 
 
 def _get(table: dict, name: str, what: str):
@@ -332,7 +352,8 @@ class Registry:
         most ``PULL_MEMO_CAP`` of them), made when the morphism is declared.
         This is the one routine that computes and stores an image: the atlas
         loops read ``reg.pull_tables[name][bits]``, so a class pulled again
-        costs one dict lookup and no call, and only a miss comes here.  No
+        costs one dict lookup and no call, and only a miss comes here (once
+        per pass past the cap, through a :class:`PassMemo`).  No
         declaration can make a stored image stale: generators are only
         appended, a morphism's table is fixed when it is declared and its
         name cannot be declared again, and a pull that raises stores no

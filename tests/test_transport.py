@@ -246,6 +246,37 @@ def test_pull_bits_stays_correct_past_the_memo_cap():
         assert reg.pull_bits(mor, bits) == reference_bits(reg, "f", bits)
 
 
+def test_a_pullback_past_the_memo_cap_transports_each_class_once_per_pass(
+        monkeypatch):
+    gens = [f"g{i}" for i in range(10)]
+    reg = Registry()
+    for space in ("T", "S"):
+        reg.declare_space(space)
+        reg.declare_generators(space, gens)
+    reg.declare_morphism("f", "S", "T")
+    classes = range(1 << len(gens))
+    assert len(classes) > PULL_MEMO_CAP
+    # every class of T, each with three powers of L
+    m = Motive(reg, "T", [(((), b), HalfLaurent({0: 1, 1: 2, 2: 3}))
+                          for b in classes])
+    calls = 0
+    pull_bits = Registry.pull_bits
+
+    def counted(self, mor, bits):
+        nonlocal calls
+        calls += 1
+        return pull_bits(self, mor, bits)
+
+    monkeypatch.setattr(Registry, "pull_bits", counted)
+    for _ in range(3):
+        calls = 0
+        assert pullback(reg, "f", m) == Motive(
+            reg, "S", [(((), b), HalfLaurent({0: 1, 1: 2, 2: 3}))
+                       for b in classes])
+        assert calls <= len(classes)
+    assert len(reg.pull_tables["f"]) == PULL_MEMO_CAP
+
+
 # -- the twist folded into the pullback pass ------------------------------------
 
 
@@ -331,6 +362,23 @@ def test_twisted_pullback_fails_as_the_two_step_form(data):
     p = BundleClass(space, bits)
     assert outcome(twisted_pullback, reg, morphism, m, p) == \
         outcome(two_step, reg, morphism, m, p)
+
+
+@pytest.mark.parametrize("bits,error", [
+    (0b0101, RegistryError), (1 << len(POOL), RegistryError)])
+def test_identity_twist_refuses_a_foreign_motive_as_the_product_does(bits,
+                                                                       error):
+    # the foreign motive lies on a space of the same name, so only the
+    # registry check tells the two apart; P out of range is refused first
+    reg, other = Registry(), Registry()
+    for r in (reg, other):
+        r.declare_space("V0")
+        r.declare_generators("V0", POOL)
+    m = Motive(other, "V0", {((), 0b11): HalfLaurent.const(1)})
+    p = BundleClass("V0", bits)
+    got = outcome(twisted_pullback, reg, None, m, p)
+    assert got == outcome(two_step, reg, None, m, p)
+    assert got[0] is error
 
 
 # -- error paths the fast paths must keep ---------------------------------------

@@ -279,18 +279,16 @@ MUTANTS = [
            "bits ^ twist", "bits", (TWIST,)),
     Mutant("relabel_skips_registry_check", "motive", "twisted_pullback",
            "m.reg is not reg or m.space != p.space", "m.space != p.space",
-           ("tests/test_transport.py::"
-            "test_twisted_pullback_fails_as_the_two_step_form",)),
+           ("tests/test_transport.py::test_identity_twist_refuses_a_foreign_"
+            "motive_as_the_product_does",)),
     Mutant("scissor_pass_skips_operand_test", "dcrit", "pushforward_to_point",
            "entry is None or entry.reg is not reg or entry.space != POINT",
            "entry is None",
            ("tests/test_dcrit.py::test_pushforward_matches_the_regrouped_sum",)),
-    Mutant("orientation_table_skips_target_check", "dcrit",
-           "check_orientation",
-           "table is not None and table.mor.target == q.space",
-           "table is not None",
-           ("tests/test_dcrit.py::"
-            "test_orientation_refuses_a_restriction_as_pull_class_bits_does",)),
+    Mutant("pass_memo_skipped_past_the_cap", "motive", "_pull_flat",
+           "len(table) + len(flat) > PULL_MEMO_CAP", "False",
+           ("tests/test_transport.py::test_a_pullback_past_the_memo_cap_"
+            "transports_each_class_once_per_pass",)),
     Mutant("orientation_expects_bare_p", "dcrit", "check_orientation",
            "BundleClass(space, expected)", "BundleClass(space, p.bits)",
            ("tests/test_dcrit.py::test_orientation_diagnostics_are_pinned",)),
