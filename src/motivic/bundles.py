@@ -76,7 +76,8 @@ def pull_class_bits(reg: Registry, morphism: str,
 
     The image is read from the morphism's memo table
     (``Registry.pull_tables``), one dict lookup once the class has been
-    pulled; ``Registry.pull_bits`` runs only on a miss."""
+    pulled; a miss computes the image with ``Registry.pull_bits`` and the
+    table keeps it."""
     mor = reg.morphism(morphism)
     if cls.space != mor.target:
         raise SpaceMismatch(

@@ -52,6 +52,9 @@ def _load_job(args) -> Job:
         except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
             raise ValidationFailed(
                 [f"job file {args.job!r} is not valid JSON: {exc}"]) from None
+        except RecursionError:
+            raise ValidationFailed(
+                [f"job file {args.job!r} is nested too deeply to read"]) from None
     return parse_job(data)
 
 

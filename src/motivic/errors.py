@@ -72,7 +72,8 @@ class MissingRestriction(MotivicError):
 
 
 class UnsupportedShape(MotivicError):
-    """Arc-space oracle asked for a function outside the monomial fragment."""
+    """Arc-space oracle asked for a function outside the monomial fragment,
+    or a result holds an integer too long to write in decimal."""
 
     exit_code, prefix = 4, "unsupported shape"
 

@@ -12,8 +12,11 @@ Values are immutable; all operators return fresh instances.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable, Mapping
 from functools import lru_cache
+
+from .errors import UnsupportedShape
 
 
 class HalfLaurent:
@@ -143,19 +146,27 @@ class HalfLaurent:
 
         One walk in increasing exponent order writes every term with its
         sign; the first term's sign then becomes a bare ``-`` or nothing.
+        An integer too long for Python to write in decimal
+        (``sys.get_int_max_str_digits()``) is refused as
+        :class:`UnsupportedShape`.
         """
         if not self._coeffs:
             return "0"
         parts: list[str] = []
-        for k, c in sorted(self._coeffs.items()):
-            sign = " - " if c < 0 else " + "
-            c = abs(c)
-            if k == 0:
-                parts.append(f"{sign}{c}")
-            elif c == 1:
-                parts.append(sign + _monomial_text(k))
-            else:
-                parts.append(f"{sign}{c}*{_monomial_text(k)}")
+        try:
+            for k, c in sorted(self._coeffs.items()):
+                sign = " - " if c < 0 else " + "
+                c = abs(c)
+                if k == 0:
+                    parts.append(f"{sign}{c}")
+                elif c == 1:
+                    parts.append(sign + _monomial_text(k))
+                else:
+                    parts.append(f"{sign}{c}*{_monomial_text(k)}")
+        except ValueError:  # int-to-str conversion past the digit limit
+            raise UnsupportedShape(
+                "a coefficient or exponent has more than "
+                f"{sys.get_int_max_str_digits()} digits to write") from None
         text = "".join(parts)
         return text[3:] if text[1] == "+" else "-" + text[3:]
 

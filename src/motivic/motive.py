@@ -55,7 +55,7 @@ from .errors import (DotUndefined, MissingTransport, NoUnderlyingClass,
                      OdotUndecidable, RegistryError, SpaceMismatch,
                      UnregisteredProduct)
 from .halflaurent import HalfLaurent
-from .registry import PULL_MEMO_CAP, Morphism, PassMemo, Registry
+from .registry import Morphism, Registry
 
 TermKey = tuple[tuple[str, ...], int]
 Coeff = HalfLaurent | Mapping[int, int] | Iterable[tuple[int, int]]
@@ -438,14 +438,11 @@ def _pull_flat(reg: Registry, mor: Morphism, flat: Flat, twist: int) -> Flat:
 
     Each distinct monomial is transported once; each bundle class is read
     from the morphism's memo table (:class:`~motivic.registry.PullTable`),
-    one dict lookup, and ``Registry.pull_bits`` runs only on a miss.  When
-    the pass may meet more classes than the table has room for
-    (``PULL_MEMO_CAP``), it reads through a
-    :class:`~motivic.registry.PassMemo`, so a class is still transported at
-    most once per pass.  The image carries the twist, XORed in.  A term
-    with the empty monomial lands at ``((), image of bits, k2)``; any other
-    term lands as its coefficient times the product of the two images.  A
-    composite pulls back along its steps in order and twists in the last.
+    one dict lookup, so a class is transported once per registry.  The
+    image carries the twist, XORed in.  A term with the empty monomial
+    lands at ``((), image of bits, k2)``; any other term lands as its
+    coefficient times the product of the two images.  A composite pulls
+    back along its steps in order and twists in the last.
     """
     if mor.steps:
         for step in mor.steps[:-1]:
@@ -453,8 +450,6 @@ def _pull_flat(reg: Registry, mor: Morphism, flat: Flat, twist: int) -> Flat:
         return _pull_flat(reg, reg.morphisms[mor.steps[-1]], flat, twist)
     mons: dict[tuple[str, ...], Flat] = {}
     table = reg.pull_tables[mor.name]
-    if len(table) + len(flat) > PULL_MEMO_CAP:
-        table = PassMemo(table)
     acc: Flat = {}
     get = acc.get
     for (mon, bits, k), c in flat.items():

@@ -17,14 +17,16 @@ frozen (:meth:`Registry.freeze`).  It records:
   symbol images are all stored as motives over the source;
   :meth:`Registry.pull_bits` is the one routine that transports bundle
   generators along a morphism, and the one home of its same-name fallback
-  rule.  It memoizes each (morphism, bits) image it computes in that
-  morphism's :class:`PullTable`, since the atlas loops pull the same
-  classes along the same restrictions again and again; nothing needs
-  invalidating, as no declaration changes an image already computed.  A
+  rule.  Each morphism has a :class:`PullTable`, the one memo of that
+  transport: reading a class it does not hold computes the image with
+  ``pull_bits`` and keeps it, since the atlas loops pull the same classes
+  along the same restrictions again and again.  Nothing needs
+  invalidating, as no declaration changes an image already computed, and
+  the table holds only classes that some pulled motive carried.  A
   composite (:meth:`Registry.compose`) has no ``pull_bundles`` or
   ``pull_symbols`` table of its own: it is its steps, pulled along in
   order, so it refuses exactly what they refuse.  It does have a
-  :class:`PullTable`, which memoizes the images along the whole chain;
+  :class:`PullTable`, which keeps the images along the whole chain;
 * product spaces with symbol/generator images for external products; the
   product's generators are the left factor's, then the right's;
 * square-root data: the bookkept correspondence between (line bundle,
@@ -42,10 +44,6 @@ from .errors import MissingTransport, RegistryError, UnknownDatum
 POINT = "K"
 
 MORPHISM_KINDS = ("open-inclusion", "etale", "to-point", "general")
-
-# the most images :meth:`Registry.pull_bits` keeps per morphism: a target with
-# g generators has 2^g bundle classes, and the memo must not grow with them
-PULL_MEMO_CAP = 256
 
 
 class Record:
@@ -145,14 +143,12 @@ class Product(FrozenRecord):
 
 
 class PullTable(dict):
-    """The memo of :meth:`Registry.pull_bits` along one morphism: bundle bits
-    on ``mor.target`` -> their image on ``mor.source``.
+    """The memo of bundle transport along one morphism: bundle bits on
+    ``mor.target`` -> their image on ``mor.source``.
 
-    Reading ``table[bits]`` is one dict lookup on a hit; a miss calls
-    ``pull_bits``, which computes the image, stores it while the table holds
-    fewer than ``PULL_MEMO_CAP`` of them, and raises (storing nothing) where
-    the pull fails.  A pass that may meet more classes than that reads
-    through a :class:`PassMemo` over the table."""
+    Reading ``table[bits]`` is one dict lookup on a hit; a miss computes the
+    image with :meth:`Registry.pull_bits` and keeps it, so a class is
+    transported once per registry.  A pull that raises stores nothing."""
 
     __slots__ = ("reg", "mor")
 
@@ -161,23 +157,7 @@ class PullTable(dict):
         self.reg, self.mor = reg, mor
 
     def __missing__(self, bits: int) -> int:
-        return self.reg.pull_bits(self.mor, bits)
-
-
-class PassMemo(dict):
-    """Images read through ``table`` during one pass over a flat form that
-    may carry more classes than the table can hold: each class the table
-    has no room for is still transported once per pass, not once per term.
-    A pull that raises stores nothing here either."""
-
-    __slots__ = ("table",)
-
-    def __init__(self, table: PullTable):
-        super().__init__()
-        self.table = table
-
-    def __missing__(self, bits: int) -> int:
-        img = self[bits] = self.table[bits]
+        img = self[bits] = self.reg.pull_bits(self.mor, bits)
         return img
 
 
@@ -348,44 +328,36 @@ class Registry:
         name on the source; with neither, :class:`MissingTransport`.  A
         composite transports along its steps in order.
 
-        Each image is memoized in the morphism's :class:`PullTable` (at
-        most ``PULL_MEMO_CAP`` of them), made when the morphism is declared.
-        This is the one routine that computes and stores an image: the atlas
-        loops read ``reg.pull_tables[name][bits]``, so a class pulled again
-        costs one dict lookup and no call, and only a miss comes here (once
-        per pass past the cap, through a :class:`PassMemo`).  No
-        declaration can make a stored image stale: generators are only
+        This only computes: the image is kept by the morphism's
+        :class:`PullTable` (``reg.pull_tables[name][bits]``), which calls
+        here on a miss, so a class pulled again costs one dict lookup and
+        no call.  A composite reads each step's table in turn.  No
+        declaration can make a kept image stale: generators are only
         appended, a morphism's table is fixed when it is declared and its
-        name cannot be declared again, and a pull that raises stores no
+        name cannot be declared again, and a pull that raises keeps no
         image.
         """
-        memo = self.pull_tables[mor.name]
-        img = memo.get(bits)
-        if img is not None:
-            return img
         if mor.steps:
             img = bits
             for step in mor.steps:
-                img = self.pull_bits(self.morphisms[step], img)
-        else:
-            gens = self.check_bits(mor.target, bits)
-            table, source = mor.pull_bundles, self._index[mor.source]
-            img, rest = 0, bits
-            while rest:  # the set bits, lowest first
-                low = rest & -rest
-                name = gens[low.bit_length() - 1]
-                step_img = table.get(name)
-                if step_img is None:
-                    j = source.get(name)
-                    if j is None:
-                        raise MissingTransport(
-                            f"morphism {mor.name!r} has no image for generator "
-                            f"{name!r}")
-                    step_img = 1 << j
-                img ^= step_img
-                rest ^= low
-        if len(memo) < PULL_MEMO_CAP:
-            memo[bits] = img
+                img = self.pull_tables[step][img]
+            return img
+        gens = self.check_bits(mor.target, bits)
+        table, source = mor.pull_bundles, self._index[mor.source]
+        img, rest = 0, bits
+        while rest:  # the set bits, lowest first
+            low = rest & -rest
+            name = gens[low.bit_length() - 1]
+            step_img = table.get(name)
+            if step_img is None:
+                j = source.get(name)
+                if j is None:
+                    raise MissingTransport(
+                        f"morphism {mor.name!r} has no image for generator "
+                        f"{name!r}")
+                step_img = 1 << j
+            img ^= step_img
+            rest ^= low
         return img
 
     # -- products ----------------------------------------------------------------
@@ -490,8 +462,9 @@ class Registry:
         """Register ``outer . inner`` (S -> T -> V) as its two steps.
 
         Every image that ``outer`` lists must pull along ``inner``, else
-        :class:`MissingTransport` is raised here.  The composite holds no
-        tables (so no pushforward), and a pull refuses with its step's error.
+        :class:`MissingTransport` is raised here.  The composite has no
+        transport tables of its own (so no pushforward), only its
+        :class:`PullTable`, and a pull refuses with its step's error.
         """
         from .motive import pullback  # deferred: motive imports registry
 

@@ -600,7 +600,8 @@ def _run_process(*args):
 @pytest.mark.parametrize("content,marker", [
     (None, "cannot read job file"),
     ("{bad", "is not valid JSON"),
-], ids=["missing", "not_json"])
+    ("[" * 100000 + "]" * 100000, "is nested too deeply to read"),
+], ids=["missing", "not_json", "too_deep"])
 def test_bad_job_file_exit_code(tmp_path, content, marker):
     path = tmp_path / "job.json"
     if content is not None:
@@ -609,6 +610,7 @@ def test_bad_job_file_exit_code(tmp_path, content, marker):
     assert proc.returncode == 2 and proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("validation: ") and marker in proc.stderr
+    assert repr(str(path)) in proc.stderr
     assert proc.stderr.count("\n") == 1
 
 

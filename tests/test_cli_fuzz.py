@@ -111,6 +111,11 @@ DANGLING_RESTRICTION = load_fixture_job("atlas_cylinder")
 DANGLING_RESTRICTION["payload"]["overlaps"][0]["restrict_a"] = "nosuch"
 UNORIENTED_ATLAS = load_fixture_job("atlas_cylinder")
 UNORIENTED_ATLAS["payload"]["oriented"] = False
+# a product whose coefficient has more digits than Python writes as text
+# (sys.get_int_max_str_digits), refused as unsupported shape, exit 4
+LONG_COEFFICIENT = load_fixture_job("ts_z2_10")
+for factor in LONG_COEFFICIENT["payload"]["factors"][:2]:
+    factor["terms"][0]["coeff"] = [[0, int("9" * 4000)]]
 
 
 @settings(max_examples=200, deadline=None,
@@ -120,6 +125,8 @@ UNORIENTED_ATLAS["payload"]["oriented"] = False
 @example(job=DANGLING_RESTRICTION, machine=False)
 @example(job=UNORIENTED_ATLAS, machine=False)
 @example(job=ts_with_opaque_factors(), machine=True)
+@example(job=LONG_COEFFICIENT, machine=False)
+@example(job=LONG_COEFFICIENT, machine=True)
 def test_valid_jobs_end_in_a_documented_exit_code(tmp_path_factory, job,
                                                   machine):
     assert job_validator().is_valid(job)

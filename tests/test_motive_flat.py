@@ -193,6 +193,8 @@ def test_scale_matches_reference(spec, coeff, n):
 # (1 + Y(g0)) . (1 - Y(g0)) = 0: every key of the product cancels
 @example([((), 0, {0: 1}), ((), 1, {0: 1})],
          [((), 0, {0: 1}), ((), 1, {0: -1})])
+# two different opaque monomials: undecidable, not only a repeated one
+@example([(("mu3",), 0, {0: 1})], [(("A", "w4"), 0, {0: 1})])
 def test_odot_matches_reference(s1, s2):
     a, b = build(s1), build(s2)
     ra, rb = r_spec(s1), r_spec(s2)

@@ -10,8 +10,8 @@ applies too.  Each space carries a plain symbol ``P<i>``, an opaque one
 
 The reference transport reads the declared tables by name and rebuilds each
 term through the public constructors; it shares no loop with ``pullback``.
-Its bundle half, ``reference_bits``, is also the reference for the memo of
-``Registry.pull_bits`` over repeated pulls.
+Its bundle half, ``reference_bits``, is also the reference for the
+morphisms' memo tables (``Registry.pull_tables``) over repeated pulls.
 ``twisted_pullback`` is checked against that reference times ``Y(P)``, and
 its failures against the two-step form ``pullback(...).odot(upsilon(...))``.
 """
@@ -24,7 +24,6 @@ from motivic import (BundleClass, HalfLaurent, Motive, MissingTransport,
                      Registry, RegistryError, SpaceMismatch, pullback,
                      symbol_motive, upsilon)
 from motivic.motive import twisted_pullback
-from motivic.registry import PULL_MEMO_CAP
 
 POOL = ("a", "b", "c", "d")
 
@@ -177,15 +176,16 @@ def test_pullback_along_composite_is_pullback_of_pullback(chain):
                 assert pullback(reg, name, m) == steps[i]
 
 
-# -- the memo of Registry.pull_bits ----------------------------------------------
+# -- the memo tables of bundle transport -----------------------------------------
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_memoized_pull_bits_matches_by_name_walk(data):
-    # every class in range, one past it and -1, each pulled twice in a drawn
-    # order along every morphism, so hits follow misses and a composite is
-    # pulled on one class after another
+    # every class in range, one past it and -1, each read twice through the
+    # morphism's table in a drawn order, so hits follow misses and a
+    # composite reads its steps' tables on one class after another;
+    # Registry.pull_bits, which only computes, agrees with each read
     reg, n, _ = data.draw(chains())
     _morphisms_to_v0(reg, n)
     reg.declare_morphism("g", "V1", "V0")  # same-name rule only: may miss
@@ -193,9 +193,11 @@ def test_memoized_pull_bits_matches_by_name_walk(data):
         mor = reg.morphisms[name]
         order = data.draw(st.permutations(
             range(-1, (1 << len(reg.generators[mor.target])) + 1)))
+        table = reg.pull_tables[name]
         for bits in order + order:
-            assert outcome(reg.pull_bits, mor, bits) == \
-                outcome(reference_bits, reg, name, bits), (name, bits)
+            expected = outcome(reference_bits, reg, name, bits)
+            assert outcome(table.__getitem__, bits) == expected, (name, bits)
+            assert outcome(reg.pull_bits, mor, bits) == expected, (name, bits)
 
 
 def test_failed_pull_is_not_memoized(small):
@@ -207,12 +209,13 @@ def test_failed_pull_is_not_memoized(small):
     f, c = small.morphisms["f"], small.morphisms["c"]
     for mor in (f, c, f, c):
         with pytest.raises(MissingTransport) as err:
-            small.pull_bits(mor, 0b11)
+            small.pull_tables[mor.name][0b11]
         assert str(err.value) == "morphism 'f' has no image for generator 'q'"
-        assert small.pull_bits(mor, 0b01) == (1 if mor is f else 0b10)
+        assert 0b11 not in small.pull_tables[mor.name]
+        assert small.pull_tables[mor.name][0b01] == (1 if mor is f else 0b10)
     small.declare_generators("Z", ("q",))
-    assert small.pull_bits(f, 0b11) == 0b11
-    assert small.pull_bits(c, 0b11) == 0b11
+    assert small.pull_tables["f"][0b11] == 0b11
+    assert small.pull_tables["c"][0b11] == 0b11
 
 
 def test_out_of_range_pull_raises_every_time(small):
@@ -225,9 +228,9 @@ def test_out_of_range_pull_raises_every_time(small):
                                   ("c", 0b100, "X"), ("e", -2, "Z"),
                                   ("e", 0b10, "Z")):
             with pytest.raises(RegistryError) as err:
-                small.pull_bits(small.morphisms[name], bits)
+                small.pull_tables[name][bits]
             assert str(err.value) == f"bundle bits {bits} out of range on {space!r}"
-        assert small.pull_bits(small.morphisms["c"], 0b01) == 1
+        assert small.pull_tables["c"][0b01] == 1
 
 
 def test_pull_bits_stays_correct_past_the_memo_cap():
@@ -241,13 +244,14 @@ def test_pull_bits_stays_correct_past_the_memo_cap():
         g: (i * 37 + 5) % 1024 for i, g in enumerate(gens[::3])})
     mor = reg.morphisms["f"]
     classes = list(range(1 << len(gens)))
-    assert len(classes) > PULL_MEMO_CAP
+    table = reg.pull_tables["f"]
     for bits in classes + classes[::-1]:
-        assert reg.pull_bits(mor, bits) == reference_bits(reg, "f", bits)
+        expected = reference_bits(reg, "f", bits)
+        assert table[bits] == expected
+        assert reg.pull_bits(mor, bits) == expected
 
 
-def test_a_pullback_past_the_memo_cap_transports_each_class_once_per_pass(
-        monkeypatch):
+def test_repeated_pullbacks_transport_each_class_once_per_registry(monkeypatch):
     gens = [f"g{i}" for i in range(10)]
     reg = Registry()
     for space in ("T", "S"):
@@ -255,7 +259,6 @@ def test_a_pullback_past_the_memo_cap_transports_each_class_once_per_pass(
         reg.declare_generators(space, gens)
     reg.declare_morphism("f", "S", "T")
     classes = range(1 << len(gens))
-    assert len(classes) > PULL_MEMO_CAP
     # every class of T, each with three powers of L
     m = Motive(reg, "T", [(((), b), HalfLaurent({0: 1, 1: 2, 2: 3}))
                           for b in classes])
@@ -269,12 +272,11 @@ def test_a_pullback_past_the_memo_cap_transports_each_class_once_per_pass(
 
     monkeypatch.setattr(Registry, "pull_bits", counted)
     for _ in range(3):
-        calls = 0
         assert pullback(reg, "f", m) == Motive(
             reg, "S", [(((), b), HalfLaurent({0: 1, 1: 2, 2: 3}))
                        for b in classes])
-        assert calls <= len(classes)
-    assert len(reg.pull_tables["f"]) == PULL_MEMO_CAP
+    assert calls == len(classes)
+    assert len(reg.pull_tables["f"]) == len(classes)
 
 
 # -- the twist folded into the pullback pass ------------------------------------

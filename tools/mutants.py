@@ -263,16 +263,23 @@ MUTANTS = [
             "test_twist_refuses_class_on_another_space",)),
     Mutant("pull_bits_index_off_by_one", "registry", "Registry.pull_bits",
            "low.bit_length() - 1", "low.bit_length()", (TWIST,)),
-    Mutant("pull_memo_shared_across_morphisms", "registry", "Registry.pull_bits",
-           "memo = self.pull_tables[mor.name]",
-           "memo = self.pull_tables.setdefault('', {})",
+    Mutant("pull_memo_shared_across_morphisms", "registry",
+           "PullTable.__missing__",
+           "img = self[bits] = self.reg.pull_bits(self.mor, bits)",
+           "shared = self.reg.pull_tables.setdefault('', {})\n"
+           "if bits not in shared:\n"
+           "    shared[bits] = self.reg.pull_bits(self.mor, bits)\n"
+           "img = shared[bits]",
            ("tests/test_transport.py",)),
+    Mutant("pull_table_keeps_nothing", "registry", "PullTable.__missing__",
+           "img = self[bits] = self.reg.pull_bits(self.mor, bits)",
+           "img = self.reg.pull_bits(self.mor, bits)",
+           ("tests/test_transport.py::"
+            "test_repeated_pullbacks_transport_each_class_once_per_registry",)),
+    # a composite reads each step's table at the bits it started from
     Mutant("composite_memo_wrong_key", "registry", "Registry.pull_bits",
-           "for step in mor.steps:\n"
-           "    img = self.pull_bits(self.morphisms[step], img)",
-           "for step in mor.steps:\n"
-           "    img = self.pull_bits(self.morphisms[step], img)\n"
-           "memo[img] = img\nreturn img",
+           "img = self.pull_tables[step][img]",
+           "img = self.pull_tables[step][bits]",
            ("tests/test_transport.py::"
             "test_memoized_pull_bits_matches_by_name_walk",)),
     Mutant("relabel_drops_twist", "motive", "twisted_pullback",
@@ -285,10 +292,6 @@ MUTANTS = [
            "entry is None or entry.reg is not reg or entry.space != POINT",
            "entry is None",
            ("tests/test_dcrit.py::test_pushforward_matches_the_regrouped_sum",)),
-    Mutant("pass_memo_skipped_past_the_cap", "motive", "_pull_flat",
-           "len(table) + len(flat) > PULL_MEMO_CAP", "False",
-           ("tests/test_transport.py::test_a_pullback_past_the_memo_cap_"
-            "transports_each_class_once_per_pass",)),
     Mutant("orientation_expects_bare_p", "dcrit", "check_orientation",
            "BundleClass(space, expected)", "BundleClass(space, p.bits)",
            ("tests/test_dcrit.py::test_orientation_diagnostics_are_pinned",)),
