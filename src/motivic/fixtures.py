@@ -19,40 +19,37 @@ Naming conventions used throughout:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from .arcs import ArcContext, MonomialFunction
 from .dcrit import Atlas
 from .jobs import (FIXTURE_NAMES, build_payload, fixture_path,  # noqa: F401
                    load_fixture_job)
 from .localize import FixedComponentDatum
 from .motive import Motive
-from .registry import Registry
+from .registry import Record, Registry
 from .serialize import registry_from_json
 from .zeta import ResolutionData
 
 
-@dataclass
-class ZetaFixture:
-    registry: Registry
-    resolution: ResolutionData
-    monomial: Optional[MonomialFunction] = None
-    context: Optional[ArcContext] = None
+class ZetaFixture(Record):
+    def __init__(self, registry: Registry, resolution: ResolutionData,
+                 monomial: MonomialFunction | None = None,
+                 context: ArcContext | None = None):
+        self.registry, self.resolution = registry, resolution
+        self.monomial, self.context = monomial, context
 
 
-@dataclass
-class AtlasFixture:
-    registry: Registry
-    atlas: Atlas
+class AtlasFixture(Record):
+    def __init__(self, registry: Registry, atlas: Atlas):
+        self.registry, self.atlas = registry, atlas
 
 
-@dataclass
-class LocalizeFixture:
-    registry: Registry
-    components: list[FixedComponentDatum]
-    direct: Optional[Motive] = None
-    direct_atlas: Optional[Atlas] = None
+class LocalizeFixture(Record):
+    def __init__(self, registry: Registry,
+                 components: list[FixedComponentDatum],
+                 direct: Motive | None = None,
+                 direct_atlas: Atlas | None = None):
+        self.registry, self.components = registry, components
+        self.direct, self.direct_atlas = direct, direct_atlas
 
 
 def _load(*names: str) -> tuple:

@@ -171,7 +171,17 @@ class HalfLaurent:
         return text[3:] if text[1] == "+" else "-" + text[3:]
 
     def __repr__(self) -> str:
-        return f"HalfLaurent({self.text()})"
+        return f"HalfLaurent({repr_text(self, len(self._coeffs))})"
+
+
+def repr_text(value, count: int) -> str:
+    """``value.text()``, or its term count when it holds an integer too long
+    to write in decimal: the body of a repr that cannot raise."""
+    try:
+        return value.text()
+    except (UnsupportedShape, ValueError):  # ValueError: a T^N too long
+        return (f"{count} terms, an integer past the "
+                f"{sys.get_int_max_str_digits()}-digit limit")
 
 
 @lru_cache(maxsize=256)  # a rendering uses few distinct exponents

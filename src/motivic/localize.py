@@ -8,14 +8,15 @@ into components, the absolute class localizes as
 where the virtual index of a component is the signed count of nonzero
 tangent weights at a representative point: dim(T+) - dim(T-).  Weights are
 supplied, never derived; goodness and circle-compactness of the action are
-recorded as asserted flags on the input.
+asserted flags on the input, and the sum refuses a component that does not
+assert both.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .errors import SpaceMismatch, ZeroWeight
+from .errors import SpaceMismatch, ValidationFailed, ZeroWeight
 from .halflaurent import HalfLaurent
 from .motive import Motive, mot_sum
 from .registry import POINT, FrozenRecord, Registry, _set
@@ -49,6 +50,14 @@ def virtual_index(weights) -> int:
 
 
 def localize_sum(reg: Registry, components) -> Motive:
+    """The localized sum; refuses components asserting a false hypothesis."""
+    components = list(components)
+    refused = [f"component {c.id!r} asserts false: " + ", ".join(
+        flag for flag in ("good", "circle_compact") if not getattr(c, flag))
+        for c in components if not (c.good and c.circle_compact)]
+    if refused:
+        raise ValidationFailed(refused)
+
     def terms():
         for comp in components:
             ind = virtual_index(comp.weights)

@@ -54,7 +54,7 @@ from .bundles import BundleClass
 from .errors import (DotUndefined, MissingTransport, NoUnderlyingClass,
                      OdotUndecidable, RegistryError, SpaceMismatch,
                      UnregisteredProduct)
-from .halflaurent import HalfLaurent
+from .halflaurent import HalfLaurent, repr_text
 from .registry import Morphism, Registry
 
 TermKey = tuple[tuple[str, ...], int]
@@ -211,7 +211,7 @@ class Motive:
         return motive_text(self)
 
     def __repr__(self) -> str:
-        return f"<Motive {self.space}: {self.text()}>"
+        return f"<Motive {self.space}: {repr_text(self, len(self._flat))}>"
 
 
 # -- flat-form kernels --------------------------------------------------------------

@@ -12,44 +12,39 @@ callers supply its class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bundles import BundleClass, bundle_pullback
 from .errors import MissingTransport, SpaceMismatch
 from .halflaurent import HalfLaurent
 from .motive import Motive, mot_boxdot, twisted_pullback, upsilon
-from .registry import Registry
+from .registry import FrozenRecord, Registry, _set
 
 
-@dataclass(frozen=True)
-class QuadraticBundleDatum:
+class QuadraticBundleDatum(FrozenRecord):
     """Rank-r bundle with nondegenerate quadratic form, by its determinant data."""
 
-    base: str
-    rank: int
-    det_class: BundleClass
-
-    def __post_init__(self):
-        if self.rank < 1:
+    def __init__(self, base: str, rank: int, det_class: BundleClass):
+        if rank < 1:
             raise ValueError("rank must be positive")
-        if self.det_class.space != self.base:
+        if det_class.space != base:
             raise SpaceMismatch(
-                f"det class on {self.det_class.space!r}, base {self.base!r}")
+                f"det class on {det_class.space!r}, base {base!r}")
+        _set(self, "base", base)
+        _set(self, "rank", rank)
+        _set(self, "det_class", det_class)
 
 
-@dataclass(frozen=True)
-class EmbeddingDatum:
+class EmbeddingDatum(FrozenRecord):
     """Chart embedding (U, f) -> (V, g) with its square-root torsor class."""
 
-    source_chart: str
-    target_chart: str
-    dim_source: int
-    dim_target: int
-    p_phi: BundleClass
-
-    def __post_init__(self):
-        if self.dim_target < self.dim_source:
+    def __init__(self, source_chart: str, target_chart: str, dim_source: int,
+                 dim_target: int, p_phi: BundleClass):
+        if dim_target < dim_source:
             raise ValueError("target chart dimension must dominate the source")
+        _set(self, "source_chart", source_chart)
+        _set(self, "target_chart", target_chart)
+        _set(self, "dim_source", dim_source)
+        _set(self, "dim_target", dim_target)
+        _set(self, "p_phi", p_phi)
 
 
 def thom_sebastiani(a: Motive, b: Motive) -> Motive:

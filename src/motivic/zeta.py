@@ -38,7 +38,7 @@ from math import gcd
 from typing import Optional
 
 from .errors import MissingRestriction, ValidationFailed
-from .halflaurent import HalfLaurent
+from .halflaurent import HalfLaurent, repr_text
 from .motive import Motive, _by_term, _check_operand, mot_sum
 from .registry import POINT, FrozenRecord, Record, Registry, _set
 
@@ -116,27 +116,17 @@ class RatTerm(FrozenRecord):
         _set(self, "factors", factors)  # sorted (N, nu) multiset
 
 
-class RationalMotive:
+class RationalMotive(FrozenRecord):
     """Finite sum of motive coefficients times products of zeta factors."""
 
     def __init__(self, space: str, terms: list[RatTerm]):
-        self.space = space
         acc: dict[tuple, Motive] = {}
         for t in terms:
             key = tuple(sorted(t.factors))
-            if key in acc:
-                acc[key] = acc[key] + t.coeff
-            else:
-                acc[key] = t.coeff
-        self.terms = tuple(RatTerm(c, k) for k, c in sorted(acc.items())
-                           if not c.is_zero())
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, RationalMotive) and self.space == other.space
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.space, self.terms))
+            acc[key] = acc[key] + t.coeff if key in acc else t.coeff
+        _set(self, "space", space)
+        _set(self, "terms", tuple(RatTerm(c, k) for k, c in sorted(acc.items())
+                                  if not c.is_zero()))
 
     def text(self) -> str:
         from .render import rational_text
@@ -144,7 +134,7 @@ class RationalMotive:
         return rational_text(self)
 
     def __repr__(self) -> str:
-        return f"<RationalMotive {self.space}: {self.text()}>"
+        return f"<RationalMotive {self.space}: {repr_text(self, len(self.terms))}>"
 
 
 def validate_resolution(r: ResolutionData) -> list[str]:
@@ -211,12 +201,9 @@ def zeta_function(r: ResolutionData) -> RationalMotive:
     reg = r.registry
     terms = []
     lminus1 = HalfLaurent({2: 1, 0: -1})
-    powers: dict[int, HalfLaurent] = {}  # |I| -> (L-1)^(|I|-1)
+    powers = {n: lminus1 ** (n - 1) for n in set(map(len, r.strata))}  # n = |I|
     for key, stratum in r.strata.items():
-        size = len(key)
-        if size not in powers:
-            powers[size] = lminus1 ** (size - 1)
-        coeff = stratum.cls.scale(powers[size])
+        coeff = stratum.cls.scale(powers[len(key)])
         factors = tuple(sorted((r.divisor(n).N, r.divisor(n).nu) for n in key))
         terms.append(RatTerm(coeff, factors))
     return RationalMotive(r.space_u0, terms)
@@ -301,7 +288,7 @@ def _restricted_sum(r: ResolutionData, classes: dict[DivKey, Motive],
     is the support argument behind the vanishing-cycle normal form.
     """
     one_minus_l = HalfLaurent({0: 1, 2: -1})
-    powers: dict[int, HalfLaurent] = {}  # |I| -> (1-L)^(|I|-1)
+    powers = {n: one_minus_l ** (n - 1) for n in set(map(len, r.strata))}  # n = |I|
 
     def terms():
         for key in sorted(r.strata, key=sorted):
@@ -311,10 +298,7 @@ def _restricted_sum(r: ResolutionData, classes: dict[DivKey, Motive],
             if key not in classes:
                 raise MissingRestriction(
                     f"no restriction of stratum {names}{where}")
-            size = len(key)
-            if size not in powers:
-                powers[size] = one_minus_l ** (size - 1)
-            yield classes[key], powers[size]
+            yield classes[key], powers[len(key)]
 
     return mot_sum(r.registry, space, terms())
 

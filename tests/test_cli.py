@@ -178,6 +178,14 @@ def _fixture_with(name, *path_and_value):
     return job
 
 
+def _localize_z1z2_asserting_false():
+    """localize_z1z2 with a component that asserts neither hypothesis of
+    the localization formula."""
+    job = fixtures.load_fixture_job("localize_z1z2")
+    job["payload"]["components"][0].update(good=False, circle_compact=False)
+    return job
+
+
 def _arc_z3_with_default_cover(a):
     """arc_z3 with exponent ``a`` and no named cover symbol: the oracle
     looks up the default ``mu<a>``."""
@@ -707,8 +715,23 @@ def test_unsupported_shape_exit_code(tmp_path, capsys):
         "and ('T2.1.m',)\n"),
     ("glue", _fixture_with("atlas_cylinder", "oriented", False),
      2, "validation: atlas carries no orientation\n"),
+    ("zeta", _fixture_with("z2", "divisors", 2 * [
+        {"id": "E1", "N": 2, "nu": 1, "boundary": False}]),
+     2, "validation: duplicate divisor id 'E1'\n"),
+    ("zeta", _fixture_with("z2", "strata", 0, "divisors", []),
+     2, "validation: empty divisor subset in strata\n"),
+    ("glue", _fixture_with("atlas_cylinder", "charts", 1, "id", "cA"),
+     2, "validation: duplicate chart id 'cA'\n"
+        "validation: overlap references unknown chart 'cB'\n"),
+    ("glue", _fixture_with("atlas_cylinder", "charts", 0, "mf", "space", "K"),
+     2, "validation: chart 'cA': classes not on region space 'Gm'\n"),
+    ("localize", _localize_z1z2_asserting_false(),
+     2, "validation: component 'origin' asserts false: good, "
+        "circle_compact\n"),
 ], ids=["missing_restriction", "unsupported_shape", "descent_cocycle",
-        "descent_disagreeing_charts", "opaque_product", "unoriented_atlas"])
+        "descent_disagreeing_charts", "opaque_product", "unoriented_atlas",
+        "duplicate_divisor", "empty_stratum", "duplicate_chart",
+        "chart_off_its_region", "localize_flags_false"])
 def test_refusal_stderr_is_pinned(tmp_path, capsys, command, job, code,
                                   stderr):
     # the exact stderr lines and exit code of each refusal, through main

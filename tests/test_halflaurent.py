@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from motivic import HalfLaurent
+from motivic import (HalfLaurent, Motive, RationalMotive, Registry,
+                     UnsupportedShape)
+from motivic.zeta import RatTerm
 
 
 def test_canonical_form_drops_zeros():
@@ -62,3 +64,26 @@ def test_rejects_non_integers():
         HalfLaurent({True: 1})
     with pytest.raises(TypeError):
         HalfLaurent({0: False})
+
+
+def test_repr_of_an_integer_too_long_to_write_does_not_raise():
+    # text() refuses an integer past the int-to-str digit limit; the repr
+    # shows the term count instead
+    n = 10 ** 5000
+    big = HalfLaurent({0: n, 3: -1})
+    reg = Registry()
+    reg.declare_space("X", dim=1)
+    m = Motive.coefficient(reg, "X", big)
+    z = RationalMotive("X", [RatTerm(m, ((2, 1),))])
+    for value in (big, m, z):
+        with pytest.raises(UnsupportedShape):
+            value.text()
+    past = "an integer past the 4300-digit limit"
+    assert repr(big) == f"HalfLaurent(2 terms, {past})"
+    assert repr(m) == f"<Motive X: 2 terms, {past}>"
+    assert repr(z) == f"<RationalMotive X: 1 terms, {past}>"
+    # a factor T^N too long to write
+    assert repr(RationalMotive("X", [RatTerm(Motive.one(reg, "X"), (
+        (n, 1),))])) == f"<RationalMotive X: 1 terms, {past}>"
+    assert repr(HalfLaurent({0: 3, 1: -1})) == "HalfLaurent(3 - L^(1/2))"
+    assert repr(Motive.one(reg, "X")) == "<Motive X: 1>"

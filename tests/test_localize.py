@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motivic import (FixedComponentDatum, HalfLaurent, Motive, Registry,
-                     ZeroWeight, fixtures, glue, localization_check,
-                     localize_sum, pushforward_to_point, virtual_index)
+                     ValidationFailed, ZeroWeight, fixtures, glue,
+                     localization_check, localize_sum, pushforward_to_point,
+                     virtual_index)
 from motivic.registry import POINT
 
 
@@ -68,6 +69,26 @@ def test_z1z2_fixture_passes():
     assert total.is_one()
     ok, diff = localization_check(fx.registry, fx.components, fx.direct)
     assert ok, diff
+
+
+def test_components_that_assert_false_are_refused():
+    # the formula needs a good, circle-compact action: one line per
+    # component naming its false flags, from the sum and from the check
+    fx = fixtures.localize_two_points()
+    a, b = fx.components
+    comps = [FixedComponentDatum(a.id, a.weights, a.motive, good=False),
+             FixedComponentDatum(b.id, b.weights, b.motive, False, False)]
+    want = [f"component {a.id!r} asserts false: good",
+            f"component {b.id!r} asserts false: good, circle_compact"]
+    with pytest.raises(ValidationFailed) as exc:
+        localize_sum(fx.registry, comps)
+    assert exc.value.diagnostics == want
+    with pytest.raises(ValidationFailed) as exc:
+        localization_check(fx.registry, comps[1:], fx.direct)
+    assert exc.value.diagnostics == want[1:]
+    alone = FixedComponentDatum(a.id, a.weights, a.motive, circle_compact=False)
+    with pytest.raises(ValidationFailed, match="asserts false: circle_compact$"):
+        localize_sum(fx.registry, [alone])
 
 
 def test_weight_perturbation_fails_with_half_power_diff():

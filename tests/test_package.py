@@ -154,7 +154,10 @@ print(json.dumps(sorted({
     ("arc-check", "--fixture", "arc_x2y"),
     ("glue", "--fixture", "atlas_cylinder"),
     ("localize", "--fixture", "localize_two_points"),
-], ids=["vanishing", "zeta", "arc-check", "glue", "localize"])
+    ("ts", "--fixture", "ts_z2_10"),
+    ("selftest",),
+], ids=["vanishing", "zeta", "arc-check", "glue", "localize", "ts",
+        "selftest"])
 def test_a_command_builds_no_other_dataclass(argv):
     # each dataclass costs about a millisecond of code generation per call
     env = dict(os.environ, PYTHONPATH=str(SRC))

@@ -12,13 +12,15 @@ from motivic.arcs import ArcContext, MonomialFunction
 from motivic.bundles import BundleClass
 from motivic.dcrit import (Atlas, CriticalChart, GlobalMotive, OverlapDatum,
                            ScissorPiece)
+from motivic.fixtures import AtlasFixture, LocalizeFixture, ZetaFixture
 from motivic.jobs import Job
 from motivic.localize import FixedComponentDatum
 from motivic.motive import Motive
 from motivic.registry import (POINT, Morphism, Product, Registry, Space,
                               Symbol)
-from motivic.zeta import (Divisor, PointTable, RatTerm, ResolutionData,
-                          RestrictionTable, Stratum)
+from motivic.stabilize import EmbeddingDatum, QuadraticBundleDatum
+from motivic.zeta import (Divisor, PointTable, RationalMotive, RatTerm,
+                          ResolutionData, RestrictionTable, Stratum)
 
 
 def _registry() -> Registry:
@@ -37,6 +39,10 @@ ONE = Motive.one(REG, "A")
 ONE_K = Motive.one(REG, POINT)
 E1 = Divisor("E1", 2, 1)
 Q = BundleClass("A", 1)
+RES = ResolutionData(REG, "A", 2)
+ATLAS = Atlas(REG, {"R": "A"})
+POINTS = [FixedComponentDatum("x", (1, -1))]
+TERMS = (RatTerm(ONE, ((2, 1),)),)
 
 # (record, the fields it must have, in order, with their values)
 CASES = {
@@ -112,16 +118,54 @@ CASES = {
     "FixedComponentDatum": (FixedComponentDatum("x", (1, -1), ONE), [
         ("id", "x"), ("weights", (1, -1)), ("motive", ONE), ("good", True),
         ("circle_compact", True)]),
+    "QuadraticBundleDatum": (QuadraticBundleDatum("A", 2, Q), [
+        ("base", "A"), ("rank", 2), ("det_class", Q)]),
+    "QuadraticBundleDatum_keywords": (
+        QuadraticBundleDatum(det_class=Q, rank=1, base="A"), [
+            ("base", "A"), ("rank", 1), ("det_class", Q)]),
+    "EmbeddingDatum": (EmbeddingDatum("U", "V", 1, 2, Q), [
+        ("source_chart", "U"), ("target_chart", "V"), ("dim_source", 1),
+        ("dim_target", 2), ("p_phi", Q)]),
+    "EmbeddingDatum_keywords": (
+        EmbeddingDatum(p_phi=Q, dim_target=3, dim_source=3, target_chart="V",
+                       source_chart="U"), [
+            ("source_chart", "U"), ("target_chart", "V"), ("dim_source", 3),
+            ("dim_target", 3), ("p_phi", Q)]),
+    "ZetaFixture": (ZetaFixture(REG, RES), [
+        ("registry", REG), ("resolution", RES), ("monomial", None),
+        ("context", None)]),
+    "ZetaFixture_keywords": (
+        ZetaFixture(context=ArcContext(REG, "A"), registry=REG,
+                    resolution=RES, monomial=MonomialFunction((2,))), [
+            ("registry", REG), ("resolution", RES),
+            ("monomial", MonomialFunction((2,))),
+            ("context", ArcContext(REG, "A"))]),
+    "AtlasFixture": (AtlasFixture(REG, ATLAS), [
+        ("registry", REG), ("atlas", ATLAS)]),
+    "LocalizeFixture": (LocalizeFixture(REG, POINTS), [
+        ("registry", REG), ("components", POINTS), ("direct", None),
+        ("direct_atlas", None)]),
+    "LocalizeFixture_keywords": (
+        LocalizeFixture(direct_atlas=ATLAS, direct=ONE_K, components=POINTS,
+                        registry=REG), [
+            ("registry", REG), ("components", POINTS), ("direct", ONE_K),
+            ("direct_atlas", ATLAS)]),
+    "RationalMotive": (RationalMotive("A", list(TERMS)), [
+        ("space", "A"), ("terms", TERMS)]),
 }
 
-MUTABLE = (ResolutionData, Job, Atlas, GlobalMotive)
+MUTABLE = (ResolutionData, Job, Atlas, GlobalMotive, ZetaFixture, AtlasFixture,
+           LocalizeFixture)
+# records that keep a repr of their own
+OWN_REPR = {RationalMotive: "<RationalMotive A: 1 * (L^-1 T^2)/(1 - L^-1 T^2)>"}
 
 
 @pytest.mark.parametrize("record,fields", CASES.values(), ids=CASES)
 def test_fields_order_defaults_and_repr(record, fields):
     assert list(vars(record).items()) == fields
     shown = ", ".join(f"{f}={v!r}" for f, v in fields)
-    assert repr(record) == f"{type(record).__name__}({shown})"
+    assert repr(record) == OWN_REPR.get(
+        type(record), f"{type(record).__name__}({shown})")
 
 
 def test_repr_is_the_dataclass_format():

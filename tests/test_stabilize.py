@@ -82,6 +82,16 @@ def test_quadratic_form_rank_independence(reg):
         assert len(vals) == 1
 
 
+def test_quadratic_datum_refuses_nonpositive_rank_and_foreign_det(reg):
+    for rank in (0, -1):
+        with pytest.raises(ValueError, match="^rank must be positive$"):
+            QuadraticBundleDatum("B", rank, BundleClass("B", 0))
+    with pytest.raises(SpaceMismatch,
+                       match="^det class on 'B2', base 'B'$"):
+        QuadraticBundleDatum("B", 1, BundleClass("B2", 1))
+    assert QuadraticBundleDatum("B", 1, BundleClass("B", 1)).rank == 1
+
+
 def test_twist_trivial_det_is_identity(reg):
     mf = Motive.half_power(reg, "B", -1)
     d = QuadraticBundleDatum("B", 2, BundleClass("B", 0))
@@ -165,3 +175,33 @@ def test_composition_law_on_torsor_classes(reg):
         mf = upsilon(reg, BundleClass("B", rng.randrange(4)))
         assert stabilize_pullback(mf, e12) == \
             stabilize_pullback(stabilize_pullback(mf, e2), e1)
+
+
+def _cylinder_sq():
+    """atlas_cylinder's registry: ``sq: GmW -> Gm`` pulls ``p1`` back to
+    the trivial class."""
+    reg = fixtures.atlas_cylinder().registry
+    return reg, generator(reg, "Gm", "p1"), BundleClass("GmW", 0)
+
+
+def test_twist_transports_the_det_class():
+    reg, p1, _ = _cylinder_sq()
+    d = QuadraticBundleDatum("Gm", 1, p1)
+    mf = Motive.half_power(reg, "GmW", -1)
+    with pytest.raises(MissingTransport):
+        twist_by_quadratic(mf, d)
+    assert twist_by_quadratic(mf, d, transport="sq") == mf
+    on_gm = Motive.half_power(reg, "Gm", -1)
+    assert twist_by_quadratic(on_gm, d) == on_gm.odot(upsilon(reg, p1))
+
+
+def test_compose_embeddings_transports_the_second_torsor():
+    reg, p1, trivial = _cylinder_sq()
+    first = EmbeddingDatum("U", "V", 1, 2, trivial)
+    second = EmbeddingDatum("V", "W", 2, 3, p1)
+    with pytest.raises(MissingTransport):
+        compose_embeddings(reg, first, second)
+    assert compose_embeddings(reg, first, second, transport="sq") == \
+        EmbeddingDatum("U", "W", 1, 3, trivial)
+    with pytest.raises(ValueError, match="^embeddings do not compose$"):
+        compose_embeddings(reg, second, first, transport="sq")

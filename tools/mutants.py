@@ -127,6 +127,14 @@ MUTANTS = [
            "p.bits ^ bits", "p.bits | bits", ("tests/test_dcrit.py",)),
     Mutant("virtual_index_counts_every_weight", "localize", "virtual_index",
            "1 if w > 0 else -1", "1", ("tests/test_localize.py",)),
+    Mutant("localize_ignores_asserted_flags", "localize", "localize_sum",
+           "not (c.good and c.circle_compact)", "False",
+           ("tests/test_localize.py::"
+            "test_components_that_assert_false_are_refused", STDERR)),
+    Mutant("quadratic_rank_check_dropped", "stabilize",
+           "QuadraticBundleDatum.__init__", "rank < 1", "rank < 0",
+           ("tests/test_stabilize.py::"
+            "test_quadratic_datum_refuses_nonpositive_rank_and_foreign_det",)),
     Mutant("arc_class_drops_unit_vars", "arcs", "_free_exponent",
            "n - n // a + n * len(f.unit_vars)", "n - n // a",
            ("tests/test_arcs.py", "tests/test_arcs_pointcount.py")),
