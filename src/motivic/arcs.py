@@ -28,10 +28,9 @@ at the first order divisible by ``a``, and shares the exponent rule
 
 from __future__ import annotations
 
-from .bundles import BundleClass
 from .errors import UnsupportedShape
 from .halflaurent import HalfLaurent
-from .motive import Motive, symbol_motive, upsilon
+from .motive import Motive, _z2_cover, symbol_motive
 from .registry import FrozenRecord, Registry, _set
 
 
@@ -97,10 +96,8 @@ def cover_class(f: MonomialFunction, ctx: ArcContext) -> Motive:
                 "context must name one square-root generator per unit variable")
         bits = reg.bits_of(ctx.base_space, [
             gen for b, gen in zip(unit_exps, ctx.unit_generators) if b % 2])
-        # square roots of the leading unit monomial: 1 - L^(1/2) . Y(bits)
-        return (Motive.one(reg, ctx.base_space)
-                - upsilon(reg, BundleClass(ctx.base_space, bits))
-                .scale(HalfLaurent.power(1)))
+        # square roots of the leading unit monomial
+        return _z2_cover(reg, ctx.base_space, bits)
     if any(b % a for b in unit_exps):
         raise UnsupportedShape(
             f"order-{a} cover with nontrivial unit twisting is outside the "

@@ -27,8 +27,8 @@ from __future__ import annotations
 from typing import Optional
 
 from .bundles import BundleClass, pull_class_bits
-from .errors import (DescentFailure, MissingScissorTable, OrientationMissing,
-                     ValidationFailed)
+from .errors import (DescentFailure, MissingScissorTable, MotivicError,
+                     OrientationMissing, ValidationFailed)
 from .motive import (Flat, Motive, _check_operand, _term_table,
                      twisted_pullback)
 from .registry import POINT, FrozenRecord, Record, Registry, _set
@@ -183,7 +183,12 @@ def validate_atlas(atlas: Atlas) -> list[str]:
 
 
 def check_orientation(atlas: Atlas) -> list[str]:
-    """F2 cocycle check on every overlap; empty iff all identities hold."""
+    """F2 cocycle check on every overlap; empty iff all identities hold.
+
+    The diagnostics come sorted by overlap (chart a, chart b, region), then
+    text, so the order of ``atlas.overlaps`` does not choose the fault that
+    :func:`glue` names.
+    """
     if not atlas.oriented:
         raise OrientationMissing("atlas carries no orientation")
     structural = _structural_diagnostics(atlas)
@@ -191,7 +196,7 @@ def check_orientation(atlas: Atlas) -> list[str]:
         raise ValidationFailed(structural)
     reg = atlas.registry
     charts = atlas.chart_index()
-    diags: list[str] = []
+    faults: list[tuple[str, str, str, str]] = []
     for o in atlas.overlaps:
         for cid, p, mor in ((o.chart_a, o.p_a, o.restrict_a),
                             (o.chart_b, o.p_b, o.restrict_b)):
@@ -200,13 +205,16 @@ def check_orientation(atlas: Atlas) -> list[str]:
                            else pull_class_bits(reg, mor, q))
             expected = p.bits ^ bits
             if space != o.q_t.space or p.space != o.q_t.space:
-                diags.append(f"overlap {_label(o)}: classes on mismatched spaces")
+                fault = "classes on mismatched spaces"
             elif o.q_t.bits != expected:
-                diags.append(
-                    f"overlap {_label(o)}: Q_T != P + Q for chart {cid} "
-                    f"(got {o.q_t.text(reg)}, "
-                    f"expected {BundleClass(space, expected).text(reg)})")
-    return diags
+                fault = (f"Q_T != P + Q for chart {cid} "
+                         f"(got {o.q_t.text(reg)}, "
+                         f"expected {BundleClass(space, expected).text(reg)})")
+            else:
+                continue
+            faults.append((o.chart_a, o.chart_b, o.region,
+                           f"overlap {_label(o)}: {fault}"))
+    return [text for *_, text in sorted(faults)] if faults else []
 
 
 def glue(atlas: Atlas) -> GlobalMotive:
@@ -252,11 +260,10 @@ def pushforward_to_point(atlas: Atlas, glued: GlobalMotive) -> Motive:
     ``(mon, bits)``, checks that it exists, is from this registry and lies
     over the point, and adds ``sign . c . L^(k/2)`` times it into one
     accumulator.  The keys whose sums cancel are swept once, at the end of
-    the call.  Pieces are read in order.  When a term's entry fails its
-    check, the piece's distinct keys are walked again in sorted order
-    (:func:`_refuse_piece`), so the first key with no entry raises
-    :class:`MissingScissorTable` and an entry from another registry or
-    space raises as a summand would, whichever comes first in that order.
+    the call.  Pieces are read in order.  When a piece's region is unglued
+    or a term's entry fails its check, every piece is checked again
+    (:func:`_refuse_scissor`) and the fault that sorts first is raised, so
+    the order of the scissor list does not choose it.
     """
     reg = atlas.registry
     if atlas.scissor is None:
@@ -264,16 +271,15 @@ def pushforward_to_point(atlas: Atlas, glued: GlobalMotive) -> Motive:
     acc: Flat = {}
     get = acc.get
     for piece in atlas.scissor:
-        if piece.region not in glued.values:
-            raise MissingScissorTable(
-                f"scissor piece over unglued region {piece.region!r}")
-        flat = glued.values[piece.region]._flat
+        value = glued.values.get(piece.region)
+        if value is None:
+            _refuse_scissor(reg, atlas.scissor, glued)
         entries = piece.entries
         sign = piece.sign
-        for (mon, bits, k), c in flat.items():
+        for (mon, bits, k), c in value._flat.items():
             entry = entries.get((mon, bits))
             if entry is None or entry.reg is not reg or entry.space != POINT:
-                _refuse_piece(reg, piece, flat)
+                _refuse_scissor(reg, atlas.scissor, glued)
             c *= sign
             for (emon, ebits, ek), e in entry._flat.items():
                 key = (emon, ebits, ek + k)
@@ -283,11 +289,27 @@ def pushforward_to_point(atlas: Atlas, glued: GlobalMotive) -> Motive:
     return Motive._wrap(reg, POINT, acc)
 
 
-def _refuse_piece(reg: Registry, piece: ScissorPiece, flat: Flat) -> None:
-    """Raise for the first of ``flat``'s distinct ``(mon, bits)`` keys, in
-    sorted order, whose scissor entry is missing or is not a class of
-    ``reg`` over the point."""
-    for mon, bits in sorted({(mon, bits) for mon, bits, _ in flat}):
+def _refuse_scissor(reg: Registry, scissor: list[ScissorPiece],
+                    glued: GlobalMotive) -> None:
+    """Raise the fault, among all failing pieces, that sorts first by
+    (region, text).  A piece fails when its region is unglued, or at the
+    first of its value's distinct ``(mon, bits)`` keys, in sorted order,
+    whose entry is missing or is not a class of ``reg`` over the point."""
+    faults = []
+    for piece in scissor:
+        try:
+            _check_piece(reg, piece, glued.values.get(piece.region))
+        except MotivicError as exc:
+            faults.append((piece.region, str(exc), exc))
+    raise min(faults, key=lambda fault: fault[:2])[2]
+
+
+def _check_piece(reg: Registry, piece: ScissorPiece,
+                 value: Optional[Motive]) -> None:
+    if value is None:
+        raise MissingScissorTable(
+            f"scissor piece over unglued region {piece.region!r}")
+    for mon, bits in sorted({(mon, bits) for mon, bits, _ in value._flat}):
         entry = piece.entries.get((mon, bits))
         if entry is None:
             raise MissingScissorTable(

@@ -164,9 +164,7 @@ class HalfLaurent:
                 else:
                     parts.append(f"{sign}{c}*{_monomial_text(k)}")
         except ValueError:  # int-to-str conversion past the digit limit
-            raise UnsupportedShape(
-                "a coefficient or exponent has more than "
-                f"{sys.get_int_max_str_digits()} digits to write") from None
+            raise digits_refusal() from None
         text = "".join(parts)
         return text[3:] if text[1] == "+" else "-" + text[3:]
 
@@ -174,20 +172,25 @@ class HalfLaurent:
         return f"HalfLaurent({repr_text(self, len(self._coeffs))})"
 
 
+def digits_refusal() -> UnsupportedShape:
+    """The refusal of an integer too long for Python to write in decimal
+    (``sys.get_int_max_str_digits()``)."""
+    return UnsupportedShape("a coefficient or exponent has more than "
+                            f"{sys.get_int_max_str_digits()} digits to write")
+
+
 def repr_text(value, count: int) -> str:
     """``value.text()``, or its term count when it holds an integer too long
     to write in decimal: the body of a repr that cannot raise."""
     try:
         return value.text()
-    except (UnsupportedShape, ValueError):  # ValueError: a T^N too long
+    except UnsupportedShape:
         return (f"{count} terms, an integer past the "
                 f"{sys.get_int_max_str_digits()}-digit limit")
 
 
 @lru_cache(maxsize=256)  # a rendering uses few distinct exponents
 def _monomial_text(k2: int) -> str:
-    if k2 == 0:
-        return "1"
     if k2 == 2:
         return "L"
     if k2 % 2 == 0:

@@ -8,15 +8,16 @@ into components, the absolute class localizes as
 where the virtual index of a component is the signed count of nonzero
 tangent weights at a representative point: dim(T+) - dim(T-).  Weights are
 supplied, never derived; goodness and circle-compactness of the action are
-asserted flags on the input, and the sum refuses a component that does not
-assert both.
+asserted flags on the input.  The sum refuses a component that does not
+assert both, or whose class is not over the point, and the check refuses a
+direct class that is not over the point.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .errors import SpaceMismatch, ValidationFailed, ZeroWeight
+from .errors import ValidationFailed, ZeroWeight
 from .halflaurent import HalfLaurent
 from .motive import Motive, mot_sum
 from .registry import POINT, FrozenRecord, Registry, _set
@@ -50,32 +51,32 @@ def virtual_index(weights) -> int:
 
 
 def localize_sum(reg: Registry, components) -> Motive:
-    """The localized sum; refuses components asserting a false hypothesis."""
+    """The localized sum; refuses components asserting a false hypothesis
+    or carrying a class off the point, one line per fault."""
     components = list(components)
-    refused = [f"component {c.id!r} asserts false: " + ", ".join(
-        flag for flag in ("good", "circle_compact") if not getattr(c, flag))
-        for c in components if not (c.good and c.circle_compact)]
+    refused: list[str] = []
+    for c in components:
+        if not (c.good and c.circle_compact):
+            refused.append(f"component {c.id!r} asserts false: " + ", ".join(
+                flag for flag in ("good", "circle_compact")
+                if not getattr(c, flag)))
+        if c.motive is not None and c.motive.space != POINT:
+            refused.append(f"component {c.id!r}: absolute class expected "
+                           f"over {POINT!r}, got {c.motive.space!r}")
     if refused:
         raise ValidationFailed(refused)
-
-    def terms():
-        for comp in components:
-            ind = virtual_index(comp.weights)
-            m = comp.motive if comp.motive is not None \
-                else Motive.one(reg, POINT)
-            if m.space != POINT:
-                raise SpaceMismatch(
-                    f"component {comp.id!r}: absolute class expected over "
-                    f"{POINT!r}, got {m.space!r}")
-            yield m, HalfLaurent.power(-ind)
-
-    return mot_sum(reg, POINT, terms())
+    return mot_sum(reg, POINT, (
+        (Motive.one(reg, POINT) if c.motive is None else c.motive,
+         HalfLaurent.power(-virtual_index(c.weights))) for c in components))
 
 
 def localization_check(reg: Registry, components,
                        direct: Motive) -> tuple[bool, str]:
     """Compare the localized sum against an independently computed class."""
     total = localize_sum(reg, components)
+    if direct.space != POINT:
+        raise ValidationFailed([f"direct: absolute class expected over "
+                                f"{POINT!r}, got {direct.space!r}"])
     if total == direct:
         return True, f"localized = direct = {total.text()}"
     return False, f"localized = {total.text()} ; direct = {direct.text()}"

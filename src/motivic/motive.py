@@ -19,7 +19,7 @@ Z2-covers never appear: they are eagerly rewritten to
 :class:`HalfLaurent` is the coefficient type at the boundary.  The
 constructor accepts ``((monomial, bits), coeff)`` terms, ``coeff`` a
 ``HalfLaurent`` or plain-``int`` ``(k2, c)`` pairs or dict, and checks
-each distinct key once; ``terms()`` groups the flat dict back into that
+each term as it comes; ``terms()`` groups the flat dict back into that
 shape, sorted.  Every operation works on the flat dicts and accumulates
 plain integers.  Products group each operand by monomial once, so the
 opacity check and the monomial merge run once per monomial pair.  When one
@@ -56,6 +56,7 @@ from .errors import (DotUndefined, MissingTransport, NoUnderlyingClass,
                      UnregisteredProduct)
 from .halflaurent import HalfLaurent, repr_text
 from .registry import Morphism, Registry
+from .render import motive_text
 
 TermKey = tuple[tuple[str, ...], int]
 Coeff = HalfLaurent | Mapping[int, int] | Iterable[tuple[int, int]]
@@ -75,12 +76,9 @@ class Motive:
         self.space = space
         items = terms.items() if isinstance(terms, Mapping) else terms
         flat: Flat = {}
-        checked: set[TermKey] = set()
         for (mon, bits), coeff in items:
             mon = tuple(sorted(mon))
-            if (mon, bits) not in checked:
-                self._check_term(reg, space, mon, bits)
-                checked.add((mon, bits))
+            self._check_term(reg, space, mon, bits)
             plain = not isinstance(coeff, HalfLaurent)
             for k2, c in (coeff.items() if isinstance(coeff, (HalfLaurent, Mapping)) else coeff):
                 if plain and (type(k2) is not int or type(c) is not int):
@@ -147,10 +145,7 @@ class Motive:
 
     def is_plain(self) -> bool:
         """Trivial monodromy: no bundles, no opaque symbols, integral powers."""
-        for mon, bits, k2 in self._flat:
-            if bits or k2 % 2 or _opaque(self.reg, mon):
-                return False
-        return True
+        return _visible_order(self) == 1
 
     def normalized(self) -> "Motive":
         return Motive(self.reg, self.space, self.terms())
@@ -168,7 +163,7 @@ class Motive:
                             {key: -c for key, c in self._flat.items()})
 
     def _plus(self, other: "Motive", sign: int) -> "Motive":
-        self._same_space(other)
+        _check_operand(self.reg, self.space, other)
         flat = dict(self._flat)
         _add_scaled(flat, other._flat, ((0, sign),))
         return Motive._wrap(self.reg, self.space, flat)
@@ -179,20 +174,17 @@ class Motive:
         _add_scaled(flat, self._flat, pairs)
         return Motive._wrap(self.reg, self.space, flat)
 
-    def _same_space(self, other: "Motive") -> None:
-        _check_operand(self.reg, self.space, other)
-
     # -- products ------------------------------------------------------------------
 
     def odot(self, other: "Motive") -> "Motive":
         """Convolution product, defined on the fragment."""
-        self._same_space(other)
+        _check_operand(self.reg, self.space, other)
         return Motive._wrap(self.reg, self.space,
                             _product(self.reg, self._flat, other._flat, "product"))
 
     def dot(self, other: "Motive") -> "Motive":
         """Fibre product; exposed only where it agrees with the convolution."""
-        self._same_space(other)
+        _check_operand(self.reg, self.space, other)
         if not (self.is_plain() or other.is_plain()):
             raise DotUndefined(
                 "fibre product needs one operand with trivial monodromy")
@@ -206,8 +198,6 @@ class Motive:
         return hash((self.space, frozenset(self._flat.items())))
 
     def text(self) -> str:
-        from .render import motive_text
-
         return motive_text(self)
 
     def __repr__(self) -> str:
@@ -270,6 +260,18 @@ def _by_monomial(flat: Flat) -> dict[tuple[str, ...], list[tuple[int, int, int]]
 
 def _opaque(reg: Registry, mon: tuple[str, ...]) -> bool:
     return any(reg.symbol(n).order > 1 for n in mon)
+
+
+def _visible_order(m: Motive) -> int:
+    """The largest monodromy order a term of ``m`` shows: 2 for a bundle
+    class or a half power of L, a symbol's declared order, else 1."""
+    order = 1
+    for mon, bits, k2 in m._flat:
+        if bits or k2 % 2:
+            order = max(order, 2)
+        for name in mon:
+            order = max(order, m.reg.symbol(name).order)
+    return order
 
 
 def _product(reg: Registry, a: Flat, b: Flat, what: str) -> Flat:
@@ -377,11 +379,14 @@ def symbol_motive(reg: Registry, name: str) -> Motive:
     sym = reg.symbol(name)
     if sym.cover_bits is None:
         return Motive(reg, sym.space, {((name,), 0): HalfLaurent.const(1)})
-    # the two entries may share a key when the cover class is trivial
-    return Motive(reg, sym.space, [
-        (((), 0), HalfLaurent.const(1)),
-        (((), sym.cover_bits), HalfLaurent.power(1, -1)),
-    ])
+    return _z2_cover(reg, sym.space, sym.cover_bits)
+
+
+def _z2_cover(reg: Registry, space: str, bits: int) -> Motive:
+    """``1 - L^(1/2) . Y(bits)``: the class of the Z2-cover of ``space``
+    whose bundle class is ``bits``."""
+    reg.check_bits(space, bits)
+    return Motive._wrap(reg, space, {((), 0, 0): 1, ((), bits, 1): -1})
 
 
 # -- functoriality -------------------------------------------------------------------

@@ -362,8 +362,7 @@ class Registry:
 
     # -- products ----------------------------------------------------------------
 
-    def declare_product(self, name: str, left: str, right: str,
-                        dim: Optional[int] = None) -> Product:
+    def declare_product(self, name: str, left: str, right: str) -> Product:
         """Register the product space and auto-register images of all symbols
         and generators of the factors, named ``<product>.<original>``.
 
@@ -373,9 +372,8 @@ class Registry:
         from .motive import Motive  # deferred: motive imports registry
 
         lsp, rsp = self.space(left), self.space(right)
-        if dim is None and lsp.dim is not None and rsp.dim is not None:
-            dim = lsp.dim + rsp.dim
-        self.declare_space(name, dim=dim)
+        self.declare_space(name, dim=None if lsp.dim is None or rsp.dim is None
+                           else lsp.dim + rsp.dim)
         prod = Product(name, left, right)
         for side, factor in ((0, left), (1, right)):
             shift = len(self.generators[left]) if side else 0

@@ -9,7 +9,7 @@ bundle bits); identical inputs always render identically.
 
 from __future__ import annotations
 
-from .halflaurent import HalfLaurent
+from .halflaurent import HalfLaurent, digits_refusal
 
 
 def symbol_text(reg, name: str) -> str:
@@ -73,7 +73,10 @@ def motive_text(m) -> str:
 
 def factor_text(N: int, nu: int) -> str:
     lpow = HalfLaurent.power(-2 * nu).text()
-    return f"({lpow} T^{N})/(1 - {lpow} T^{N})"
+    try:
+        return f"({lpow} T^{N})/(1 - {lpow} T^{N})"
+    except ValueError:  # N past the digit limit
+        raise digits_refusal() from None
 
 
 def rational_text(z) -> str:

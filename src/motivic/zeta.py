@@ -39,8 +39,9 @@ from typing import Optional
 
 from .errors import MissingRestriction, ValidationFailed
 from .halflaurent import HalfLaurent, repr_text
-from .motive import Motive, _by_term, _check_operand, mot_sum
+from .motive import Motive, _by_term, _check_operand, _visible_order, mot_sum
 from .registry import POINT, FrozenRecord, Record, Registry, _set
+from .render import rational_text
 
 DivKey = frozenset
 
@@ -129,8 +130,6 @@ class RationalMotive(FrozenRecord):
                                   if not c.is_zero()))
 
     def text(self) -> str:
-        from .render import rational_text
-
         return rational_text(self)
 
     def __repr__(self) -> str:
@@ -178,16 +177,6 @@ def validate_resolution(r: ResolutionData) -> list[str]:
                 f"stratum {names}: class monodromy order {order} != declared "
                 f"{stratum.cover_order}")
     return diags
-
-
-def _visible_order(m: Motive) -> int:
-    order = 1
-    for mon, bits, k2 in m._flat:
-        if bits or k2 % 2:
-            order = max(order, 2)
-        for name in mon:
-            order = max(order, m.reg.symbol(name).order)
-    return order
 
 
 def _require_valid(r: ResolutionData) -> None:

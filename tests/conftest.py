@@ -90,3 +90,20 @@ def ts_with_opaque_factors() -> dict:
         {"monomial": ["m"], "bundle": [], "coeff": [[0, 1]]}]}
     job["payload"]["factors"] = [factor, copy.deepcopy(factor)]
     return job
+
+
+def localize_z1z2_off_the_point(where: str) -> dict:
+    """The ``localize_z1z2`` job with a space ``X`` declared and either the
+    class of component ``origin`` (``where="component"``) or the direct
+    class (``where="direct"``) moved onto it: a job for a refusal."""
+    from motivic.jobs import load_fixture_job
+
+    job = load_fixture_job("localize_z1z2")
+    job["registry"]["spaces"].append({"name": "X", "dim": 0, "strata": []})
+    payload = job["payload"]
+    one_on_x = dict(payload["direct"], space="X")
+    if where == "component":
+        payload["components"][0]["motive"] = one_on_x
+    else:
+        payload["direct"] = one_on_x
+    return job

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import ts_with_opaque_factors
+from conftest import localize_z1z2_off_the_point, ts_with_opaque_factors
 from motivic import fixtures
 from motivic.cli import main
 from motivic.errors import MotivicError
@@ -639,10 +639,15 @@ def test_negative_series_order_rejected(capsys, command, fixture):
     assert "order must be >= 0" in capsys.readouterr().err
 
 
-def test_localize_fixture_verdict(capsys):
+def test_localize_fixture_verdict(tmp_path, capsys):
     code, out, _ = run(capsys, "localize", "--fixture", "localize_z1z2")
     assert code == 0
     assert out.strip() == "sum = 1; check: PASS"
+    # with neither a direct class nor a direct atlas, the sum alone
+    path = tmp_path / "sum_only.json"
+    path.write_text(json.dumps(_fixture_with("localize_z1z2", "direct", None)),
+                    encoding="utf-8")
+    assert run(capsys, "localize", "--job", str(path)) == (0, "sum = 1\n", "")
 
 
 def test_localize_two_points_uses_direct_atlas(capsys):
@@ -728,10 +733,16 @@ def test_unsupported_shape_exit_code(tmp_path, capsys):
     ("localize", _localize_z1z2_asserting_false(),
      2, "validation: component 'origin' asserts false: good, "
         "circle_compact\n"),
+    ("localize", localize_z1z2_off_the_point("component"),
+     2, "validation: component 'origin': absolute class expected over 'K', "
+        "got 'X'\n"),
+    ("localize", localize_z1z2_off_the_point("direct"),
+     2, "validation: direct: absolute class expected over 'K', got 'X'\n"),
 ], ids=["missing_restriction", "unsupported_shape", "descent_cocycle",
         "descent_disagreeing_charts", "opaque_product", "unoriented_atlas",
         "duplicate_divisor", "empty_stratum", "duplicate_chart",
-        "chart_off_its_region", "localize_flags_false"])
+        "chart_off_its_region", "localize_flags_false",
+        "localize_component_off_the_point", "localize_direct_off_the_point"])
 def test_refusal_stderr_is_pinned(tmp_path, capsys, command, job, code,
                                   stderr):
     # the exact stderr lines and exit code of each refusal, through main

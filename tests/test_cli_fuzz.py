@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import ts_with_opaque_factors
+from conftest import localize_z1z2_off_the_point, ts_with_opaque_factors
 from motivic.cli import build_parser, main
 from motivic.jobs import FIXTURE_NAMES, job_validator, load_fixture_job
 
@@ -127,6 +127,8 @@ for factor in LONG_COEFFICIENT["payload"]["factors"][:2]:
 @example(job=ts_with_opaque_factors(), machine=True)
 @example(job=LONG_COEFFICIENT, machine=False)
 @example(job=LONG_COEFFICIENT, machine=True)
+@example(job=localize_z1z2_off_the_point("component"), machine=False)
+@example(job=localize_z1z2_off_the_point("direct"), machine=False)
 def test_valid_jobs_end_in_a_documented_exit_code(tmp_path_factory, job,
                                                   machine):
     assert job_validator().is_valid(job)

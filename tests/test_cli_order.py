@@ -8,6 +8,9 @@ overlaps, regions, scissor pieces and their entries), fixed-point data
 
 Generator ``names`` keep their order: it fixes the bundle bit indices, so
 it legitimately changes the output.  So do a ``ts`` chain's ``factors``.
+
+A refused job names one fault; which one does not depend on list order
+either, when two overlaps or two scissor pieces fail.
 """
 
 import contextlib
@@ -15,6 +18,7 @@ import io
 import json
 from functools import cache
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -75,3 +79,42 @@ def test_shuffled_set_like_lists_change_no_output(tmp_path_factory, name, rnd,
                     encoding="utf-8")
     assert (_outputs(name, ["--job", str(path)], machine)
             == _as_shipped(name, machine))
+
+
+def _cylinder_with_region_r2(key):
+    """atlas_cylinder with a second region ``R2`` on ``Gm`` and two failing
+    entries in ``payload[key]``: two overlaps that both break the cocycle,
+    or a scissor piece with no entries next to one over the unglued ``R2``."""
+    job = load_fixture_job("atlas_cylinder")
+    payload = job["payload"]
+    payload["regions"].append({"name": "R2", "space": "Gm"})
+    first = payload[key][0]
+    if key == "overlaps":
+        first["q_t"] = []
+        payload[key].append(dict(first, region="R2"))
+    else:
+        first["entries"] = []
+        payload[key].append({"region": "R2", "sign": 1, "entries": []})
+    return job
+
+
+@pytest.mark.parametrize("key,code,stderr", [
+    ("overlaps", 5,
+     "descent failure:\n"
+     "  left : overlap cA|cB@R: Q_T != P + Q for chart cA "
+     "(got Y(0), expected Y(p1))\n"
+     "  right: \n"
+     "  (cocycle identity broken)\n"),
+    ("scissor", 1, "error: region 'R': no scissor entry for term ((), bits=0)\n"),
+], ids=["overlaps", "scissor"])
+def test_two_faults_name_the_same_one_in_either_order(tmp_path, key, code,
+                                                      stderr):
+    job = _cylinder_with_region_r2(key)
+    path = tmp_path / "job.json"
+    for _ in range(2):
+        path.write_text(json.dumps(job), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            got = main(["glue", "--job", str(path)])
+        assert (got, out.getvalue(), err.getvalue()) == (code, "", stderr)
+        job["payload"][key].reverse()

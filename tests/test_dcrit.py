@@ -193,25 +193,34 @@ def test_pushforward_missing_scissor_entry():
 
 def _regrouped_pushforward(atlas: Atlas, glued: GlobalMotive) -> Motive:
     """Reference: regroup each region value with ``terms()``, scale each
-    coefficient by the piece sign and add the entries through ``mot_sum``."""
+    coefficient by the piece sign and add the entries through ``mot_sum``,
+    piece by piece.  Of the pieces that fail, the fault that sorts first by
+    (region, text) is raised."""
     reg = atlas.registry
     if atlas.scissor is None:
         raise MissingScissorTable("atlas declares no scissor table")
 
-    def terms():
-        for piece in atlas.scissor:
-            if piece.region not in glued.values:
+    def terms(piece):
+        if piece.region not in glued.values:
+            raise MissingScissorTable(
+                f"scissor piece over unglued region {piece.region!r}")
+        for (mon, bits), coeff in glued.values[piece.region].terms():
+            entry = piece.entries.get((mon, bits))
+            if entry is None:
                 raise MissingScissorTable(
-                    f"scissor piece over unglued region {piece.region!r}")
-            for (mon, bits), coeff in glued.values[piece.region].terms():
-                entry = piece.entries.get((mon, bits))
-                if entry is None:
-                    raise MissingScissorTable(
-                        f"region {piece.region!r}: no scissor entry for term "
-                        f"({mon}, bits={bits})")
-                yield entry, coeff * piece.sign
+                    f"region {piece.region!r}: no scissor entry for term "
+                    f"({mon}, bits={bits})")
+            yield entry, coeff * piece.sign
 
-    return mot_sum(reg, POINT, terms())
+    sums, faults = [], []
+    for piece in atlas.scissor:
+        try:
+            sums.append((mot_sum(reg, POINT, terms(piece)), {0: 1}))
+        except MotivicError as exc:
+            faults.append((piece.region, str(exc), exc))
+    if faults:
+        raise min(faults, key=lambda fault: fault[:2])[2]
+    return mot_sum(reg, POINT, sums)
 
 
 @st.composite
@@ -276,10 +285,14 @@ def _outcome(push, atlas, glued):
 @given(scissor_sums())
 def test_pushforward_matches_the_regrouped_sum(drawn):
     # the one flat pass sums what the regrouped terms summed, and it fails
-    # where they failed, with the same exception and message
+    # where they failed, with the same exception and message, whatever the
+    # order of the pieces
     atlas, glued = drawn
-    assert (_outcome(pushforward_to_point, atlas, glued)
-            == _outcome(_regrouped_pushforward, atlas, glued))
+    outcome = _outcome(pushforward_to_point, atlas, glued)
+    assert outcome == _outcome(_regrouped_pushforward, atlas, glued)
+    if atlas.scissor is not None:
+        atlas.scissor.reverse()
+        assert _outcome(pushforward_to_point, atlas, glued) == outcome
 
 
 def test_pushforward_names_the_first_missing_key_in_sorted_order():
@@ -402,6 +415,17 @@ def test_structurally_broken_atlas_is_a_validation_error():
                 True)
     with pytest.raises(ValidationFailed):
         glue(bad)
+    # regions the job reader would refuse first reach the structural check
+    # only from Python
+    cA, cB = fx.atlas.charts
+    off = CriticalChart(cA.id, "R_nowhere", cA.dim_u, cA.mf, cA.q)
+    o = fx.atlas.overlaps[0]
+    gone = OverlapDatum(o.chart_a, o.chart_b, "R_gone", o.p_a, o.p_b, o.q_t)
+    with pytest.raises(ValidationFailed) as err:
+        glue(Atlas(fx.registry, fx.atlas.regions, [off, cB], [gone], True))
+    assert err.value.diagnostics == [
+        "chart 'cA' on undeclared region 'R_nowhere'",
+        "overlap cA|cB on undeclared region 'R_gone'"]
 
 
 def test_two_charts_same_region_must_agree():

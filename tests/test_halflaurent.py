@@ -82,8 +82,12 @@ def test_repr_of_an_integer_too_long_to_write_does_not_raise():
     assert repr(big) == f"HalfLaurent(2 terms, {past})"
     assert repr(m) == f"<Motive X: 2 terms, {past}>"
     assert repr(z) == f"<RationalMotive X: 1 terms, {past}>"
-    # a factor T^N too long to write
-    assert repr(RationalMotive("X", [RatTerm(Motive.one(reg, "X"), (
-        (n, 1),))])) == f"<RationalMotive X: 1 terms, {past}>"
+    # a factor T^N too long to write: text() refuses it as the coefficient
+    # case does, naming the digit limit
+    long_factor = RationalMotive("X", [RatTerm(Motive.one(reg, "X"), (
+        (n, 1),))])
+    with pytest.raises(UnsupportedShape, match="more than 4300 digits"):
+        long_factor.text()
+    assert repr(long_factor) == f"<RationalMotive X: 1 terms, {past}>"
     assert repr(HalfLaurent({0: 3, 1: -1})) == "HalfLaurent(3 - L^(1/2))"
     assert repr(Motive.one(reg, "X")) == "<Motive X: 1>"

@@ -54,6 +54,10 @@ def test_add_cover_rewrite(reg):
 def test_add_inverse(reg):
     lm1 = Motive.coefficient(reg, "X", L - ONE)
     assert mot_add(lm1, -lm1).is_zero()
+    # a coefficient -1 before a symbol renders as a bare sign
+    a = symbol_motive(reg, "A")
+    assert (-a).text() == "-[A]"
+    assert (Motive.one(reg, "X") - a).text() == "1 - [A]"
 
 
 def test_add_space_mismatch(reg):
@@ -362,6 +366,10 @@ def test_pi_forget_half_power_is_minus_one(reg):
 def test_pi_forget_fixes_tate_class(reg):
     got = pi_forget(Motive.coefficient(reg, "X", L))
     assert got == Motive.coefficient(reg, "X", L)
+    # and plain symbols
+    two_a = symbol_motive(reg, "A").scale(2)
+    assert pi_forget(two_a) == two_a
+    assert two_a.text() == "2 ⊙ [A]"
 
 
 def test_pi_forget_split_cover_counts_points(reg):

@@ -1,5 +1,6 @@
 """The package surface, and which modules each entry point loads."""
 
+import ast
 import json
 import os
 import subprocess
@@ -134,6 +135,14 @@ def test_only_selftest_loads_the_fixture_builders(argv, runs):
 def test_selftest_loads_the_fixture_builders():
     loaded = _loaded("-m", "motivic.cli", "selftest", "--machine-readable")
     assert {"fixtures", "selftest"} <= loaded
+
+
+def test_selftest_checks_hold_no_assert():
+    # ``python -O`` strips assert statements, and would pass every check
+    source = Path(motivic.__file__).with_name("selftest.py").read_text(
+        encoding="utf-8")
+    assert not [node.lineno for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.Assert)]
 
 
 # the dataclasses defined in loaded ``motivic.*`` modules after a command runs

@@ -97,6 +97,7 @@ def test_empty_rational_motive_expands_to_zeros():
     fx = fixtures.z2()
     series = expand_series(RationalMotive("X0", []), 5, fx.registry)
     assert len(series) == 6 and all(m.is_zero() for m in series)
+    assert RationalMotive("X0", []).text() == "0"
 
 
 def test_z2_nearby_and_vanishing():

@@ -55,6 +55,8 @@ LOADER = ("tests/test_serialize.py::"
 TWIST = ("tests/test_transport.py::"
          "test_twisted_pullback_matches_reference_twist")
 STDERR = "tests/test_cli.py::test_refusal_stderr_is_pinned"
+ORDER = ("tests/test_cli_order.py::"
+         "test_two_faults_name_the_same_one_in_either_order")
 # a series term's shift x = prod of its factors' L^(-nu) T^N, over %s
 SHIFT_LOOP = "for N, nu in %s:\n    deg += N\n    e -= 2 * nu"
 
@@ -310,6 +312,23 @@ MUTANTS = [
     Mutant("process_main_skips_freeze", "cli", "process_main",
            "gc.freeze()", "pass",
            ("tests/test_process.py::test_argparse_exit_is_frozen_too",)),
+    Mutant("localize_component_space_unchecked", "localize", "localize_sum",
+           "c.motive is not None and c.motive.space != POINT", "False",
+           (STDERR,)),
+    Mutant("orientation_faults_in_list_order", "dcrit", "check_orientation",
+           "sorted(faults)", "faults", (ORDER,)),
+    Mutant("scissor_fault_in_list_order", "dcrit", "_refuse_scissor",
+           "min(faults, key=lambda fault: fault[:2])", "faults[0]",
+           (ORDER, "tests/test_dcrit.py::"
+            "test_pushforward_matches_the_regrouped_sum")),
+    Mutant("selftest_checks_by_assert", "selftest", "_require",
+           "if not holds:\n    raise AssertionError(message)",
+           "assert holds, message",
+           ("tests/test_package.py::test_selftest_checks_hold_no_assert",)),
+    Mutant("long_factor_raises_value_error", "render", "factor_text",
+           "raise digits_refusal() from None", "raise",
+           ("tests/test_halflaurent.py::"
+            "test_repr_of_an_integer_too_long_to_write_does_not_raise",)),
 ]
 
 
