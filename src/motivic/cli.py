@@ -168,7 +168,7 @@ def cmd_localize(args, job: Job) -> Outcome:
         direct = dcrit.pushforward_to_point(direct_atlas, glued)
     if direct is None:
         return f"sum = {total.text()}", {"sum": motive_to_json(total)}, EXIT_OK
-    ok, diff = localize.localization_check(reg, components, direct)
+    ok, diff = localize.compare_to_direct(total, direct)
     return (f"sum = {total.text()}; check: {'PASS' if ok else 'FAIL'}",
             {"sum": motive_to_json(total), "check": ok, "diff": diff},
             EXIT_OK if ok else 1)

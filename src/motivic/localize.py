@@ -73,7 +73,12 @@ def localize_sum(reg: Registry, components) -> Motive:
 def localization_check(reg: Registry, components,
                        direct: Motive) -> tuple[bool, str]:
     """Compare the localized sum against an independently computed class."""
-    total = localize_sum(reg, components)
+    return compare_to_direct(localize_sum(reg, components), direct)
+
+
+def compare_to_direct(total: Motive, direct: Motive) -> tuple[bool, str]:
+    """(whether the localized sum ``total`` equals ``direct``, the diff
+    line); refuses a direct class that is not over the point."""
     if direct.space != POINT:
         raise ValidationFailed([f"direct: absolute class expected over "
                                 f"{POINT!r}, got {direct.space!r}"])

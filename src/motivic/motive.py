@@ -31,7 +31,13 @@ sweep.
 
 A pullback is one pass over the flat form that transports each distinct
 monomial once and reads each bundle class's image from the morphism's memo
-table.  A twist by ``Y(P)`` after a pullback, as in
+table.  Pulling back Z2-bundles is F2-linear, so on a motive with no
+monomial terms the pass only renames keys, ``(bits, k2)`` to ``(image,
+k2)``, unless two classes share an image: when the renamed dict has as many
+keys as the input, no two terms met, every coefficient is its own nonzero
+sum and the relabelled dict is the result.  Otherwise (a monomial term, a
+shared image, or a transport that raises) the accumulating walk runs.  A
+twist by ``Y(P)`` after a pullback, as in
 ``Phi^*(MF) = MF . Y(P_Phi)``, is part of that pass: :func:`pullback` given
 ``P`` XORs P's bits into each transported bundle image, so no second pass
 relabels the terms.  :func:`twisted_pullback` takes the morphism as
@@ -51,9 +57,9 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 
 from .bundles import BundleClass
-from .errors import (DotUndefined, MissingTransport, NoUnderlyingClass,
-                     OdotUndecidable, RegistryError, SpaceMismatch,
-                     UnregisteredProduct)
+from .errors import (DotUndefined, MissingTransport, MotivicError,
+                     NoUnderlyingClass, OdotUndecidable, RegistryError,
+                     SpaceMismatch, UnregisteredProduct)
 from .halflaurent import HalfLaurent, repr_text
 from .registry import Morphism, Registry
 from .render import motive_text
@@ -448,13 +454,28 @@ def _pull_flat(reg: Registry, mor: Morphism, flat: Flat, twist: int) -> Flat:
     lands at ``((), image of bits, k2)``; any other term lands as its
     coefficient times the product of the two images.  A composite pulls
     back along its steps in order and twists in the last.
+
+    The empty-monomial terms are relabelled first, in one comprehension.
+    If that dict has as many keys as ``flat``, then ``flat`` has no
+    monomial term and no two images met, so it is the result as it stands:
+    nothing to add up, no zero to sweep.  Otherwise the accumulating walk
+    runs over ``flat`` from the start; a transport that raised in the
+    comprehension raises again there, after any fault of an earlier term,
+    so the error is the walk's in term order.
     """
     if mor.steps:
         for step in mor.steps[:-1]:
             flat = _pull_flat(reg, reg.morphisms[step], flat, 0)
         return _pull_flat(reg, reg.morphisms[mor.steps[-1]], flat, twist)
-    mons: dict[tuple[str, ...], Flat] = {}
     table = reg.pull_tables[mor.name]
+    try:
+        out = {((), table[bits] ^ twist, k): c
+               for (mon, bits, k), c in flat.items() if not mon}
+        if len(out) == len(flat):
+            return out
+    except MotivicError:
+        pass  # the walk raises the first fault in term order
+    mons: dict[tuple[str, ...], Flat] = {}
     acc: Flat = {}
     get = acc.get
     for (mon, bits, k), c in flat.items():

@@ -257,6 +257,20 @@ def resolution_to_json(r: ResolutionData) -> dict[str, Any]:
             "constant": r.constant}
 
 
+def _off_space(where: str, classes: dict, ambient, space: str,
+               what: str) -> list[str]:
+    """One diagnostic for each restricted class of the table ``where``, and
+    for its ambient, that does not lie on the table's ``space``; the sums
+    over the table would refuse it only when they run."""
+    diags = [f"{where}: class of divisors {sorted(key)} lives on "
+             f"{m.space!r}, not on {what} {space!r}"
+             for key, m in classes.items() if m.space != space]
+    if ambient is not None and ambient.space != space:
+        diags.append(f"{where}: ambient lives on {ambient.space!r}, not on "
+                     f"{what} {space!r}")
+    return diags
+
+
 def resolution_from_json(reg: Registry, data) -> ResolutionData:
     from .zeta import (Divisor, PointTable, ResolutionData, RestrictionTable,
                        Stratum)
@@ -277,8 +291,16 @@ def resolution_from_json(reg: Registry, data) -> ResolutionData:
     points = _collect(repeated, data.get("points", ()), "label", "points",
                       lambda p: PointTable(p["value"], _classes_from_json(
                           reg, p, f"point {p['label']!r}")))
-    if repeated:
-        raise ValidationFailed(repeated)
+    off_space: list[str] = []
+    for c, t in tables.items():
+        if t is not None:
+            off_space += _off_space(f"critical value {c!r}", t.classes,
+                                    t.ambient, t.space, "the table's space")
+    for label, pt in points.items():
+        off_space += _off_space(f"point {label!r}", pt.classes, None, POINT,
+                                "the point")
+    if repeated or off_space:
+        raise ValidationFailed(repeated + off_space)
     return ResolutionData(reg, data["space_u0"], data["dim_u"], divisors,
                           strata, list(tables) or ["0"],
                           {c: t for c, t in tables.items() if t is not None},

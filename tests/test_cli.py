@@ -178,6 +178,20 @@ def _fixture_with(name, *path_and_value):
     return job
 
 
+def _x2y_on_gmw(ambient=False):
+    """x2y whose critical-value table is declared on ``GmW`` while its class
+    stays on ``Gm``; with ``ambient``, the class moves to ``GmW`` (as 1)
+    and an ambient 1 on ``Gm`` is added.  Without the parse-time check both
+    end in the ring's space mismatch, exit 1."""
+    job = _fixture_with("x2y", "critical_values", 0, "space", "GmW")
+    if ambient:
+        one = {"monomial": [], "bundle": [], "coeff": [[0, 1]]}
+        table = job["payload"]["critical_values"][0]
+        table["classes"][0]["class"] = {"space": "GmW", "terms": [one]}
+        table["ambient"] = {"space": "Gm", "terms": [one]}
+    return job
+
+
 def _localize_z1z2_asserting_false():
     """localize_z1z2 with a component that asserts neither hypothesis of
     the localization formula."""
@@ -650,10 +664,21 @@ def test_localize_fixture_verdict(tmp_path, capsys):
     assert run(capsys, "localize", "--job", str(path)) == (0, "sum = 1\n", "")
 
 
-def test_localize_two_points_uses_direct_atlas(capsys):
+def test_localize_two_points_uses_direct_atlas(capsys, monkeypatch):
+    from motivic import localize
+
+    sums = []
+    localize_sum = localize.localize_sum
+
+    def counted(*args):
+        sums.append(args)
+        return localize_sum(*args)
+
+    monkeypatch.setattr(localize, "localize_sum", counted)
     code, out, _ = run(capsys, "localize", "--fixture", "localize_two_points")
     assert code == 0
     assert out.strip() == "sum = 2*L^(-1/2); check: PASS"
+    assert len(sums) == 1  # the checked sum is the printed one
 
 
 def test_validation_exit_code(tmp_path, capsys):
@@ -738,11 +763,23 @@ def test_unsupported_shape_exit_code(tmp_path, capsys):
         "got 'X'\n"),
     ("localize", localize_z1z2_off_the_point("direct"),
      2, "validation: direct: absolute class expected over 'K', got 'X'\n"),
+    ("vanishing", _x2y_on_gmw(),
+     2, "validation: critical value '0': class of divisors ['E1'] lives on "
+        "'Gm', not on the table's space 'GmW'\n"),
+    ("vanishing", _x2y_on_gmw(ambient=True),
+     2, "validation: critical value '0': ambient lives on 'Gm', not on the "
+        "table's space 'GmW'\n"),
+    ("nearby", _fixture_with("x2y", "points", 0, "classes", 0, "class",
+                             "space", "Gm"),
+     2, "validation: point 'y0': class of divisors ['E1'] lives on 'Gm', not "
+        "on the point 'K'\n"),
 ], ids=["missing_restriction", "unsupported_shape", "descent_cocycle",
         "descent_disagreeing_charts", "opaque_product", "unoriented_atlas",
         "duplicate_divisor", "empty_stratum", "duplicate_chart",
         "chart_off_its_region", "localize_flags_false",
-        "localize_component_off_the_point", "localize_direct_off_the_point"])
+        "localize_component_off_the_point", "localize_direct_off_the_point",
+        "restriction_class_off_its_space", "ambient_off_its_space",
+        "point_class_off_the_point"])
 def test_refusal_stderr_is_pinned(tmp_path, capsys, command, job, code,
                                   stderr):
     # the exact stderr lines and exit code of each refusal, through main

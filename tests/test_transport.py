@@ -440,3 +440,68 @@ def test_twist_refuses_class_on_another_space(small):
         assert str(err.value) == "'Z' vs 'X'"
     assert twisted_pullback(small, "f", one, BundleClass("Z", 1)) == \
         upsilon(small, BundleClass("Z", 1))
+
+
+# -- the relabel and the walk it falls back to -----------------------------------
+
+
+@pytest.fixture
+def meet():
+    """``f: Z -> X`` sends both generators ``a`` and ``b`` of X to ``c``;
+    the symbol ``A`` on X pulls back to ``C`` on Z."""
+    reg = Registry()
+    reg.declare_space("X")
+    reg.declare_generators("X", ("a", "b"))
+    reg.declare_symbol("A", "X")
+    reg.declare_space("Z")
+    reg.declare_generators("Z", ("c",))
+    reg.declare_symbol("C", "Z")
+    reg.declare_morphism("f", "Z", "X", pull_bundles={"a": 1, "b": 1},
+                         pull_symbols={"A": symbol_motive(reg, "C")})
+    return reg
+
+
+def _y(reg: Registry, space: str, bits: int, mon=(), coeff=1) -> Motive:
+    return Motive(reg, space, {(mon, bits): HalfLaurent.const(coeff)})
+
+
+def test_colliding_images_add_up(meet):
+    m = _y(meet, "X", 0b01) + _y(meet, "X", 0b10)
+    assert pullback(meet, "f", m) == _y(meet, "Z", 1, coeff=2)
+    assert pullback(meet, "f", m, BundleClass("Z", 1)) == _y(meet, "Z", 0,
+                                                             coeff=2)
+
+
+def test_cancelling_images_leave_an_empty_flat_form(meet):
+    got = pullback(meet, "f", _y(meet, "X", 0b01) - _y(meet, "X", 0b10))
+    assert got.is_zero() and got._flat == {}
+
+
+def test_a_monomial_term_is_pulled_by_the_walk(meet, monkeypatch):
+    from motivic import motive
+
+    calls = []
+    pull_monomial = motive._pull_monomial
+
+    def counted(reg, mor, mon):
+        calls.append(mon)
+        return pull_monomial(reg, mor, mon)
+
+    monkeypatch.setattr(motive, "_pull_monomial", counted)
+    m = _y(meet, "X", 0b01, ("A",), 3) + _y(meet, "X", 0b11, coeff=-2)
+    assert pullback(meet, "f", m) == \
+        _y(meet, "Z", 1, ("C",), 3) + _y(meet, "Z", 0, coeff=-2)
+    assert calls == [("A",)]
+
+
+def test_the_first_fault_in_term_order_is_raised(small):
+    # A has no image on Z; q has no image and Z has no generator q.  The
+    # relabel meets q alone, so only the walk names A first.
+    a, q = _y(small, "X", 0, ("A",)), _y(small, "X", 0b10)
+    for first, second, name in ((a, q, "symbol 'A'"),
+                                (q, a, "generator 'q'")):
+        m = Motive(small, "X", [*first.terms(), *second.terms()])
+        with pytest.raises(MissingTransport) as err:
+            pullback(small, "f", m)
+        assert str(err.value) == f"morphism 'f' has no image for {name}"
+        assert 0b10 not in small.pull_tables["f"]

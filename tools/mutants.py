@@ -252,6 +252,9 @@ MUTANTS = [
            "pass",
            ("tests/test_cli.py::"
             "test_overlap_restriction_spaces_checked_at_parse",)),
+    Mutant("restricted_class_space_unchecked", "serialize", "_off_space",
+           "m.space != space", "False",
+           ("tests/test_cli.py::test_refusal_stderr_is_pinned",)),
     Mutant("scissor_entry_space_unchecked", "serialize", "atlas_from_json",
            "img.space != POINT", "False",
            ("tests/test_cli.py::test_scissor_entry_off_the_point_exit_code",)),
@@ -261,9 +264,16 @@ MUTANTS = [
            "if repeated:\n    raise ValidationFailed(repeated)\n"
            "scissor.append(ScissorPiece(p['region'], entries, p.get('sign', 1)))",
            ("tests/test_cli.py::test_every_scissor_piece_reports_its_repeats",)),
-    # the table read ignores the twist
+    # the table read ignores the twist, in the relabel or in the walk
+    Mutant("twist_dropped_from_relabel", "motive", "_pull_flat",
+           "((), table[bits] ^ twist, k)", "((), table[bits], k)", (TWIST,)),
     Mutant("twist_dropped_from_flat_loop", "motive", "_pull_flat",
-           "table[bits] ^ twist", "table[bits]", (TWIST,)),
+           "img = table[bits] ^ twist", "img = table[bits]", (TWIST,)),
+    # the relabel is returned even when two images met or a monomial term
+    # was left out
+    Mutant("relabel_skips_key_count_check", "motive", "_pull_flat",
+           "len(out) == len(flat)", "True",
+           ("tests/test_transport.py::test_colliding_images_add_up",)),
     Mutant("twist_dropped_after_composite_steps", "motive", "_pull_flat",
            "_pull_flat(reg, reg.morphisms[mor.steps[-1]], flat, twist)",
            "_pull_flat(reg, reg.morphisms[mor.steps[-1]], flat, 0)", (TWIST,)),
