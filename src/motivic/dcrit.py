@@ -29,8 +29,7 @@ from typing import Optional
 from .bundles import BundleClass, pull_class_bits
 from .errors import (DescentFailure, MissingScissorTable, MotivicError,
                      OrientationMissing, ValidationFailed)
-from .motive import (Flat, Motive, _check_operand, _term_table,
-                     twisted_pullback)
+from .motive import Flat, Motive, _check_operand, _term_table, pullback
 from .registry import POINT, FrozenRecord, Record, Registry, _set
 
 
@@ -226,7 +225,7 @@ def glue(atlas: Atlas) -> GlobalMotive:
     values: dict[str, Motive] = {}
     provenance: dict[str, str] = {}
     for chart in sorted(atlas.charts, key=lambda c: c.id):
-        candidate = twisted_pullback(reg, None, chart.mf, chart.q)
+        candidate = pullback(reg, None, chart.mf, chart.q)
         if chart.region in values:
             if values[chart.region] != candidate:
                 raise DescentFailure(
@@ -240,8 +239,8 @@ def glue(atlas: Atlas) -> GlobalMotive:
     for o in sorted(atlas.overlaps,
                     key=lambda o: (o.chart_a, o.chart_b, o.region)):
         label = _label(o)
-        lift_a = twisted_pullback(reg, o.restrict_a, charts[o.chart_a].mf, o.p_a)
-        lift_b = twisted_pullback(reg, o.restrict_b, charts[o.chart_b].mf, o.p_b)
+        lift_a = pullback(reg, o.restrict_a, charts[o.chart_a].mf, o.p_a)
+        lift_b = pullback(reg, o.restrict_b, charts[o.chart_b].mf, o.p_b)
         if lift_a != lift_b:
             raise DescentFailure(label, lift_a.text(), lift_b.text(),
                                  "transported chart classes disagree")

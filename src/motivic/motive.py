@@ -22,12 +22,7 @@ constructor accepts ``((monomial, bits), coeff)`` terms, ``coeff`` a
 each term as it comes; ``terms()`` groups the flat dict back into that
 shape, sorted.  Every operation works on the flat dicts and accumulates
 plain integers.  Products group each operand by monomial once, so the
-opacity check and the monomial merge run once per monomial pair.  When one
-factor is a single term ``c . L^(k/2) . [m] . Y(b)`` (a twist by ``Y(b)``,
-say), the product relabels the other factor's keys: adding ``k``, XOR with
-``b`` and union with ``m`` are injective, and ``c`` times a nonzero integer
-is nonzero, so no keys collide, nothing accumulates and no zero is left to
-sweep.
+opacity check and the monomial merge run once per monomial pair.
 
 A pullback is one pass over the flat form that transports each distinct
 monomial once and reads each bundle class's image from the morphism's memo
@@ -40,9 +35,10 @@ shared image, or a transport that raises) the accumulating walk runs.  A
 twist by ``Y(P)`` after a pullback, as in
 ``Phi^*(MF) = MF . Y(P_Phi)``, is part of that pass: :func:`pullback` given
 ``P`` XORs P's bits into each transported bundle image, so no second pass
-relabels the terms.  :func:`twisted_pullback` takes the morphism as
-optional; with none it is the product with ``Y(P)``, made as the
-relabelling above with no unit built.
+relabels the terms.  The morphism may be None, the identity:
+``pullback(reg, None, m, p)`` is the product ``m . Y(P)`` made as the one
+relabelling by a unit, ``(mon, bits ^ P, k2)``, with no unit built and no
+product run.
 
 The product of two terms that both carry opaque monodromy of order >= 2 is
 outside the fragment and raises :class:`OdotUndecidable` instead of
@@ -284,22 +280,8 @@ def _product(reg: Registry, a: Flat, b: Flat, what: str) -> Flat:
     """Convolution product of two flat forms over one space.
 
     Raises :class:`OdotUndecidable` when a monomial of each side carries
-    opaque monodromy, whatever the coefficients.  A one-term side makes the
-    product a relabelling of the other side, built in that side's order.
+    opaque monodromy, whatever the coefficients.
     """
-    if len(a) == 1 or len(b) == 1:
-        left = len(a) == 1
-        ((mon, bits, k), c), = (a if left else b).items()
-        other = b if left else a
-        if _opaque(reg, mon):
-            for mon2, _, _ in other:
-                if _opaque(reg, mon2):
-                    first, second = (mon, mon2) if left else (mon2, mon)
-                    raise OdotUndecidable(
-                        f"{what} of opaque monomials {first} and {second}")
-        return {(tuple(sorted(mon2 + mon)) if mon2 and mon else mon2 or mon,
-                 bits2 ^ bits, k2 + k): c2 * c
-                for (mon2, bits2, k2), c2 in other.items()}
     right = [(mon, terms, _opaque(reg, mon))
              for mon, terms in _by_monomial(b).items()]
     out: Flat = {}
@@ -398,50 +380,40 @@ def _z2_cover(reg: Registry, space: str, bits: int) -> Motive:
 # -- functoriality -------------------------------------------------------------------
 
 
-def pullback(reg: Registry, morphism: str, m: Motive,
+def pullback(reg: Registry, morphism: str | None, m: Motive,
              p: BundleClass | None = None) -> Motive:
     """Pull a motive back along a morphism, in one pass over its flat form.
 
     Given ``p``, the result is ``pullback(reg, morphism, m).odot(upsilon(reg,
-    p))``: P's bits are XORed into each transported bundle image inside the
-    pass, so no second pass relabels the terms.  It raises what that
-    two-step form raises, in the same order: the morphism and ``m``'s space
-    first, then the pass's own errors, then ``p``'s range and space.
+    p))``, with P's bits XORed into each transported bundle image inside
+    the pass, and it raises what that two-step form raises, in the same
+    order: the morphism and ``m``'s space, the pass's own errors, then
+    ``p``'s range and space.  ``morphism`` None is the identity: ``m`` with
+    its keys relabelled to ``(mon, bits ^ p.bits, k2)`` and no unit built,
+    or ``m`` itself with no ``p``.  An ``m`` from another registry or off
+    P's space is left to ``m.odot(upsilon(reg, p))``, so it is refused with
+    that product's errors, in its order.
     """
+    twist = 0 if p is None else p.bits
+    if morphism is None:
+        if p is None:
+            return m
+        if m.reg is not reg or m.space != p.space:
+            return m.odot(upsilon(reg, p))  # refuses as the two-step form does
+        reg.check_bits(p.space, twist)
+        return Motive._wrap(reg, p.space, {(mon, bits ^ twist, k): c
+                                           for (mon, bits, k), c in m._flat.items()})
     mor = reg.morphism(morphism)
     if m.space != mor.target:
         raise SpaceMismatch(
             f"motive on {m.space!r} cannot be pulled along {morphism!r} "
             f"with target {mor.target!r}")
-    flat = _pull_flat(reg, mor, m._flat, 0 if p is None else p.bits)
+    flat = _pull_flat(reg, mor, m._flat, twist)
     if p is not None:
         reg.check_bits(p.space, p.bits)
         if p.space != mor.source:
             raise SpaceMismatch(f"{mor.source!r} vs {p.space!r}")
     return Motive._wrap(reg, mor.source, flat)
-
-
-def twisted_pullback(reg: Registry, morphism: str | None, m: Motive,
-                     p: BundleClass) -> Motive:
-    """``pullback(reg, morphism, m).odot(upsilon(reg, p))``, with the twist
-    inside the pullback pass.
-
-    ``morphism`` None is the identity, giving ``m.odot(upsilon(reg, p))``
-    as a relabelling of ``m``'s keys, ``(mon, bits ^ p.bits, k2)``, with no
-    unit built and no product run.  It refuses what that product refuses,
-    in the same order: P's range and space (``reg.check_bits``), then ``m``
-    from another registry (:class:`RegistryError`), then ``m`` and P on two
-    spaces (:class:`SpaceMismatch`).  The last two are left to the product
-    itself, which only runs when one of them fails.
-    """
-    if morphism is not None:
-        return pullback(reg, morphism, m, p)
-    if m.reg is not reg or m.space != p.space:
-        return m.odot(upsilon(reg, p))  # refuses as the two-step form does
-    twist = p.bits
-    reg.check_bits(p.space, twist)
-    return Motive._wrap(reg, p.space, {(mon, bits ^ twist, k): c
-                                       for (mon, bits, k), c in m._flat.items()})
 
 
 def _pull_flat(reg: Registry, mor: Morphism, flat: Flat, twist: int) -> Flat:

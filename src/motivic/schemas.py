@@ -13,6 +13,8 @@ of a fragment such as ``RESOLUTION`` by adding what it reaches.
 
 from __future__ import annotations
 
+from .registry import MORPHISM_KINDS
+
 
 def _ref(name: str) -> dict:
     return {"$ref": f"#/definitions/{name}"}
@@ -65,7 +67,7 @@ REGISTRY = _record(
                           cover=_or_null(_NAME_LIST))),
     morphisms=_list(_record(
         ["name", "source", "target"], name=_STR, source=_STR, target=_STR,
-        kind={"enum": ["open-inclusion", "etale", "to-point", "general"]},
+        kind={"enum": list(MORPHISM_KINDS)},
         pull_symbols=_list(_record(["symbol", "image"], symbol=_STR,
                                    image=_MOTIVE)),
         pull_bundles=_list(_record(["generator", "image"], generator=_STR,

@@ -326,14 +326,22 @@ def monomial_from_json(reg: Registry, data) -> tuple[MonomialFunction, ArcContex
     base = reg.space(data["base_space"]).name
     units = tuple(data.get("unit_generators", ()))
     reg.bits_of(base, units)
-    covers = {}
+    covers: dict[int, str] = {}
+    repeated = []
     for k, v in data.get("cover_symbols", {}).items():
-        try:
-            order = int(k)
-        except ValueError:
+        try:  # ASCII digits only: int() also reads "1_0", " 3" and "+3"
+            order = int(k) if k.isascii() and k.isdigit() else None
+        except ValueError:  # more digits than int() converts
+            order = None
+        if order is None:
             raise ValidationFailed(
-                [f"cover_symbols key {k!r} is not an integer order"]) from None
-        covers[order] = reg.symbol(v).name
+                [f"cover_symbols key {k!r} is not an integer order"])
+        if order in covers:
+            repeated.append(f"duplicate order {order} (key {k!r}) in cover_symbols")
+        else:
+            covers[order] = reg.symbol(v).name
+    if repeated:
+        raise ValidationFailed(repeated)
     ctx = ArcContext(reg, base, units, covers)
     with suppress(UnsupportedShape):  # reported when the oracle runs
         cover_class(f, ctx)  # resolves the cover symbol the oracle uses

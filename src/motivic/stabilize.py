@@ -15,7 +15,7 @@ from __future__ import annotations
 from .bundles import BundleClass, bundle_pullback
 from .errors import MissingTransport, SpaceMismatch
 from .halflaurent import HalfLaurent
-from .motive import Motive, mot_boxdot, twisted_pullback, upsilon
+from .motive import Motive, mot_boxdot, pullback, upsilon
 from .registry import FrozenRecord, Registry, _set
 
 
@@ -75,7 +75,7 @@ def twist_by_quadratic(mf: Motive, d: QuadraticBundleDatum,
             raise MissingTransport(
                 f"det class on {det.space!r} needs transport to {mf.space!r}")
         det = bundle_pullback(mf.reg, transport, det)
-    return twisted_pullback(mf.reg, None, mf, det)
+    return pullback(mf.reg, None, mf, det)
 
 
 def stabilize_pullback(mf: Motive, e: EmbeddingDatum) -> Motive:
@@ -87,7 +87,7 @@ def stabilize_pullback(mf: Motive, e: EmbeddingDatum) -> Motive:
     if e.p_phi.space != mf.space:
         raise SpaceMismatch(
             f"torsor class on {e.p_phi.space!r}, motive on {mf.space!r}")
-    return twisted_pullback(mf.reg, None, mf, e.p_phi)
+    return pullback(mf.reg, None, mf, e.p_phi)
 
 
 def compose_embeddings(reg: Registry, first: EmbeddingDatum,

@@ -260,9 +260,12 @@ def _localize_with_restriction(side, name):
     ("arc-check", _arc_z3_with_default_cover(5), "unknown symbol 'mu5'"),
     ("ts", _ts_with_stratum_symbol(),
      "symbol 'T' on 'S' has no image on product 'T2'"),
-    ("arc-check",
-     _fixture_with("arc_z3", "monomial", "cover_symbols", {"three": "mu3"}),
-     "cover_symbols key 'three' is not an integer order"),
+    *[("arc-check",
+       _fixture_with("arc_z3", "monomial", "cover_symbols", {key: "mu3"}),
+       f"cover_symbols key {key!r} is not an integer order")
+      # int() reads the middle four, which are not ASCII digits alone;
+      # the last has more digits than int() converts
+      for key in ("three", "1_0", " 3", "+3", "\u0663", "9" * 5000)],
     ("nearby", _x2y_with_misplaced_symbol(),
      "symbol 'Pfib' lives on 'Gm', not on 'GmW'"),
     ("glue",
@@ -273,6 +276,9 @@ def _localize_with_restriction(side, name):
 ], ids=["space", "space_with_bundle", "symbol", "critical_value_space",
         "base_space", "unit_generator", "cover_symbol", "product",
         "default_cover_symbol", "stratum_symbol_in_product", "cover_symbol_key",
+        "cover_symbol_key_underscore", "cover_symbol_key_space",
+        "cover_symbol_key_plus", "cover_symbol_key_non_ascii",
+        "cover_symbol_key_past_the_int_digit_limit",
         "symbol_on_another_space", "overlap_restriction",
         "direct_atlas_restriction"])
 def test_unknown_space_or_symbol_exit_code(tmp_path, capsys, command, job,
@@ -282,6 +288,16 @@ def test_unknown_space_or_symbol_exit_code(tmp_path, capsys, command, job,
     code, out, err = run(capsys, command, "--job", str(path))
     assert code == 2 and out == ""
     assert err == f"validation: {message}\n"
+
+
+def test_cover_symbols_keys_naming_one_order_are_repeats(tmp_path, capsys):
+    job = _fixture_with("arc_z3", "monomial", "cover_symbols",
+                        {"3": "mu3", "03": "mu3", "1": "mu3", "001": "mu3"})
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps(job), encoding="utf-8")
+    assert run(capsys, "arc-check", "--job", str(path)) == (
+        2, "", "validation: duplicate order 3 (key '03') in cover_symbols\n"
+               "validation: duplicate order 1 (key '001') in cover_symbols\n")
 
 
 def _with_morphism(job, name, source, target):

@@ -310,6 +310,40 @@ def test_pushforward_names_the_first_missing_key_in_sorted_order():
         pushforward_to_point(atlas, GlobalMotive({"A": value}, {}, []))
 
 
+@pytest.mark.parametrize("fault,error,message", [
+    ("space", SpaceMismatch, "'K' vs 'U'"),
+    ("registry", RegistryError, "operands come from different registries"),
+], ids=["entry_over_another_space", "entry_from_another_registry"])
+def test_a_scissor_entry_must_be_a_class_of_the_registry_over_the_point(
+        fault, error, message):
+    # every term has its entry, so the entry's own operand check is the
+    # piece's one fault
+    reg = Registry()
+    reg.declare_space("U", dim=1)
+    entry = (Motive.one(reg, "U") if fault == "space"
+             else Motive.one(Registry(), POINT))
+    atlas = Atlas(reg, {"A": "U"}, [], [], True,
+                  [ScissorPiece("A", {((), 0): entry})])
+    with pytest.raises(error) as err:
+        pushforward_to_point(atlas, GlobalMotive({"A": Motive.one(reg, "U")},
+                                                 {}, []))
+    assert str(err.value) == message
+
+
+def test_a_piece_counts_with_its_sign():
+    # 1 . Y(0) + 2 . Y(p) through the entries 3 and 5, with sign -1
+    reg = Registry()
+    reg.declare_space("U", dim=1)
+    reg.declare_generators("U", ("p",))
+    entries = {((), bits): Motive.coefficient(reg, POINT, HalfLaurent.const(c))
+               for bits, c in ((0, 3), (1, 5))}
+    value = Motive(reg, "U", [(((), 0), ONE), (((), 1), HalfLaurent.const(2))])
+    atlas = Atlas(reg, {"A": "U"}, [], [], True,
+                  [ScissorPiece("A", entries, -1)])
+    assert pushforward_to_point(atlas, GlobalMotive({"A": value}, {}, [])) \
+        == Motive.coefficient(reg, POINT, HalfLaurent.const(-13))
+
+
 def test_scissor_entry_monomial_is_sorted():
     # the entry names [b].[a]; the glued value stores that term as ('a', 'b')
     reg = Registry()
@@ -648,6 +682,28 @@ def test_orientation_diagnostics_are_pinned(atlas, diags):
         glue(atlas)
     assert str(err.value) == (f"descent failure on overlap orientation: "
                               f"{diags[0]!r} != '' (cocycle identity broken)")
+
+
+def test_a_shared_chart_class_must_be_the_lift():
+    # both lifts are L^(-1/2) ⊙ Y(w); a shared chart's class without Y(w)
+    # is refused
+    atlas = _restricted_pair()
+    o = atlas.overlaps[0]
+
+    def glue_with(mf_t):
+        atlas.overlaps = [OverlapDatum(o.chart_a, o.chart_b, o.region, o.p_a,
+                                       o.p_b, o.q_t, o.restrict_a,
+                                       o.restrict_b, mf_t)]
+        return glue(atlas)
+
+    half = HalfLaurent.power(-1)
+    assert glue_with(Motive(atlas.registry, "W", {((), 1): half})) \
+        .checked_overlaps == ["cA|cB@OV"]
+    with pytest.raises(DescentFailure) as err:
+        glue_with(Motive(atlas.registry, "W", {((), 0): half}))
+    assert str(err.value) == (
+        "descent failure on overlap cA|cB@OV: 'L^(-1/2) ⊙ Y(w)' != "
+        "'L^(-1/2)' (transported class disagrees with shared chart)")
 
 
 def test_disagreeing_overlap_failure_is_pinned():

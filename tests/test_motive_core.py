@@ -60,6 +60,12 @@ def test_add_inverse(reg):
     assert (Motive.one(reg, "X") - a).text() == "1 - [A]"
 
 
+def test_constructor_sorts_each_monomial(reg):
+    # two spellings of one monomial name one term; their coefficients add
+    m = Motive(reg, "X", [((("mu3", "A"), 0), ONE), ((("A", "mu3"), 0), ONE)])
+    assert m.terms() == [((("A", "mu3"), 0), HalfLaurent.const(2))]
+
+
 def test_add_space_mismatch(reg):
     with pytest.raises(SpaceMismatch):
         mot_add(Motive.one(reg, "X"), Motive.one(reg, "K"))

@@ -147,8 +147,7 @@ def one_term(draw, space: str = "X"):
 
 
 def operands(space: str = "X"):
-    """Either a general spec or a one-term one, the product's relabelling
-    path."""
+    """Either a general spec or a one-term one, such as a unit Y(b)."""
     return st.one_of(specs(space), one_term(space))
 
 

@@ -5,6 +5,7 @@ check is fast and makes a refactor that moves a target fail here instead of
 silently dropping the mutant.
 """
 
+import ast
 import importlib.util
 import sys
 from pathlib import Path
@@ -28,3 +29,24 @@ def test_mutant_edit_finds_its_target(mutant):
 def test_mutant_names_are_unique():
     names = [m.name for m in mutants.MUTANTS]
     assert len(names) == len(set(names))
+
+
+def _pinned(path: Path) -> set[str]:
+    """The test functions of a file that are not ``hypothesis`` properties
+    (not decorated with ``given``)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {node.name for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+            and node.name.startswith("test_")
+            and not any(isinstance(d, ast.Call)
+                        and getattr(d.func, "id", None) == "given"
+                        for d in node.decorator_list)}
+
+
+@pytest.mark.parametrize("mutant", mutants.MUTANTS, ids=lambda m: m.name)
+def test_every_selection_has_a_test_that_is_not_a_property(mutant):
+    # a property may miss the mutant on the examples it draws; a pinned
+    # test kills it on every run
+    assert any(name in ("", test)
+               for path, _, name in (s.partition("::") for s in mutant.tests)
+               for test in _pinned(ROOT / path))

@@ -137,6 +137,35 @@ def test_selftest_loads_the_fixture_builders():
     assert {"fixtures", "selftest"} <= loaded
 
 
+# the motivic modules that every command loads
+_COMMON = {"bundles", "errors", "halflaurent", "jobs", "motive", "registry",
+           "render", "schemas", "serialize"}
+
+
+@pytest.mark.parametrize("argv,modules,ceiling", [
+    (("zeta", "--fixture", "z2", "--series-order", "3"), {"zeta"}, 3088),
+    (("nearby", "--fixture", "z3"), {"zeta"}, 3088),
+    (("arc-check", "--fixture", "arc_z2"), {"arcs", "zeta"}, 3238),
+    (("ts", "--fixture", "ts_z2_10"), set(), 2754),
+    (("glue", "--fixture", "atlas_cylinder"), {"dcrit"}, 3071),
+    (("localize", "--fixture", "localize_two_points"), {"dcrit", "localize"},
+     3158),
+    (("vanishing", "--fixture", "x2y"), {"zeta"}, 3088),
+    (("selftest",), {"arcs", "dcrit", "fixtures", "localize", "selftest",
+                     "stabilize", "zeta"}, 4199),
+], ids=["zeta", "nearby", "arc-check", "ts", "glue", "localize", "vanishing",
+        "selftest"])
+def test_import_path_budget(argv, modules, ceiling):
+    # a call with no cached bytecode compiles each module it loads; the
+    # ceiling is the summed source lines of those modules, the package and
+    # the CLI, and it may only go down
+    loaded = _loaded("-m", "motivic.cli", *argv)
+    assert loaded == _COMMON | modules
+    lines = sum(len((SRC / "motivic" / f"{name}.py").read_text(
+        encoding="utf-8").splitlines()) for name in loaded | {"__init__", "cli"})
+    assert lines <= ceiling
+
+
 def test_selftest_checks_hold_no_assert():
     # ``python -O`` strips assert statements, and would pass every check
     source = Path(motivic.__file__).with_name("selftest.py").read_text(

@@ -431,6 +431,18 @@ def test_parse_job_diagnostics_match_jsonschema_validate(data):
         assert got == want
 
 
+def test_parse_job_reports_the_best_match_of_two_schema_faults():
+    # jsonschema lists the registry's fault first; best_match picks the
+    # payload's, and so does ``jsonschema.validate``
+    data = fixtures.load_fixture_job("x2y")
+    data["registry"]["spaces"][0]["name"] = 1
+    data["payload"]["dim_u"] = "x"
+    with pytest.raises(ValidationFailed) as err:
+        parse_job(data)
+    assert err.value.diagnostics == [
+        "job schema: 'x' is not of type 'integer' (at /payload/dim_u)"]
+
+
 def _refs(doc):
     """The definition names of every ``$ref`` in ``doc``."""
     return [value.removeprefix("#/definitions/")

@@ -12,8 +12,9 @@ The reference transport reads the declared tables by name and rebuilds each
 term through the public constructors; it shares no loop with ``pullback``.
 Its bundle half, ``reference_bits``, is also the reference for the
 morphisms' memo tables (``Registry.pull_tables``) over repeated pulls.
-``twisted_pullback`` is checked against that reference times ``Y(P)``, and
-its failures against the two-step form ``pullback(...).odot(upsilon(...))``.
+``pullback`` given a twist ``P`` is checked against that reference times
+``Y(P)``, and its failures against the two-step form
+``pullback(...).odot(upsilon(...))``.
 """
 
 import pytest
@@ -23,7 +24,6 @@ from hypothesis import strategies as st
 from motivic import (BundleClass, HalfLaurent, Motive, MissingTransport,
                      Registry, RegistryError, SpaceMismatch, pullback,
                      symbol_motive, upsilon)
-from motivic.motive import twisted_pullback
 
 POOL = ("a", "b", "c", "d")
 
@@ -298,7 +298,7 @@ def outcome(fn, *args):
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_twisted_pullback_matches_reference_twist(data):
+def test_pullback_with_twist_matches_reference_twist(data):
     reg, n, m = data.draw(chains())
     names = _morphisms_to_v0(reg, n)
     i = data.draw(st.integers(0, n))
@@ -309,7 +309,7 @@ def test_twisted_pullback_matches_reference_twist(data):
     expected = m
     for j in range(1, i + 1):
         expected = reference_pullback(reg, f"f{j}", expected)
-    assert twisted_pullback(reg, morphism, m, p) == \
+    assert pullback(reg, morphism, m, p) == \
         expected.odot(upsilon(reg, p))
 
 
@@ -332,7 +332,7 @@ BREAKS = ("unknown morphism", "missing image", "m on another space",
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_twisted_pullback_fails_as_the_two_step_form(data):
+def test_pullback_with_twist_fails_as_the_two_step_form(data):
     # each break alone or two at once, so the order of the checks shows
     reg, n, m = data.draw(chains())
     names = _morphisms_to_v0(reg, n)
@@ -362,7 +362,7 @@ def test_twisted_pullback_fails_as_the_two_step_form(data):
     if "p on an unknown space" in broken:
         space = "W"
     p = BundleClass(space, bits)
-    assert outcome(twisted_pullback, reg, morphism, m, p) == \
+    assert outcome(pullback, reg, morphism, m, p) == \
         outcome(two_step, reg, morphism, m, p)
 
 
@@ -378,7 +378,7 @@ def test_identity_twist_refuses_a_foreign_motive_as_the_product_does(bits,
         r.declare_generators("V0", POOL)
     m = Motive(other, "V0", {((), 0b11): HalfLaurent.const(1)})
     p = BundleClass("V0", bits)
-    got = outcome(twisted_pullback, reg, None, m, p)
+    got = outcome(pullback, reg, None, m, p)
     assert got == outcome(two_step, reg, None, m, p)
     assert got[0] is error
 
@@ -434,12 +434,24 @@ def test_pullback_refuses_motive_on_wrong_space(small):
 def test_twist_refuses_class_on_another_space(small):
     # p passes its range check on X, so only the space check can refuse it
     one = Motive.one(small, "X")
-    for fn in (two_step, twisted_pullback):
+    for fn in (two_step, pullback):
         with pytest.raises(SpaceMismatch) as err:
             fn(small, "f", one, BundleClass("X", 1))
         assert str(err.value) == "'Z' vs 'X'"
-    assert twisted_pullback(small, "f", one, BundleClass("Z", 1)) == \
+    assert pullback(small, "f", one, BundleClass("Z", 1)) == \
         upsilon(small, BundleClass("Z", 1))
+
+
+def test_a_composite_twists_in_its_last_step(small):
+    # fg: V -> Z -> X takes Y(p) to Y(z) to Y(v); the twist by Y(v) cancels it
+    small.declare_space("V")
+    small.declare_generators("V", ("v",))
+    small.declare_morphism("g", "V", "Z", pull_bundles={"z": 1})
+    small.compose("g", "f", "fg")
+    m = upsilon(small, BundleClass("X", 0b01))
+    assert pullback(small, "fg", m) == upsilon(small, BundleClass("V", 1))
+    assert pullback(small, "fg", m, BundleClass("V", 1)) == \
+        Motive.one(small, "V")
 
 
 # -- the relabel and the walk it falls back to -----------------------------------
