@@ -88,10 +88,6 @@ class HalfLaurent:
     def coefficient(self, k2: int) -> int:
         return self._coeffs.get(k2, 0)
 
-    def key(self) -> tuple[tuple[int, int], ...]:
-        """Canonical hashable form."""
-        return tuple(self.items())
-
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: "HalfLaurent") -> "HalfLaurent":
@@ -134,7 +130,7 @@ class HalfLaurent:
         return isinstance(other, HalfLaurent) and self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
-        return hash(self.key())
+        return hash(frozenset(self._coeffs.items()))
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)
@@ -142,34 +138,40 @@ class HalfLaurent:
     # -- rendering -----------------------------------------------------------
 
     def text(self) -> str:
-        """Canonical rendering, e.g. ``1 - L^(1/2)``, ``2*L^-1``, ``L^(3/2)``.
-
-        One walk in increasing exponent order writes every term with its
-        sign; the first term's sign then becomes a bare ``-`` or nothing.
-        An integer too long for Python to write in decimal
-        (``sys.get_int_max_str_digits()``) is refused as
-        :class:`UnsupportedShape`.
-        """
-        if not self._coeffs:
-            return "0"
-        parts: list[str] = []
-        try:
-            for k, c in sorted(self._coeffs.items()):
-                sign = " - " if c < 0 else " + "
-                c = abs(c)
-                if k == 0:
-                    parts.append(f"{sign}{c}")
-                elif c == 1:
-                    parts.append(sign + _monomial_text(k))
-                else:
-                    parts.append(f"{sign}{c}*{_monomial_text(k)}")
-        except ValueError:  # int-to-str conversion past the digit limit
-            raise digits_refusal() from None
-        text = "".join(parts)
-        return text[3:] if text[1] == "+" else "-" + text[3:]
+        """Canonical rendering, e.g. ``1 - L^(1/2)``, ``2*L^-1``, ``L^(3/2)``."""
+        return coeff_text(self._coeffs)
 
     def __repr__(self) -> str:
         return f"HalfLaurent({repr_text(self, len(self._coeffs))})"
+
+
+def coeff_text(coeffs: dict[int, int]) -> str:
+    """:meth:`HalfLaurent.text` of the ``{k2: c}`` dict with no zero value:
+    ``0`` when it is empty.
+
+    One walk over the sorted keys writes every term with its sign; the
+    first term's sign then becomes a bare ``-`` or nothing.  An integer too
+    long for Python to write in decimal (``sys.get_int_max_str_digits()``)
+    is refused as :class:`UnsupportedShape`.
+    """
+    if not coeffs:
+        return "0"
+    parts: list[str] = []
+    try:
+        for k in sorted(coeffs):
+            c, sign = coeffs[k], " + "
+            if c < 0:
+                c, sign = -c, " - "
+            if k == 0:
+                parts.append(f"{sign}{c}")
+            elif c == 1:
+                parts.append(sign + _monomial_text(k))
+            else:
+                parts.append(f"{sign}{c}*{_monomial_text(k)}")
+    except ValueError:  # int-to-str conversion past the digit limit
+        raise digits_refusal() from None
+    text = "".join(parts)
+    return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 def digits_refusal() -> UnsupportedShape:

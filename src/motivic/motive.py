@@ -136,8 +136,11 @@ class Motive:
 
     def terms(self) -> list[tuple[TermKey, HalfLaurent]]:
         """``((monomial, bits), coefficient)`` pairs in sorted key order."""
-        return [(key, HalfLaurent._wrap(coeff))
-                for key, coeff in sorted(_by_term(self._flat).items())]
+        return [(key, HalfLaurent._wrap(coeff)) for key, coeff in self._groups()]
+
+    def _groups(self) -> list[tuple[TermKey, dict[int, int]]]:
+        """:meth:`terms` with each coefficient its ``{k2: c}`` dict."""
+        return sorted(_by_term(self._flat).items())
 
     def is_zero(self) -> bool:
         return not self._flat
@@ -248,7 +251,10 @@ def _by_term(flat: Flat) -> dict[TermKey, dict[int, int]]:
     """(monomial, bits) -> {doubled L-exponent: integer}."""
     groups: dict[TermKey, dict[int, int]] = {}
     for (mon, bits, k2), c in flat.items():
-        groups.setdefault((mon, bits), {})[k2] = c
+        group = groups.get((mon, bits))
+        if group is None:
+            group = groups[mon, bits] = {}
+        group[k2] = c
     return groups
 
 

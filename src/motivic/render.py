@@ -9,7 +9,7 @@ bundle bits); identical inputs always render identically.
 
 from __future__ import annotations
 
-from .halflaurent import HalfLaurent, digits_refusal
+from .halflaurent import coeff_text, digits_refusal
 
 
 def symbol_text(reg, name: str) -> str:
@@ -26,53 +26,38 @@ def bundle_text(reg, space: str, bits: int) -> str:
     return "Y(" + ("+".join(reg.names_of(space, bits)) or "0") + ")"
 
 
+# the head of a coefficient before a term's classes, by the coefficient's text
+_HEADS = {"1": "", "-1": "-"}
+
+
 def term_text(reg, space: str, mon: tuple[str, ...], bits: int,
-              coeff: HalfLaurent) -> str:
-    parts: list[str] = []
-    if bits:
-        parts.append(bundle_text(reg, space, bits))
-    i = 0
-    while i < len(mon):
-        j = i
-        while j < len(mon) and mon[j] == mon[i]:
-            j += 1
-        body = symbol_text(reg, mon[i])
-        parts.append(body if j - i == 1 else f"{body}^{j - i}")
-        i = j
-    ctext = coeff.text()
+              coeff: dict[int, int]) -> str:
+    """One term, its coefficient given as the ``{k2: c}`` dict."""
+    parts = [bundle_text(reg, space, bits)] if bits else []
+    for name in dict.fromkeys(mon):  # the sorted monomial, one run per name
+        n, body = mon.count(name), symbol_text(reg, name)
+        parts.append(body if n == 1 else f"{body}^{n}")
+    ctext = coeff_text(coeff)
     if not parts:
         return ctext
     if " " in ctext:  # a sum of two or more terms
-        head = f"({ctext})"
-    elif ctext == "1":
-        head = ""
-    elif ctext == "-1":
-        head = "-"
-    else:
-        head = ctext
-    body = " ⊙ ".join(parts)
-    if head in ("", "-"):
-        return head + body
-    return head + " ⊙ " + body
+        ctext = f"({ctext})"
+    return _HEADS.get(ctext, ctext + " ⊙ ") + " ⊙ ".join(parts)
 
 
 def motive_text(m) -> str:
-    items = m.terms()
-    if not items:
+    """The terms in sorted order; a later term's leading ``-`` becomes its
+    separator ``" - "``."""
+    pieces = [term_text(m.reg, m.space, mon, bits, coeff)
+              for (mon, bits), coeff in m._groups()]
+    if not pieces:
         return "0"
-    rendered = [term_text(m.reg, m.space, mon, bits, coeff)
-                for (mon, bits), coeff in items]
-    out = rendered[0]
-    for piece in rendered[1:]:
-        if piece.startswith("-"):
-            out += " - " + piece[1:]
-        else:
-            out += " + " + piece
-    return out
+    text = "".join(f" - {p[1:]}" if p[0] == "-" else f" + {p}" for p in pieces)
+    return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 def factor_text(N: int, nu: int) -> str:
-    lpow = HalfLaurent.power(-2 * nu).text()
+    lpow = coeff_text({-2 * nu: 1})
     try:
         return f"({lpow} T^{N})/(1 - {lpow} T^{N})"
     except ValueError:  # N past the digit limit
@@ -80,8 +65,6 @@ def factor_text(N: int, nu: int) -> str:
 
 
 def rational_text(z) -> str:
-    if not z.terms:
-        return "0"
     parts = []
     for term in z.terms:
         ct = motive_text(term.coeff)
@@ -89,4 +72,4 @@ def rational_text(z) -> str:
             ct = f"({ct})"
         factors = " * ".join(factor_text(N, nu) for N, nu in term.factors)
         parts.append(f"{ct} * {factors}" if factors else ct)
-    return " + ".join(parts)
+    return " + ".join(parts) or "0"

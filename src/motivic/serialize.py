@@ -51,25 +51,33 @@ def _integer(x) -> int:
 
 
 def coeff_from_json(data) -> list[tuple[int, int]]:
-    return [(_integer(k), _integer(v)) for k, v in data]
+    return [(k, v) if type(k) is int is type(v) else (_integer(k), _integer(v))
+            for k, v in data]
 
 
 def motive_to_json(m: Motive) -> dict[str, Any]:
-    terms = []
-    for (mon, bits), coeff in m.terms():
-        terms.append({
-            "monomial": list(mon),
-            "bundle": list(m.reg.names_of(m.space, bits)),
-            "coeff": coeff_to_json(coeff),
-        })
-    return {"space": m.space, "terms": terms}
+    names_of = m.reg.names_of
+    return {"space": m.space, "terms": [
+        {"monomial": list(mon), "bundle": list(names_of(m.space, bits)),
+         "coeff": [[k, coeff[k]] for k in sorted(coeff)]}
+        for (mon, bits), coeff in m._groups()]}
+
+
+def _set_bits(reg: Registry, space: str, names, field: str) -> int:
+    """``reg.bits_of(space, names)`` for a list the format reads as a set:
+    a generator listed twice is refused, not cancelled."""
+    bits = reg.bits_of(space, names)
+    if bits.bit_count() != len(names):
+        twice = next(n for i, n in enumerate(names) if n in names[:i])
+        raise ValidationFailed([f"generator {twice!r} repeated in {field} {names!r}"])
+    return bits
 
 
 def motive_from_json(reg: Registry, data) -> Motive:
     space = data["space"]
     items = []
     for t in data["terms"]:
-        key = (tuple(t["monomial"]), reg.bits_of(space, t["bundle"]))
+        key = (tuple(t["monomial"]), _set_bits(reg, space, t["bundle"], "bundle"))
         items.append((key, coeff_from_json(t["coeff"])))
     return Motive(reg, space, items)
 
@@ -127,7 +135,7 @@ def _term_key(reg: Registry, space: str, e) -> tuple[tuple[str, ...], int]:
     """The (sorted monomial, bundle bits) of a table entry over ``space``;
     a pushforward entry flagged ``cover`` has the monomial ``__cover__``."""
     mon = ("__cover__",) if e.get("cover") else tuple(sorted(e["monomial"]))
-    return mon, reg.bits_of(space, e["bundle"])
+    return mon, _set_bits(reg, space, e["bundle"], "bundle")
 
 
 def _classes_to_json(classes: dict) -> list[dict[str, Any]]:
@@ -194,7 +202,7 @@ def registry_from_json(data) -> Registry:
         cover = sym.get("cover")
         reg.declare_symbol(sym["name"], sym["space"], sym.get("order", 1),
                            cover_bits=None if cover is None
-                           else reg.bits_of(sym["space"], cover))
+                           else _set_bits(reg, sym["space"], cover, "cover"))
     # underlying classes may name any symbol: attach them once all are declared
     for sym in data.get("symbols", ()):
         if sym.get("underlying") is not None:
@@ -209,7 +217,7 @@ def registry_from_json(data) -> Registry:
                                 lambda e: motive_from_json(reg, e["image"]))
         pull_bundles = _collect(repeated, mor.get("pull_bundles", ()),
                                 "generator", f"pull_bundles {where}",
-                                lambda e: reg.bits_of(source, e["image"]))
+                                lambda e: _set_bits(reg, source, e["image"], "image"))
         push_classes = _collect(
             repeated, mor.get("push_classes", ()), ("monomial", "bundle"),
             f"push_classes {where}",
@@ -223,7 +231,7 @@ def registry_from_json(data) -> Registry:
     for sq in data.get("square_roots", ()):
         reg.declare_square_root(sq["space"], sq["line_bundle"],
                                 sq["trivialization"],
-                                reg.bits_of(sq["space"], sq["class"]))
+                                _set_bits(reg, sq["space"], sq["class"], "class"))
     reg.freeze()
     return reg
 
@@ -447,7 +455,7 @@ def atlas_from_json(reg: Registry, data) -> Atlas:
     charts = [CriticalChart(
         c["id"], c["region"], c["dim_u"], _chart_mf_from_json(reg, c["mf"]),
         BundleClass(regions[c["region"]],
-                    reg.bits_of(regions[c["region"]], c["Q"])))
+                    _set_bits(reg, regions[c["region"]], c["Q"], "Q")))
         for c in data["charts"]]
     chart_spaces = {c.id: regions[c.region] for c in charts}
     overlaps = []
@@ -457,7 +465,7 @@ def atlas_from_json(reg: Registry, data) -> Atlas:
         restrictions += _restriction_diagnostics(reg, o, sp, chart_spaces)
         overlaps.append(OverlapDatum(
             o["chart_a"], o["chart_b"], o["region"],
-            *(BundleClass(sp, reg.bits_of(sp, o[k])) for k in ("p_a", "p_b", "q_t")),
+            *(BundleClass(sp, _set_bits(reg, sp, o[k], k)) for k in ("p_a", "p_b", "q_t")),
             o.get("restrict_a"), o.get("restrict_b"),
             _opt_motive_from_json(reg, o.get("mf_t"))))
     scissor = None

@@ -178,6 +178,24 @@ def _fixture_with(name, *path_and_value):
     return job
 
 
+def _job_with(name, *edits):
+    """The fixture job with ``job[path...] = value`` set for each
+    ``(*path, value)`` of ``edits``; a path starts at the job's top level,
+    so it may reach into the registry."""
+    job = fixtures.load_fixture_job(name)
+    for *path, key, value in edits:
+        target = job
+        for step in path:
+            target = target[step]
+        target[key] = value
+    return job
+
+
+# a generator named more than once in a list the format reads as a set
+_P1_TWICE = ["p1", "p1"]
+_P1_THRICE = ["p1", "p1", "p1"]
+
+
 def _x2y_on_gmw(ambient=False):
     """x2y whose critical-value table is declared on ``GmW`` while its class
     stays on ``Gm``; with ``ambient``, the class moves to ``GmW`` (as 1)
@@ -789,13 +807,45 @@ def test_unsupported_shape_exit_code(tmp_path, capsys):
                              "space", "Gm"),
      2, "validation: point 'y0': class of divisors ['E1'] lives on 'Gm', not "
         "on the point 'K'\n"),
+    ("glue", _job_with("atlas_cylinder",
+                       ("payload", "charts", 1, "Q", _P1_TWICE),
+                       ("payload", "charts", 1, "mf", "terms", 0, "bundle",
+                        _P1_TWICE)),
+     2, "validation: generator 'p1' repeated in bundle ['p1', 'p1']\n"),
+    ("glue", _fixture_with("atlas_cylinder", "charts", 1, "mf", "terms", 0,
+                           "bundle", _P1_THRICE),
+     2, "validation: generator 'p1' repeated in bundle ['p1', 'p1', 'p1']\n"),
+    ("glue", _fixture_with("atlas_cylinder", "charts", 0, "Q", _P1_TWICE),
+     2, "validation: generator 'p1' repeated in Q ['p1', 'p1']\n"),
+    ("glue", _fixture_with("atlas_cylinder", "overlaps", 0, "q_t", _P1_THRICE),
+     2, "validation: generator 'p1' repeated in q_t ['p1', 'p1', 'p1']\n"),
+    ("glue", _fixture_with("atlas_cylinder", "scissor", 0, "entries", 0,
+                           "bundle", _P1_TWICE),
+     2, "validation: generator 'p1' repeated in bundle ['p1', 'p1']\n"),
+    ("glue", _job_with("atlas_cylinder",
+                       ("registry", "symbols", 1, "cover", _P1_TWICE)),
+     2, "validation: generator 'p1' repeated in cover ['p1', 'p1']\n"),
+    ("glue", _job_with("atlas_cylinder",
+                       ("registry", "square_roots", 1, "class", _P1_THRICE)),
+     2, "validation: generator 'p1' repeated in class ['p1', 'p1', 'p1']\n"),
+    ("glue", _job_with("atlas_cylinder",
+                       ("registry", "generators",
+                        [{"space": "Gm", "names": ["p1"]},
+                         {"space": "GmW", "names": ["w1"]}]),
+                       ("registry", "morphisms", 0, "pull_bundles", 0, "image",
+                        ["w1", "w1"])),
+     2, "validation: generator 'w1' repeated in image ['w1', 'w1']\n"),
 ], ids=["missing_restriction", "unsupported_shape", "descent_cocycle",
         "descent_disagreeing_charts", "opaque_product", "unoriented_atlas",
         "duplicate_divisor", "empty_stratum", "duplicate_chart",
         "chart_off_its_region", "localize_flags_false",
         "localize_component_off_the_point", "localize_direct_off_the_point",
         "restriction_class_off_its_space", "ambient_off_its_space",
-        "point_class_off_the_point"])
+        "point_class_off_the_point", "generator_twice_in_q_and_bundle",
+        "generator_thrice_in_a_bundle", "generator_twice_in_a_chart_q",
+        "generator_thrice_in_an_overlap_class",
+        "generator_twice_in_a_scissor_entry", "generator_twice_in_a_cover",
+        "generator_thrice_in_a_square_root", "generator_twice_in_an_image"])
 def test_refusal_stderr_is_pinned(tmp_path, capsys, command, job, code,
                                   stderr):
     # the exact stderr lines and exit code of each refusal, through main

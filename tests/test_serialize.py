@@ -16,9 +16,11 @@ from motivic import (HalfLaurent, Motive, MotivicError, Registry,
                      symbol_motive)
 from motivic.cli import main
 from motivic.jobs import job_validator, parse_job
+from motivic.render import bundle_text, symbol_text, term_text
 from motivic.schemas import JOB, MOTIVE, all_schemas, write_schema_files
 from motivic.serialize import (JOB_SCHEMA, atlas_from_json, atlas_to_json,
-                               fixedpoints_to_json, monomial_to_json,
+                               coeff_to_json, fixedpoints_to_json,
+                               monomial_to_json,
                                motive_from_json, motive_to_json,
                                registry_from_json, registry_to_json,
                                resolution_from_json, resolution_to_json,
@@ -47,6 +49,104 @@ def test_motive_json_is_deterministic(ring_registry):
         a = json.dumps(motive_to_json(m), sort_keys=True)
         b = json.dumps(motive_to_json(m.normalized()), sort_keys=True)
         assert a == b
+
+
+# -- the grouped writer and renderer against the per-term ones ---------------------
+#
+# The writer and the renderer group the flat form once into plain
+# ``{k2: c}`` dicts.  The references below are the per-term versions they
+# replaced: each term through ``terms()`` (a HalfLaurent per term), the
+# writer's coefficients through ``coeff_to_json``, the renderer's head
+# picked by an if chain and the pieces joined by ``+=``.
+
+
+def _per_term_to_json(m) -> dict:
+    terms = []
+    for (mon, bits), coeff in m.terms():
+        terms.append({"monomial": list(mon),
+                      "bundle": list(m.reg.names_of(m.space, bits)),
+                      "coeff": coeff_to_json(coeff)})
+    return {"space": m.space, "terms": terms}
+
+
+def _per_term_text(reg, space, mon, bits, coeff: HalfLaurent) -> str:
+    parts = [bundle_text(reg, space, bits)] if bits else []
+    i = 0
+    while i < len(mon):
+        j = i
+        while j < len(mon) and mon[j] == mon[i]:
+            j += 1
+        body = symbol_text(reg, mon[i])
+        parts.append(body if j - i == 1 else f"{body}^{j - i}")
+        i = j
+    ctext = coeff.text()
+    if not parts:
+        return ctext
+    if " " in ctext:
+        head = f"({ctext})"
+    elif ctext == "1":
+        head = ""
+    elif ctext == "-1":
+        head = "-"
+    else:
+        head = ctext
+    body = " ⊙ ".join(parts)
+    return head + body if head in ("", "-") else head + " ⊙ " + body
+
+
+def _per_term_motive_text(m) -> str:
+    items = m.terms()
+    if not items:
+        return "0"
+    rendered = [_per_term_text(m.reg, m.space, mon, bits, coeff)
+                for (mon, bits), coeff in items]
+    out = rendered[0]
+    for piece in rendered[1:]:
+        if piece.startswith("-"):
+            out += " - " + piece[1:]
+        else:
+            out += " + " + piece
+    return out
+
+
+def test_grouped_writer_and_renderer_match_the_per_term_ones(ring_registry):
+    rng = random.Random(79)
+    motives = [Motive.zero(ring_registry, "S")] + [
+        rand_fragment_motive(ring_registry, rng, allow_opaque=True,
+                             opaque="w3") for _ in range(300)]
+    for m in motives:
+        doc = motive_to_json(m)
+        assert doc == _per_term_to_json(m)
+        assert m.text() == _per_term_motive_text(m)
+        for (mon, bits), coeff in m.terms():
+            assert term_text(m.reg, m.space, mon, bits, coeff._coeffs) == \
+                _per_term_text(m.reg, m.space, mon, bits, coeff)
+        assert motive_from_json(ring_registry, doc) == m
+
+
+def test_writer_output_is_pinned():
+    # terms and exponents built out of order come out sorted
+    m = Motive(_loader_registry(), "S", [((("B",), 0), {2: 1, 0: 3}),
+                                         ((("A",), 0b101), {0: -1})])
+    assert motive_to_json(m) == {"space": "S", "terms": [
+        {"monomial": ["A"], "bundle": ["g0", "g2"], "coeff": [[0, -1]]},
+        {"monomial": ["B"], "bundle": [], "coeff": [[0, 3], [2, 1]]}]}
+
+
+@pytest.mark.parametrize("terms,text", [
+    ([((("A",), 0), {1: 1}), (((), 0), {0: -3})], "-3 + L^(1/2) ⊙ [A]"),
+    ([((("B",), 0), {0: -1}), ((("A",), 1), {0: 1})], "Y(g0) ⊙ [A] - [B]"),
+    ([(((), 0b110), {0: -1})], "-Y(g1+g2)"),
+    ([((("w3",), 1), {0: 5}), ((("A", "A"), 0), {-2: -1})],
+     "-L^-1 ⊙ [A]^2 + 5 ⊙ Y(g0) ⊙ [mu_3:w3]"),
+    ([((("B",), 1), {1: -1, 0: 1}), (((), 0), {2: 2, 0: -1})],
+     "-1 + 2*L + (1 - L^(1/2)) ⊙ Y(g0) ⊙ [B]"),
+    ([((("A",), 0), {0: -1, 3: 2})], "(-1 + 2*L^(3/2)) ⊙ [A]"),
+    ([], "0"),
+], ids=["negative_lead", "unit_heads", "minus_one_lead", "k_zero",
+        "parenthesized_sum", "parenthesized_negative_sum", "zero"])
+def test_motive_text_is_pinned(terms, text):
+    assert Motive(_loader_registry(), "S", terms).text() == text
 
 
 @cache

@@ -60,6 +60,12 @@ NO_HALFLAURENT = ("tests/test_serialize.py::"
                   "test_motive_from_json_builds_no_halflaurent")
 TWIST = ("tests/test_transport.py::"
          "test_pullback_with_twist_matches_reference_twist")
+NON_INTEGER = ("tests/test_serialize.py::"
+               "test_motive_from_json_refuses_non_integer_entries")
+WRITER = "tests/test_serialize.py::test_writer_output_is_pinned"
+RENDER = "tests/test_serialize.py::test_motive_text_is_pinned"
+# a coefficient entry as the reader passes it on
+LOADED_PAIR = "(k, v) if type(k) is int is type(v) else (_integer(k), _integer(v))"
 STDERR = "tests/test_cli.py::test_refusal_stderr_is_pinned"
 ORDER = ("tests/test_cli_order.py::"
          "test_two_faults_name_the_same_one_in_either_order")
@@ -188,14 +194,24 @@ MUTANTS = [
             "test_pullback_along_composite_is_pullback_of_pullback",
             CORE + "test_pullback_functoriality_on_composition")),
     Mutant("loader_keeps_last_exponent", "serialize", "coeff_from_json",
-           "[(_integer(k), _integer(v)) for k, v in data]",
-           "list({_integer(k): _integer(v) for k, v in data}.items())",
+           f"[{LOADED_PAIR} for k, v in data]",
+           f"list(dict({LOADED_PAIR} for k, v in data).items())",
            (LOADER, NO_HALFLAURENT)),
     Mutant("loader_coerces_with_int", "serialize", "coeff_from_json",
-           "[(_integer(k), _integer(v)) for k, v in data]",
-           "[(int(k), int(v)) for k, v in data]",
-           ("tests/test_serialize.py::"
-            "test_motive_from_json_refuses_non_integer_entries",)),
+           "(_integer(k), _integer(v))", "(int(k), int(v))", (NON_INTEGER,)),
+    Mutant("loader_fast_path_admits_bools", "serialize", "coeff_from_json",
+           "type(k) is int is type(v)",
+           "isinstance(k, int) and isinstance(v, int)", (NON_INTEGER,)),
+    Mutant("writer_keeps_exponent_order", "serialize", "motive_to_json",
+           "sorted(coeff)", "coeff", (WRITER,)),
+    Mutant("groups_keep_term_order", "motive", "Motive._groups",
+           "sorted(_by_term(self._flat).items())",
+           "list(_by_term(self._flat).items())", (WRITER, RENDER)),
+    Mutant("term_text_drops_minus_head", "render", "term_text",
+           "_HEADS.get(ctext, ctext + ' ⊙ ')",
+           "{'1': '', '-1': ''}.get(ctext, ctext + ' ⊙ ')", (RENDER,)),
+    Mutant("set_bits_skips_repeat_check", "serialize", "_set_bits",
+           "bits.bit_count() != len(names)", "False", (STDERR,)),
     Mutant("constructor_overwrites_repeats", "motive", "Motive.__init__",
            "flat.get(key, 0) + c", "c", (LOADER, NO_HALFLAURENT)),
     Mutant("constructor_keeps_monomial_order", "motive", "Motive.__init__",
