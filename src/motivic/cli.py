@@ -233,7 +233,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except MotivicError as exc:
+    except (MotivicError, MemoryError) as exc:
+        exc = MotivicError("out of memory") if isinstance(exc, MemoryError) else exc
         sys.stderr.writelines(f"{line}\n" for line in exc.report())
         return exc.exit_code
 

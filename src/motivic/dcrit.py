@@ -296,22 +296,18 @@ def _refuse_scissor(reg: Registry, scissor: list[ScissorPiece],
     whose entry is missing or is not a class of ``reg`` over the point."""
     faults = []
     for piece in scissor:
+        value = glued.values.get(piece.region)
         try:
-            _check_piece(reg, piece, glued.values.get(piece.region))
+            if value is None:
+                raise MissingScissorTable(
+                    f"scissor piece over unglued region {piece.region!r}")
+            for mon, bits in sorted({(mon, bits) for mon, bits, _ in value._flat}):
+                entry = piece.entries.get((mon, bits))
+                if entry is None:
+                    raise MissingScissorTable(
+                        f"region {piece.region!r}: no scissor entry for term "
+                        f"({mon}, bits={bits})")
+                _check_operand(reg, POINT, entry)
         except MotivicError as exc:
             faults.append((piece.region, str(exc), exc))
     raise min(faults, key=lambda fault: fault[:2])[2]
-
-
-def _check_piece(reg: Registry, piece: ScissorPiece,
-                 value: Optional[Motive]) -> None:
-    if value is None:
-        raise MissingScissorTable(
-            f"scissor piece over unglued region {piece.region!r}")
-    for mon, bits in sorted({(mon, bits) for mon, bits, _ in value._flat}):
-        entry = piece.entries.get((mon, bits))
-        if entry is None:
-            raise MissingScissorTable(
-                f"region {piece.region!r}: no scissor entry for term "
-                f"({mon}, bits={bits})")
-        _check_operand(reg, POINT, entry)

@@ -259,6 +259,8 @@ class Registry:
                        underlying: Optional[object] = None,
                        cover_bits: Optional[int] = None) -> Symbol:
         self.space(space)
+        if name == "__cover__":  # the monomial of a pushforward's cover entries
+            raise RegistryError("symbol name '__cover__' is reserved")
         if order < 1:
             raise RegistryError("symbol order must be positive")
         if cover_bits is not None and order != 2:

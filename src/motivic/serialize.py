@@ -63,13 +63,20 @@ def motive_to_json(m: Motive) -> dict[str, Any]:
         for (mon, bits), coeff in m._groups()]}
 
 
+def _as_set(names, what: str, field: str) -> frozenset:
+    """``frozenset(names)``, refused when the list names a ``what`` twice."""
+    twice = next((n for i, n in enumerate(names) if n in names[:i]), None)
+    if twice is not None:
+        raise ValidationFailed([f"{what} {twice!r} repeated in {field} {names!r}"])
+    return frozenset(names)
+
+
 def _set_bits(reg: Registry, space: str, names, field: str) -> int:
     """``reg.bits_of(space, names)`` for a list the format reads as a set:
     a generator listed twice is refused, not cancelled."""
     bits = reg.bits_of(space, names)
     if bits.bit_count() != len(names):
-        twice = next(n for i, n in enumerate(names) if n in names[:i])
-        raise ValidationFailed([f"generator {twice!r} repeated in {field} {names!r}"])
+        _as_set(names, "generator", field)  # raises: only a repeat cancels
     return bits
 
 
@@ -94,41 +101,39 @@ def bundle_to_json(reg: Registry, b: BundleClass) -> list[str]:
     return list(reg.names_of(b.space, b.bits))
 
 
-def _keyed(entries, fields, where: str, build, key=None) -> dict:
-    """``{key(entry): build(entry)}``.  ``fields`` names the field, or the
-    tuple of fields, that an entry is keyed by; ``key`` defaults to the
-    value of the one field.  Each repeated key is one validation diagnostic
-    that shows those fields; those an entry's own lists raise are collected
-    too, so one run reports every repeat in the list and in its entries."""
+def _refuse(diags: list[str]) -> None:
+    """Raise the faults a reader gathered in ``diags``, if it gathered any."""
+    if diags:
+        raise ValidationFailed(diags)
+
+
+def _keyed(diags: list[str], entries, fields, where: str, build,
+           key=None) -> dict:
+    """``{key(entry): build(entry)}``, or ``{}`` when it adds to ``diags``.
+    ``fields`` names the field, or the tuple of fields, that an entry is
+    keyed by; ``key`` defaults to the value of the one field.  Each repeated
+    key is one diagnostic that shows those fields, and those an entry's
+    ``build`` raises are added too, so a reader that reads every list before
+    it raises reports every repeat in each list and in its entries.  A
+    fault in an entry's key ends the list, and its lines replace the list's."""
     names = (fields,) if isinstance(fields, str) else fields
     table: dict = {}
-    seen = set()
-    repeated = []
-    for e in entries:
-        k = e[fields] if key is None else key(e)
-        if k in seen:
-            shown = " and ".join(f"{f} {e[f]!r}" for f in names)
-            repeated.append(f"duplicate {shown} in {where}")
-            continue
-        seen.add(k)
-        try:
-            table[k] = build(e)
-        except ValidationFailed as inner:
-            repeated.extend(inner.diagnostics)
-    if repeated:
-        raise ValidationFailed(repeated)
-    return table
-
-
-def _collect(repeated: list[str], *args) -> dict:
-    """``_keyed(*args)``, or ``{}`` with its diagnostics added to
-    ``repeated``: a reader reads every keyed list before it raises, so one
-    run reports the repeats of all of them, in order."""
+    start = len(diags)
     try:
-        return _keyed(*args)
-    except ValidationFailed as err:
-        repeated.extend(err.diagnostics)
-        return {}
+        for e in entries:
+            k = e[fields] if key is None else key(e)
+            if k in table:
+                shown = " and ".join(f"{f} {e[f]!r}" for f in names)
+                diags.append(f"duplicate {shown} in {where}")
+                continue
+            try:
+                table[k] = build(e)
+            except ValidationFailed as inner:
+                table[k] = None  # a later entry with this key is a repeat
+                diags.extend(inner.diagnostics)
+    except ValidationFailed as inner:
+        diags[start:] = inner.diagnostics
+    return table if len(diags) == start else {}
 
 
 def _term_key(reg: Registry, space: str, e) -> tuple[tuple[str, ...], int]:
@@ -144,9 +149,13 @@ def _classes_to_json(classes: dict) -> list[dict[str, Any]]:
 
 
 def _classes_from_json(reg: Registry, owner, where: str) -> dict:
-    return _keyed(owner.get("classes", ()), "divisors", f"classes of {where}",
-                  lambda e: motive_from_json(reg, e["class"]),
-                  lambda e: frozenset(e["divisors"]))
+    diags: list[str] = []
+    classes = _keyed(diags, owner.get("classes", ()), "divisors",
+                     f"classes of {where}",
+                     lambda e: motive_from_json(reg, e["class"]),
+                     lambda e: _as_set(e["divisors"], "divisor", "divisors"))
+    _refuse(diags)
+    return classes
 
 
 # -- registry -----------------------------------------------------------------
@@ -209,25 +218,24 @@ def registry_from_json(data) -> Registry:
             reg.set_underlying(sym["name"], motive_from_json(reg, sym["underlying"]))
     for p in data.get("products", ()):
         reg.declare_product(p["name"], p["left"], p["right"])
-    repeated: list[str] = []
+    diags: list[str] = []
     for mor in data.get("morphisms", ()):
         source, where = mor["source"], f"of morphism {mor['name']!r}"
-        pull_symbols = _collect(repeated, mor.get("pull_symbols", ()), "symbol",
-                                f"pull_symbols {where}",
-                                lambda e: motive_from_json(reg, e["image"]))
-        pull_bundles = _collect(repeated, mor.get("pull_bundles", ()),
-                                "generator", f"pull_bundles {where}",
-                                lambda e: _set_bits(reg, source, e["image"], "image"))
-        push_classes = _collect(
-            repeated, mor.get("push_classes", ()), ("monomial", "bundle"),
+        pull_symbols = _keyed(diags, mor.get("pull_symbols", ()), "symbol",
+                              f"pull_symbols {where}",
+                              lambda e: motive_from_json(reg, e["image"]))
+        pull_bundles = _keyed(diags, mor.get("pull_bundles", ()), "generator",
+                              f"pull_bundles {where}",
+                              lambda e: _set_bits(reg, source, e["image"], "image"))
+        push_classes = _keyed(
+            diags, mor.get("push_classes", ()), ("monomial", "bundle"),
             f"push_classes {where}",
             lambda e: motive_from_json(reg, e["image"]),
             lambda e: _term_key(reg, source, e))
         reg.declare_morphism(mor["name"], mor["source"], mor["target"],
                              mor.get("kind", "general"), pull_symbols,
                              pull_bundles, push_classes)
-    if repeated:
-        raise ValidationFailed(repeated)
+    _refuse(diags)
     for sq in data.get("square_roots", ()):
         reg.declare_square_root(sq["space"], sq["line_bundle"],
                                 sq["trivialization"],
@@ -265,18 +273,17 @@ def resolution_to_json(r: ResolutionData) -> dict[str, Any]:
             "constant": r.constant}
 
 
-def _off_space(where: str, classes: dict, ambient, space: str,
-               what: str) -> list[str]:
-    """One diagnostic for each restricted class of the table ``where``, and
-    for its ambient, that does not lie on the table's ``space``; the sums
-    over the table would refuse it only when they run."""
-    diags = [f"{where}: class of divisors {sorted(key)} lives on "
-             f"{m.space!r}, not on {what} {space!r}"
-             for key, m in classes.items() if m.space != space]
+def _off_space(diags: list[str], where: str, classes: dict, ambient,
+               space: str, what: str) -> None:
+    """Add to ``diags`` one diagnostic for each restricted class of the
+    table ``where``, and for its ambient, that does not lie on the table's
+    ``space``; the sums over the table would refuse it only when they run."""
+    diags.extend(f"{where}: class of divisors {sorted(key)} lives on "
+                 f"{m.space!r}, not on {what} {space!r}"
+                 for key, m in classes.items() if m.space != space)
     if ambient is not None and ambient.space != space:
         diags.append(f"{where}: ambient lives on {ambient.space!r}, not on "
                      f"{what} {space!r}")
-    return diags
 
 
 def resolution_from_json(reg: Registry, data) -> ResolutionData:
@@ -285,30 +292,28 @@ def resolution_from_json(reg: Registry, data) -> ResolutionData:
 
     divisors = [Divisor(d["id"], d["N"], d["nu"], d.get("boundary", False))
                 for d in data["divisors"]]
-    repeated: list[str] = []
-    strata = _collect(
-        repeated, data["strata"], "divisors", "strata",
+    diags: list[str] = []
+    strata = _keyed(
+        diags, data["strata"], "divisors", "strata",
         lambda s: Stratum(motive_from_json(reg, s["class"]), s["cover_order"]),
-        lambda s: frozenset(s["divisors"]))
-    tables = _collect(
-        repeated, data.get("critical_values", ()), "value", "critical_values",
+        lambda s: _as_set(s["divisors"], "divisor", "divisors"))
+    tables = _keyed(
+        diags, data.get("critical_values", ()), "value", "critical_values",
         lambda v: None if v.get("space") is None else RestrictionTable(
             reg.space(v["space"]).name,
             _classes_from_json(reg, v, f"critical value {v['value']!r}"),
             _opt_motive_from_json(reg, v.get("ambient"))))
-    points = _collect(repeated, data.get("points", ()), "label", "points",
-                      lambda p: PointTable(p["value"], _classes_from_json(
-                          reg, p, f"point {p['label']!r}")))
-    off_space: list[str] = []
+    points = _keyed(diags, data.get("points", ()), "label", "points",
+                    lambda p: PointTable(p["value"], _classes_from_json(
+                        reg, p, f"point {p['label']!r}")))
     for c, t in tables.items():
         if t is not None:
-            off_space += _off_space(f"critical value {c!r}", t.classes,
-                                    t.ambient, t.space, "the table's space")
+            _off_space(diags, f"critical value {c!r}", t.classes, t.ambient,
+                       t.space, "the table's space")
     for label, pt in points.items():
-        off_space += _off_space(f"point {label!r}", pt.classes, None, POINT,
-                                "the point")
-    if repeated or off_space:
-        raise ValidationFailed(repeated + off_space)
+        _off_space(diags, f"point {label!r}", pt.classes, None, POINT,
+                   "the point")
+    _refuse(diags)
     return ResolutionData(reg, data["space_u0"], data["dim_u"], divisors,
                           strata, list(tables) or ["0"],
                           {c: t for c, t in tables.items() if t is not None},
@@ -348,8 +353,7 @@ def monomial_from_json(reg: Registry, data) -> tuple[MonomialFunction, ArcContex
             repeated.append(f"duplicate order {order} (key {k!r}) in cover_symbols")
         else:
             covers[order] = reg.symbol(v).name
-    if repeated:
-        raise ValidationFailed(repeated)
+    _refuse(repeated)
     ctx = ArcContext(reg, base, units, covers)
     with suppress(UnsupportedShape):  # reported when the oracle runs
         cover_class(f, ctx)  # resolves the cover symbol the oracle uses
@@ -410,16 +414,15 @@ def _undeclared_regions(data, regions: dict[str, str]) -> list[str]:
     return diags
 
 
-def _restriction_diagnostics(reg: Registry, o, space: str,
-                             chart_spaces: dict[str, str]) -> list[str]:
-    """One diagnostic per restriction name of overlap ``o`` (on region space
-    ``space``) that names no morphism, or a morphism whose source is not
-    ``space`` or whose target is not the region space of the chart it
-    restricts.  A null side means the overlap region is the chart's own
+def _restriction_diagnostics(diags: list[str], reg: Registry, o, space: str,
+                             chart_spaces: dict[str, str]) -> None:
+    """Add to ``diags`` one diagnostic per restriction name of overlap ``o``
+    (on region space ``space``) that names no morphism, or a morphism whose
+    source is not ``space`` or whose target is not the region space of the
+    chart it restricts.  A null side means the overlap region is the chart's own
     region, so ``space`` must be that chart's region space.  A side on an
     unknown chart id has no target to check; the unknown id is
     ``dcrit.check_orientation``'s to report."""
-    diags = []
     for side in "ab":
         name, chart = o.get(f"restrict_{side}"), o[f"chart_{side}"]
         label = f"overlap {o['chart_a']}|{o['chart_b']}@{o['region']}: "
@@ -442,16 +445,16 @@ def _restriction_diagnostics(reg: Registry, o, space: str,
         if target is not None and mor.target != target:
             diags.append(f"{label} has target {mor.target!r}, not the region "
                          f"space {target!r} of chart {chart!r}")
-    return diags
 
 
 def atlas_from_json(reg: Registry, data) -> Atlas:
     from .dcrit import Atlas, CriticalChart, OverlapDatum, ScissorPiece
 
-    regions = _keyed(data["regions"], "name", "regions", lambda r: r["space"])
-    undeclared = _undeclared_regions(data, regions)
-    if undeclared:
-        raise ValidationFailed(undeclared)
+    diags: list[str] = []
+    regions = _keyed(diags, data["regions"], "name", "regions",
+                     lambda r: r["space"])
+    diags = diags or _undeclared_regions(data, regions)  # a repeat empties regions
+    _refuse(diags)
     charts = [CriticalChart(
         c["id"], c["region"], c["dim_u"], _chart_mf_from_json(reg, c["mf"]),
         BundleClass(regions[c["region"]],
@@ -459,35 +462,31 @@ def atlas_from_json(reg: Registry, data) -> Atlas:
         for c in data["charts"]]
     chart_spaces = {c.id: regions[c.region] for c in charts}
     overlaps = []
-    restrictions: list[str] = []
     for o in data.get("overlaps", ()):
         sp = regions[o["region"]]
-        restrictions += _restriction_diagnostics(reg, o, sp, chart_spaces)
+        _restriction_diagnostics(diags, reg, o, sp, chart_spaces)
         overlaps.append(OverlapDatum(
             o["chart_a"], o["chart_b"], o["region"],
             *(BundleClass(sp, _set_bits(reg, sp, o[k], k)) for k in ("p_a", "p_b", "q_t")),
             o.get("restrict_a"), o.get("restrict_b"),
             _opt_motive_from_json(reg, o.get("mf_t"))))
     scissor = None
-    repeated: list[str] = []
-    off_point: list[str] = []
     if data.get("scissor") is not None:
         scissor = []
         for p in data["scissor"]:
             sp = regions[p["region"]]
-            entries = _collect(
-                repeated, p["entries"], ("monomial", "bundle"),
+            entries = _keyed(
+                diags, p["entries"], ("monomial", "bundle"),
                 f"scissor entries of region {p['region']!r}",
                 lambda e: motive_from_json(reg, e["class"]),
                 lambda e: _term_key(reg, sp, e))
             scissor.append(ScissorPiece(p["region"], entries, p.get("sign", 1)))
-            off_point += [f"region {p['region']!r}: scissor entry for term "
-                          f"({mon}, bits={bits}) lives on {img.space!r}, "
-                          f"not on the point {POINT!r}"
-                          for (mon, bits), img in sorted(entries.items())
-                          if img.space != POINT]
-    if restrictions or repeated or off_point:
-        raise ValidationFailed(restrictions + repeated + off_point)
+    diags += [f"region {piece.region!r}: scissor entry for term ({mon}, "
+              f"bits={bits}) lives on {img.space!r}, not on the point {POINT!r}"
+              for piece in scissor or ()
+              for (mon, bits), img in sorted(piece.entries.items())
+              if img.space != POINT]
+    _refuse(diags)
     return Atlas(reg, regions, charts, overlaps, data.get("oriented", True),
                  scissor)
 
@@ -514,8 +513,7 @@ def fixedpoints_from_json(reg: Registry, data):
     zeros = [f"component {c['id']!r} has a zero tangent weight; zero-weight "
              "directions belong to the fixed component"
              for c in data["components"] if 0 in c["weights"]]
-    if zeros:
-        raise ValidationFailed(zeros)
+    _refuse(zeros)
     components = [FixedComponentDatum(
         c["id"], tuple(c["weights"]), _opt_motive_from_json(reg, c.get("motive")),
         c.get("good", True), c.get("circle_compact", True))
@@ -545,6 +543,5 @@ def ts_from_json(reg: Registry, data) -> list[Motive]:
             names = sorted({n for (mon, _), _ in factor.terms() for n in mon})
             diags += reg.missing_images(prod, side, names)
         space = prod.name
-    if diags:
-        raise ValidationFailed(diags)
+    _refuse(diags)
     return factors

@@ -194,6 +194,9 @@ def _job_with(name, *edits):
 # a generator named more than once in a list the format reads as a set
 _P1_TWICE = ["p1", "p1"]
 _P1_THRICE = ["p1", "p1", "p1"]
+# a divisor named twice in a list the format reads as a set
+_E1_TWICE = ["E1", "E1"]
+_E1_REPEATED = "validation: divisor 'E1' repeated in divisors ['E1', 'E1']\n"
 
 
 def _x2y_on_gmw(ambient=False):
@@ -207,6 +210,16 @@ def _x2y_on_gmw(ambient=False):
         table = job["payload"]["critical_values"][0]
         table["classes"][0]["class"] = {"space": "GmW", "terms": [one]}
         table["ambient"] = {"space": "Gm", "terms": [one]}
+    return job
+
+
+def _x2y_declaring_the_cover_key():
+    """x2y with one more symbol, named like the monomial that keys a
+    pushforward table's cover entries."""
+    job = fixtures.load_fixture_job("x2y")
+    job["registry"]["symbols"].append({"name": "__cover__", "space": "Gm",
+                                       "order": 1, "underlying": None,
+                                       "cover": None})
     return job
 
 
@@ -573,6 +586,93 @@ def test_every_scissor_piece_reports_its_repeats(tmp_path, capsys):
         f"of region {region!r}\n" for region in ("P1", "P1", "P2", "P2"))
 
 
+def _x2y_with_every_fault_kind():
+    """x2y with its stratum repeated, its critical value's class moved to
+    ``GmW`` and its point's class moved to ``Gm``."""
+    job = fixtures.load_fixture_job("x2y")
+    payload = job["payload"]
+    payload["strata"].append(copy.deepcopy(payload["strata"][0]))
+    payload["critical_values"][0]["classes"][0]["class"] = _image("GmW")
+    payload["points"][0]["classes"][0]["class"]["space"] = "Gm"
+    return job
+
+
+def _x2y_repeated_classes_and_ambient_twice():
+    """x2y whose critical value repeats its class and has an ambient whose
+    bundle names ``p1`` twice."""
+    job = fixtures.load_fixture_job("x2y")
+    table = job["payload"]["critical_values"][0]
+    table["classes"].append(copy.deepcopy(table["classes"][0]))
+    table["ambient"] = {"space": "Gm", "terms": [
+        {"monomial": [], "bundle": _P1_TWICE, "coeff": [[0, 1]]}]}
+    return job
+
+
+def _x2y_repeated_value_off_its_space():
+    """x2y whose critical value is listed twice, the first time with its
+    class on ``GmW``."""
+    job = fixtures.load_fixture_job("x2y")
+    values = job["payload"]["critical_values"]
+    values.insert(0, copy.deepcopy(values[0]))
+    values[0]["classes"][0]["class"] = _image("GmW")
+    return job
+
+
+def _cylinder_with_every_fault_kind():
+    """atlas_cylinder with an unknown ``restrict_a`` and three scissor
+    pieces on its region: the first and third repeat their entry, and the
+    second holds an entry on ``Gm``."""
+    job = _fixture_with("atlas_cylinder", "overlaps", 0, "restrict_a",
+                        "nosuch")
+    piece = job["payload"]["scissor"][0]
+    repeated = dict(copy.deepcopy(piece), entries=piece["entries"] * 2)
+    off_point = copy.deepcopy(piece)
+    off_point["entries"][0]["class"]["space"] = "Gm"
+    job["payload"]["scissor"] = [repeated, off_point, copy.deepcopy(repeated)]
+    return job
+
+
+_SCISSOR_REPEAT = ("validation: duplicate monomial [] and bundle [] in "
+                   "scissor entries of region 'R'\n")
+
+
+@pytest.mark.parametrize("command,job,stderr", [
+    ("nearby", _x2y_with_every_fault_kind(),
+     "validation: duplicate divisors ['E1'] in strata\n"
+     "validation: critical value '0': class of divisors ['E1'] lives on "
+     "'GmW', not on the table's space 'Gm'\n"
+     "validation: point 'y0': class of divisors ['E1'] lives on 'Gm', not "
+     "on the point 'K'\n"),
+    # the ambient is read after the classes, and a repeat skips it
+    ("nearby", _x2y_repeated_classes_and_ambient_twice(),
+     "validation: duplicate divisors ['E1'] in classes of critical value "
+     "'0'\n"),
+    # a list with a repeat reads as no table, so its entries are not checked
+    ("nearby", _x2y_repeated_value_off_its_space(),
+     "validation: duplicate value '0' in critical_values\n"),
+    ("glue", _cylinder_with_every_fault_kind(),
+     "validation: unknown morphism 'nosuch'\n" + 2 * _SCISSOR_REPEAT
+     + "validation: region 'R': scissor entry for term ((), bits=0) lives "
+     "on 'Gm', not on the point 'K'\n"),
+    # a fault in an entry's key ends its list, not the read
+    ("glue", _job_with("atlas_cylinder",
+                       ("payload", "overlaps", 0, "restrict_a", "nosuch"),
+                       ("payload", "scissor", 0, "entries", 0, "bundle",
+                        _P1_TWICE)),
+     "validation: unknown morphism 'nosuch'\n"
+     "validation: generator 'p1' repeated in bundle ['p1', 'p1']\n"),
+], ids=["resolution", "classes_before_ambient", "repeat_hides_its_list",
+        "atlas", "key_fault_ends_its_list"])
+def test_a_reader_keeps_its_line_order_across_fault_kinds(tmp_path, capsys,
+                                                          command, job,
+                                                          stderr):
+    path = tmp_path / "faults.json"
+    path.write_text(json.dumps(job), encoding="utf-8")
+    for machine in ([], ["--machine-readable"]):
+        assert run(capsys, command, "--job", str(path), *machine) == (
+            2, "", stderr)
+
+
 def test_cover_and_plain_pushforward_entries_are_two_keys(tmp_path, capsys):
     job = fixtures.load_fixture_job("x2y")
     job["registry"]["morphisms"][0]["push_classes"] = [
@@ -835,6 +935,14 @@ def test_unsupported_shape_exit_code(tmp_path, capsys):
                        ("registry", "morphisms", 0, "pull_bundles", 0, "image",
                         ["w1", "w1"])),
      2, "validation: generator 'w1' repeated in image ['w1', 'w1']\n"),
+    ("vanishing", _fixture_with("x2y", "strata", 0, "divisors", _E1_TWICE),
+     2, _E1_REPEATED),
+    ("vanishing", _fixture_with("x2y", "critical_values", 0, "classes", 0,
+                                "divisors", _E1_TWICE), 2, _E1_REPEATED),
+    ("vanishing", _fixture_with("x2y", "points", 0, "classes", 0, "divisors",
+                                _E1_TWICE), 2, _E1_REPEATED),
+    ("vanishing", _x2y_declaring_the_cover_key(),
+     2, "validation: symbol name '__cover__' is reserved\n"),
 ], ids=["missing_restriction", "unsupported_shape", "descent_cocycle",
         "descent_disagreeing_charts", "opaque_product", "unoriented_atlas",
         "duplicate_divisor", "empty_stratum", "duplicate_chart",
@@ -845,7 +953,9 @@ def test_unsupported_shape_exit_code(tmp_path, capsys):
         "generator_thrice_in_a_bundle", "generator_twice_in_a_chart_q",
         "generator_thrice_in_an_overlap_class",
         "generator_twice_in_a_scissor_entry", "generator_twice_in_a_cover",
-        "generator_thrice_in_a_square_root", "generator_twice_in_an_image"])
+        "generator_thrice_in_a_square_root", "generator_twice_in_an_image",
+        "divisor_twice_in_a_stratum", "divisor_twice_in_a_value_class",
+        "divisor_twice_in_a_point_class", "symbol_named_like_the_cover_key"])
 def test_refusal_stderr_is_pinned(tmp_path, capsys, command, job, code,
                                   stderr):
     # the exact stderr lines and exit code of each refusal, through main
@@ -860,6 +970,19 @@ def _error_classes(cls=MotivicError):
     yield cls
     for sub in cls.__subclasses__():
         yield from _error_classes(sub)
+
+
+def test_out_of_memory_is_one_line(capsys, monkeypatch):
+    # the k + 1 rows of a huge series order need memory in proportion to k
+    from motivic import zeta
+
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(zeta, "expand_series", exhausted)
+    for machine in ([], ["--machine-readable"]):
+        assert run(capsys, "zeta", "--fixture", "z2", "--series-order",
+                   "100000000", *machine) == (1, "", "error: out of memory\n")
 
 
 def test_readme_exit_code_table_names_every_error_class():

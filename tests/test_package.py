@@ -147,12 +147,12 @@ _COMMON = {"bundles", "errors", "halflaurent", "jobs", "motive", "registry",
     (("nearby", "--fixture", "z3"), {"zeta"}, 3087),
     (("arc-check", "--fixture", "arc_z2"), {"arcs", "zeta"}, 3237),
     (("ts", "--fixture", "ts_z2_10"), set(), 2753),
-    (("glue", "--fixture", "atlas_cylinder"), {"dcrit"}, 3070),
+    (("glue", "--fixture", "atlas_cylinder"), {"dcrit"}, 3066),
     (("localize", "--fixture", "localize_two_points"), {"dcrit", "localize"},
-     3157),
+     3153),
     (("vanishing", "--fixture", "x2y"), {"zeta"}, 3087),
     (("selftest",), {"arcs", "dcrit", "fixtures", "localize", "selftest",
-                     "stabilize", "zeta"}, 4198),
+                     "stabilize", "zeta"}, 4194),
 ], ids=["zeta", "nearby", "arc-check", "ts", "glue", "localize", "vanishing",
         "selftest"])
 def test_import_path_budget(argv, modules, ceiling):

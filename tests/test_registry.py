@@ -55,6 +55,18 @@ def test_symbol_order_and_cover_constraints():
         reg.declare_symbol("bad3", "X", 3, cover_bits=0)
 
 
+def test_the_cover_key_is_no_symbol_name():
+    # a pushforward table keys its cover entries by the monomial
+    # ("__cover__",): a symbol of that name would share the key, and a
+    # term Y(p) with no entry of its own would push forward through it
+    reg = Registry()
+    reg.declare_space("X")
+    with pytest.raises(RegistryError,
+                       match="symbol name '__cover__' is reserved"):
+        reg.declare_symbol("__cover__", "X")
+    assert "__cover__" not in reg.symbols
+
+
 def test_morphism_kind_validated():
     reg = Registry()
     reg.declare_space("X")

@@ -67,6 +67,8 @@ RENDER = "tests/test_serialize.py::test_motive_text_is_pinned"
 # a coefficient entry as the reader passes it on
 LOADED_PAIR = "(k, v) if type(k) is int is type(v) else (_integer(k), _integer(v))"
 STDERR = "tests/test_cli.py::test_refusal_stderr_is_pinned"
+LINE_ORDER = ("tests/test_cli.py::"
+              "test_a_reader_keeps_its_line_order_across_fault_kinds")
 ORDER = ("tests/test_cli_order.py::"
          "test_two_faults_name_the_same_one_in_either_order")
 # a series term's shift x = prod of its factors' L^(-nu) T^N, over %s
@@ -212,6 +214,13 @@ MUTANTS = [
            "{'1': '', '-1': ''}.get(ctext, ctext + ' ⊙ ')", (RENDER,)),
     Mutant("set_bits_skips_repeat_check", "serialize", "_set_bits",
            "bits.bit_count() != len(names)", "False", (STDERR,)),
+    # a divisor list keys by its set, so ["E1", "E1"] would read as {E1}
+    Mutant("divisor_repeat_unchecked", "serialize", "_as_set",
+           "twice is not None", "False", (STDERR,)),
+    # a list with a fault is read as no table, so its entries go unchecked
+    Mutant("keyed_keeps_a_faulty_table", "serialize", "_keyed",
+           "table if len(diags) == start else {}", "table",
+           (LINE_ORDER,)),
     Mutant("constructor_overwrites_repeats", "motive", "Motive.__init__",
            "flat.get(key, 0) + c", "c", (LOADER, NO_HALFLAURENT)),
     Mutant("constructor_keeps_monomial_order", "motive", "Motive.__init__",
@@ -223,13 +232,14 @@ MUTANTS = [
             "test_pushforward_table_key_monomial_is_sorted",
             "tests/test_dcrit.py::test_scissor_entry_monomial_is_sorted")),
     Mutant("keyed_skips_duplicate_check", "serialize", "_keyed",
-           "k in seen", "False",
+           "k in table", "False",
            ("tests/test_cli.py::test_repeated_key_exit_code",)),
     Mutant("keyed_drops_inner_diagnostics", "serialize", "_keyed",
-           "repeated.extend(inner.diagnostics)", "raise",
+           "diags.extend(inner.diagnostics)", "raise",
            ("tests/test_cli.py::test_repeated_keys_at_both_levels",)),
     Mutant("resolution_stops_at_first_repeated_list", "serialize",
-           "_collect", "repeated.extend(err.diagnostics)", "raise",
+           "resolution_from_json", "data.get('points', ())",
+           "() if diags else data.get('points', ())",
            ("tests/test_cli.py::"
             "test_every_resolution_list_reports_its_repeats",)),
     Mutant("registry_stops_at_first_repeated_morphism", "serialize",
@@ -237,7 +247,7 @@ MUTANTS = [
            "reg.declare_morphism(mor['name'], mor['source'], mor['target'], "
            "mor.get('kind', 'general'), pull_symbols, pull_bundles, "
            "push_classes)",
-           "if repeated:\n    raise ValidationFailed(repeated)\n"
+           "_refuse(diags)\n"
            "reg.declare_morphism(mor['name'], mor['source'], mor['target'], "
            "mor.get('kind', 'general'), pull_symbols, pull_bundles, "
            "push_classes)",
@@ -247,7 +257,7 @@ MUTANTS = [
            "Product(name, left, right, *[{}] * 2)",
            ("tests/test_records.py::test_records_never_share_a_container",)),
     Mutant("scissor_entries_last_wins", "serialize", "atlas_from_json",
-           "_collect(repeated, p['entries'], ('monomial', 'bundle'), "
+           "_keyed(diags, p['entries'], ('monomial', 'bundle'), "
            "f\"scissor entries of region {p['region']!r}\", "
            "lambda e: motive_from_json(reg, e['class']), "
            "lambda e: _term_key(reg, sp, e))",
@@ -281,7 +291,7 @@ MUTANTS = [
             "test_a_redundant_stabilized_chart_changes_nothing",
             "tests/test_dcrit.py::test_a_shared_chart_class_must_be_the_lift")),
     Mutant("restriction_spaces_unchecked", "serialize", "atlas_from_json",
-           "restrictions += _restriction_diagnostics(reg, o, sp, chart_spaces)",
+           "_restriction_diagnostics(diags, reg, o, sp, chart_spaces)",
            "pass",
            ("tests/test_cli.py::"
             "test_overlap_restriction_spaces_checked_at_parse",)),
@@ -294,7 +304,7 @@ MUTANTS = [
     Mutant("scissor_stops_at_first_repeated_piece", "serialize",
            "atlas_from_json",
            "scissor.append(ScissorPiece(p['region'], entries, p.get('sign', 1)))",
-           "if repeated:\n    raise ValidationFailed(repeated)\n"
+           "_refuse(diags)\n"
            "scissor.append(ScissorPiece(p['region'], entries, p.get('sign', 1)))",
            ("tests/test_cli.py::test_every_scissor_piece_reports_its_repeats",)),
     # the table read ignores the twist, in the relabel or in the walk
@@ -362,6 +372,13 @@ MUTANTS = [
            "[f'  ({self.detail})'] if self.detail else []", "[]", (STDERR,)),
     Mutant("main_exits_1_on_every_refusal", "cli", "main",
            "exc.exit_code", "1", (STDERR,)),
+    Mutant("main_lets_memory_error_escape", "cli", "main",
+           "(MotivicError, MemoryError)", "MotivicError",
+           ("tests/test_cli.py::test_out_of_memory_is_one_line",)),
+    Mutant("cover_key_declarable_as_symbol", "registry",
+           "Registry.declare_symbol", "name == '__cover__'", "False",
+           ("tests/test_registry.py::test_the_cover_key_is_no_symbol_name",
+            STDERR)),
     Mutant("process_main_skips_freeze", "cli", "process_main",
            "gc.freeze()", "pass",
            ("tests/test_process.py::test_argparse_exit_is_frozen_too",)),
